@@ -39,13 +39,31 @@ class ParseError(ValueError):
 # JSON (de)serialization.
 
 
+def _int(value, pointer: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(pointer, f"expected an integer, got {value!r}"
+                         ) from None
+
+
+def _field(obj: dict, name: str, pointer: str):
+    if name not in obj:
+        raise ParseError(f"{pointer}/{name}", "required field is missing")
+    return obj[name]
+
+
+def _int_field(obj: dict, name: str, pointer: str) -> int:
+    return _int(_field(obj, name, pointer), f"{pointer}/{name}")
+
+
 def model_from_json(obj, pointer: str = "/z") -> ZModel:
     if not isinstance(obj, dict):
         raise ParseError(pointer, "model must be an object")
     if "finite" in obj:
-        return ZModel.finite(int(obj["finite"]))
+        return ZModel.finite(_int_field(obj, "finite", pointer))
     if "blocks" in obj:
-        return ZModel.blocks(int(obj["blocks"]))
+        return ZModel.blocks(_int_field(obj, "blocks", pointer))
     raise ParseError(pointer, 'model needs "finite" or "blocks"')
 
 
@@ -59,11 +77,12 @@ def point_from_json(z: ZModel, obj, pointer: str) -> ClosurePoint:
     if isinstance(obj, int):
         return z.v(obj)
     if isinstance(obj, list) and len(obj) == 2:
-        return z.v(Vertex(int(obj[0]), int(obj[1])))
+        return z.v(Vertex(_int(obj[0], pointer + "/0"),
+                          _int(obj[1], pointer + "/1")))
     if isinstance(obj, dict) and "limit" in obj:
         if z.is_finite:
             raise ParseError(pointer, "finite model has no limit points")
-        return Limit(int(obj["limit"]) % z.k)
+        return Limit(_int_field(obj, "limit", pointer) % z.k)
     raise ParseError(pointer, f"cannot read point from {obj!r}")
 
 
@@ -95,16 +114,17 @@ def triangulation_from_json(obj, pointer: str = "") -> Triangulation:
         tp = f"{pointer}/tails/{i}"
         if not isinstance(tl, dict) or "limit" not in tl:
             raise ParseError(tp, 'tail needs a "limit" gap')
-        g = int(tl["limit"])
+        g = _int_field(tl, "limit", tp)
         kind = tl.get("type")
         if kind == "fountain":
-            base = point_from_json(z, tl["base"], tp + "/base")
+            base = point_from_json(z, _field(tl, "base", tp), tp + "/base")
             if not isinstance(base, Vertex):
                 raise ParseError(tp + "/base", "fountain base is a vertex")
-            tails[g] = Fountain(base, int(tl["right_from"]),
-                                int(tl["left_to"]))
+            tails[g] = Fountain(base, _int_field(tl, "right_from", tp),
+                                _int_field(tl, "left_to", tp))
         elif kind == "leapfrog":
-            tails[g] = Leapfrog(int(tl["right_from"]), int(tl["left_to"]))
+            tails[g] = Leapfrog(_int_field(tl, "right_from", tp),
+                                _int_field(tl, "left_to", tp))
         else:
             raise ParseError(tp, 'tail type must be "fountain" or '
                                  '"leapfrog"')
@@ -166,11 +186,11 @@ def _parse_point_token(z: ZModel, tok: str) -> ClosurePoint:
     if tok.startswith("L"):
         if z.is_finite:
             raise ParseError("--arc", "finite model has no limit points")
-        return Limit(int(tok[1:]) % z.k)
+        return Limit(_int(tok[1:], "--arc") % z.k)
     if ":" in tok:
         b, i = tok.split(":", 1)
-        return z.v(Vertex(int(b), int(i)))
-    return z.v(int(tok))
+        return z.v(Vertex(_int(b, "--arc"), _int(i, "--arc")))
+    return z.v(_int(tok, "--arc"))
 
 
 def _load_tri(path: str) -> Triangulation:

@@ -9,6 +9,9 @@ from .triangulation import Triangulation
 from .zmodel import Arc, ModelError, Vertex, ZModel, suspend
 
 
+DEFAULT_STEP_CAP = 10 ** 6
+
+
 class StepCapExceeded(RuntimeError):
     """The zig-zag did not terminate within the step cap; this signals
     an invalid triangulation (termination is guaranteed on valid ones)."""
@@ -82,12 +85,6 @@ def ext_nonzero(z: ZModel, x: Arc, y: Arc) -> bool:
     return z.crosses(x, y)
 
 
-def _in_closed(z: ZModel, lo, hi, p) -> bool:
-    if z.key(lo) == z.key(hi):
-        return z.key(p) == z.key(lo)
-    return z.cyclically_between(lo, p, hi)
-
-
 def hom_nonzero(z: ZModel, x: Arc, y: Arc) -> bool:
     """Non-vanishing of morphisms x -> y: some labelling satisfies
     x0 <= y0 <= x1-- < x1 <= y1 <= x0-- cyclically."""
@@ -96,14 +93,14 @@ def hom_nonzero(z: ZModel, x: Arc, y: Arc) -> bool:
     pp2 = lambda v: z.pred(z.pred(v))
     for (x0, x1) in ((x.p, x.q), (x.q, x.p)):
         for (y0, y1) in ((y.p, y.q), (y.q, y.p)):
-            if (_in_closed(z, x0, pp2(x1), y0)
-                    and _in_closed(z, x1, pp2(x0), y1)):
+            if (z.in_closed(x0, y0, pp2(x1))
+                    and z.in_closed(x1, y1, pp2(x0))):
                 return True
     return False
 
 
 def zigzag(t: Triangulation, e: Vertex, f: Vertex,
-           step_cap: int = 10 ** 6) -> ZigZagPath:
+           step_cap: int = DEFAULT_STEP_CAP) -> ZigZagPath:
     """The extremal path e = e0, e1, ..., e_{2i+1} = f.
 
     Odd steps are suprema toward f with edges allowed; even steps are
@@ -139,9 +136,23 @@ def zigzag(t: Triangulation, e: Vertex, f: Vertex,
     return ZigZagPath(tuple(path), (e, f), t)
 
 
-def index(t: Triangulation, a: Arc, step_cap: int = 10 ** 6) -> KVector:
+def index(t: Triangulation, a: Arc, step_cap: int = DEFAULT_STEP_CAP
+          ) -> KVector:
     """The index of the arc in the basis of t: the alternating sum of
-    consecutive zig-zag pairs; edge steps contribute zero."""
+    consecutive zig-zag pairs; edge steps contribute zero.
+
+    Answers under the default step cap are memoized on t, keyed by arc;
+    every call returns a fresh KVector."""
+    if step_cap != DEFAULT_STEP_CAP:
+        return _zigzag_index(t, a, step_cap)
+    memo = t.__dict__.setdefault("_index_cache", {})
+    coeffs = memo.get(a)
+    if coeffs is None:
+        coeffs = memo[a] = _zigzag_index(t, a, step_cap).coeffs
+    return KVector(coeffs)
+
+
+def _zigzag_index(t: Triangulation, a: Arc, step_cap: int) -> KVector:
     if not (isinstance(a.p, Vertex) and isinstance(a.q, Vertex)):
         raise ModelError("index needs vertex endpoints")
     z = t.z

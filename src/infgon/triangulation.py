@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .zmodel import Arc, ClosurePoint, Limit, ModelError, Vertex, ZModel
+from .zmodel import (Arc, ClosurePoint, Limit, ModelError, Vertex, ZModel,
+                     keys_in_closed)
 
 
 class UnattainedError(RuntimeError):
@@ -66,27 +67,23 @@ class DualQuiver:
     window_bound: int
 
     def is_acyclic(self) -> bool:
+        """Whether the quiver has no oriented cycle: Kahn's algorithm,
+        which removes sources until none is left, without recursion."""
         out: dict[Arc, list[Arc]] = {n: [] for n in self.nodes}
+        indegree = dict.fromkeys(self.nodes, 0)
         for s, t in self.arrows:
             out[s].append(t)
-        state: dict[Arc, int] = {}
-
-        def visit(n: Arc) -> bool:
-            state[n] = 1
+            indegree[t] += 1
+        sources = [n for n, d in indegree.items() if d == 0]
+        removed = 0
+        while sources:
+            n = sources.pop()
+            removed += 1
             for m in out[n]:
-                st = state.get(m, 0)
-                if st == 1:
-                    return False
-                if st == 0 and not visit(m):
-                    return False
-            state[n] = 2
-            return True
-
-        return all(state.get(n, 0) == 2 or visit(n) for n in self.nodes)
-
-
-def is_acyclic(q: DualQuiver) -> bool:
-    return q.is_acyclic()
+                indegree[m] -= 1
+                if indegree[m] == 0:
+                    sources.append(m)
+        return removed == len(indegree)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +229,22 @@ class Triangulation:
         object.__setattr__(self, "_mag_cache", m)
         return m
 
-    # -- the exact extremal engine ------------------------------------
+    def neighbours(self) -> dict[ClosurePoint, tuple[ClosurePoint, ...]]:
+        """Each endpoint of a core diagonal mapped to the other endpoints
+        of the core diagonals at it.  Built once, checking every endpoint
+        against the model; do not mutate."""
+        cached = self.__dict__.get("_nbr_cache")
+        if cached is None:
+            acc: dict[ClosurePoint, list[ClosurePoint]] = {}
+            for arc in self.core:
+                for (p, q) in ((arc.p, arc.q), (arc.q, arc.p)):
+                    self.z.key(p)  # raises ModelError outside the model
+                    acc.setdefault(p, []).append(q)
+            cached = {p: tuple(qs) for p, qs in acc.items()}
+            object.__setattr__(self, "_nbr_cache", cached)
+        return cached
 
-    def _in_interval(self, lo: ClosurePoint, hi: ClosurePoint,
-                     p: ClosurePoint) -> bool:
-        z = self.z
-        if z.key(lo) == z.key(hi):
-            return z.key(p) == z.key(lo)
-        return z.cyclically_between(lo, p, hi)
+    # -- the exact extremal engine ------------------------------------
 
     def _breakpoints(self, ep: tuple[int, int, int],
                      bounds: list[ClosurePoint]) -> set[int]:
@@ -262,22 +267,32 @@ class Triangulation:
         vertex of B = [b_lo, b_hi] by a diagonal of T, or an edge when
         edges_allowed.  Ordering is position along A from a_lo."""
         z = self.z
+        key = z.key
+        k_alo, k_ahi = key(a_lo), key(a_hi)
+        k_blo, k_bhi = key(b_lo), key(b_hi)
         feas: dict[Vertex, tuple] = {}
         markers: list[tuple] = []  # (kind, rel_of_limit)
 
         def in_a(p):
-            return isinstance(p, Vertex) and self._in_interval(a_lo, a_hi, p)
+            return (isinstance(p, Vertex)
+                    and keys_in_closed(k_alo, key(p), k_ahi))
 
         def in_b(p):
-            return self._in_interval(b_lo, b_hi, p)
+            return keys_in_closed(k_blo, key(p), k_bhi)
 
         def add(v: Vertex):
             feas.setdefault(v, z.rel(v, a_lo))
 
-        for arc in self.core:
-            for (u, w) in ((arc.p, arc.q), (arc.q, arc.p)):
-                if in_a(u) and in_b(w):
+        if k_blo == k_bhi:
+            # B is the single point b_lo: only its neighbours join it.
+            for u in self.neighbours().get(b_lo, ()):
+                if in_a(u):
                     add(u)
+        else:
+            for arc in self.core:
+                for (u, w) in ((arc.p, arc.q), (arc.q, arc.p)):
+                    if in_a(u) and in_b(w):
+                        add(u)
 
         if edges_allowed:
             for u in {a_lo, a_hi}:
@@ -359,7 +374,7 @@ class Triangulation:
     # -- public interval queries --------------------------------------
 
     def _check_interval_excludes(self, lo: Vertex, hi: Vertex, x: Vertex):
-        if self._in_interval(lo, hi, x):
+        if self.z.in_closed(lo, x, hi):
             raise ModelError("interval [lo, hi] must not contain x")
 
     def sup_connected(self, x: Vertex, lo: Vertex, hi: Vertex,

@@ -85,7 +85,7 @@ class ZModel:
         if isinstance(a, Vertex):
             return self.check_vertex(a)
         if isinstance(a, int):
-            if self.is_finite:
+            if self.n is not None:
                 return Vertex(0, a % self.n)
             if self.k == 1:
                 return Vertex(0, a)
@@ -95,12 +95,12 @@ class ZModel:
         raise ModelError(f"cannot interpret {a!r} as a vertex")
 
     def check_vertex(self, v: Vertex) -> Vertex:
-        if self.is_finite:
-            if v.block != 0 or not (0 <= v.idx < self.n):
-                raise ModelError(f"{v!r} is not a vertex of Finite({self.n})")
-        else:
-            if not (0 <= v.block < self.k):
-                raise ModelError(f"{v!r} is not a vertex of Blocks({self.k})")
+        n = self.n
+        if n is not None:
+            if v.block != 0 or not (0 <= v.idx < n):
+                raise ModelError(f"{v!r} is not a vertex of Finite({n})")
+        elif not (0 <= v.block < self.k):
+            raise ModelError(f"{v!r} is not a vertex of Blocks({self.k})")
         return v
 
     def limits(self) -> list[Limit]:
@@ -117,16 +117,16 @@ class ZModel:
     # -- successor / predecessor -------------------------------------
 
     def succ(self, v: Vertex) -> Vertex:
-        v = self.v(v)
-        if self.is_finite:
-            return Vertex(0, (v.idx + 1) % self.n)
-        return Vertex(v.block, v.idx + 1)
+        block, idx = self.v(v)
+        if self.n is not None:
+            return Vertex(0, (idx + 1) % self.n)
+        return Vertex(block, idx + 1)
 
     def pred(self, v: Vertex) -> Vertex:
-        v = self.v(v)
-        if self.is_finite:
-            return Vertex(0, (v.idx - 1) % self.n)
-        return Vertex(v.block, v.idx - 1)
+        block, idx = self.v(v)
+        if self.n is not None:
+            return Vertex(0, (idx - 1) % self.n)
+        return Vertex(block, idx - 1)
 
     # -- linearization -----------------------------------------------
 
@@ -135,41 +135,56 @@ class ZModel:
 
         Keys compare as the counterclockwise order of closure points
         read from (0, 0).  For Blocks(k) the negative half of block 0
-        is mapped past the last limit point (pseudo-block k).
+        is mapped past the last limit point (pseudo-block k).  Raises
+        ModelError for a point outside the model.
         """
+        n, k = self.n, self.k
         if isinstance(p, Limit):
-            if self.is_finite or not (0 <= p.gap < self.k):
+            if n is not None or not (0 <= p.gap < k):
                 raise ModelError(f"{p!r} is not a limit point of this model")
             return (p.gap, 1, 0)
-        v = self.check_vertex(p)
-        if self.is_finite:
-            return (0, 0, v.idx)
-        if v.block == 0 and v.idx < 0:
-            return (self.k, 0, v.idx)
-        return (v.block, 0, v.idx)
+        block, idx = p
+        if n is not None:
+            if block != 0 or not (0 <= idx < n):
+                raise ModelError(f"{p!r} is not a vertex of Finite({n})")
+            return (0, 0, idx)
+        if not (0 <= block < k):
+            raise ModelError(f"{p!r} is not a vertex of Blocks({k})")
+        if block == 0 and idx < 0:
+            return (k, 0, idx)
+        return (block, 0, idx)
 
     def rel(self, p: ClosurePoint, start: ClosurePoint):
         """Position of ``p`` in the rotation of the linearization that
         begins at ``start``; totally ordered tuples."""
         kp, ks = self.key(p), self.key(start)
-        return (0, kp) if kp >= ks else (1, kp)
+        return (kp < ks, kp)
 
     # -- cyclic order -------------------------------------------------
 
     def cyclically_between(self, a: ClosurePoint, x: ClosurePoint,
                            b: ClosurePoint) -> bool:
         """True iff x lies in the closed counterclockwise interval [a, b]."""
-        if self.key(a) == self.key(b):
+        ka, kx, kb = self.key(a), self.key(x), self.key(b)
+        if ka == kb:
             raise ModelError("degenerate interval: a == b")
-        return self.rel(x, a) <= self.rel(b, a)
+        return keys_in_closed(ka, kx, kb)
 
     def strictly_between(self, a: ClosurePoint, x: ClosurePoint,
                          b: ClosurePoint) -> bool:
         """True iff x lies in the open counterclockwise interval (a, b)."""
-        kx = self.key(x)
-        if kx == self.key(a) or kx == self.key(b):
+        ka, kx, kb = self.key(a), self.key(x), self.key(b)
+        if kx == ka or kx == kb:
             return False
-        return self.cyclically_between(a, x, b)
+        if ka == kb:
+            raise ModelError("degenerate interval: a == b")
+        return keys_in_closed(ka, kx, kb)
+
+    def in_closed(self, lo: ClosurePoint, p: ClosurePoint,
+                  hi: ClosurePoint) -> bool:
+        """True iff p lies in the closed counterclockwise interval
+        [lo, hi]; the degenerate interval [lo, lo] is the point lo."""
+        return keys_in_closed(self.key(lo), self.key(p), self.key(hi))
 
     # -- arcs ---------------------------------------------------------
 
@@ -184,7 +199,10 @@ class ZModel:
         return self.v(p)
 
     def are_neighbours(self, u: Vertex, v: Vertex) -> bool:
-        return self.succ(u) == v or self.succ(v) == u
+        (bu, iu), (bv, iv) = self.v(u), self.v(v)
+        if self.n is not None:
+            return (iu - iv) % self.n in (1, self.n - 1)
+        return bu == bv and abs(iu - iv) == 1
 
     def is_edge(self, a: "Arc") -> bool:
         return (isinstance(a.p, Vertex) and isinstance(a.q, Vertex)
@@ -202,12 +220,21 @@ class ZModel:
         """
         if not self.is_diagonal(t):
             raise ModelError(f"{t!r} is not a diagonal")
-        pts = {self.key(a.p), self.key(a.q)}
-        if self.key(t.p) in pts or self.key(t.q) in pts:
+        ka, kb = self.key(a.p), self.key(a.q)
+        kp, kq = self.key(t.p), self.key(t.q)
+        if kp in (ka, kb) or kq in (ka, kb):
             return False
-        inside_p = self.strictly_between(a.p, t.p, a.q)
-        inside_q = self.strictly_between(a.p, t.q, a.q)
-        return inside_p != inside_q
+        return keys_in_closed(ka, kp, kb) != keys_in_closed(ka, kq, kb)
+
+
+def keys_in_closed(klo, kp, khi) -> bool:
+    """The one cyclic-interval test: whether the point with key kp lies
+    in the closed counterclockwise interval from key klo to key khi.
+    Keys are rotated to start at klo, so a key below klo comes after
+    every key at or above it; klo == khi gives the single point."""
+    if klo == khi:
+        return kp == klo
+    return (kp < klo, kp) <= (khi < klo, khi)
 
 
 def _point_sort_key(p: ClosurePoint):

@@ -212,6 +212,29 @@ def test_exit_2_on_parse_error(tri_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("obj, pointer", [
+    ({"z": {"finite": "x"}, "core": []}, "/z/finite"),
+    ({"z": {"blocks": 1}, "core": [],
+      "tails": [{"limit": 0, "type": "fountain", "right_from": 2,
+                 "left_to": -2}]}, "/tails/0/base"),
+    ({"z": {"blocks": 1}, "core": [],
+      "tails": [{"limit": 0, "type": "leapfrog", "right_from": [],
+                 "left_to": -1}]}, "/tails/0/right_from"),
+    ({"z": {"blocks": 1}, "core": [[[0, "a"], [0, 2]]]}, "/core/0/0/1"),
+])
+def test_exit_2_with_pointer_on_malformed_field(tri_file, capsys, obj,
+                                                pointer):
+    p = tri_file(obj, "malformed.json")
+    assert main(["validate", "--triangulation", p]) == 2
+    assert f"error: {pointer}: " in capsys.readouterr().err
+
+
+def test_exit_2_on_malformed_arc_token(tri_file, capsys):
+    p = tri_file(PENTAGON)
+    assert main(["index", "--triangulation", p, "--arc", "x", "2"]) == 2
+    assert "error: --arc: " in capsys.readouterr().err
+
+
 def test_exit_2_on_bad_json(tmp_path, capsys):
     p = tmp_path / "garbage.json"
     p.write_text("{not json")

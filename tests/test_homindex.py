@@ -5,9 +5,11 @@ from __future__ import annotations
 from itertools import combinations
 import random
 
-from infgon.homindex import (KVector, check_duality, ext_nonzero, hom_nonzero,
-                             index, index_bar, index_bar_of_kvector,
-                             index_of_kvector, zigzag)
+import pytest
+
+from infgon.homindex import (KVector, StepCapExceeded, check_duality,
+                             ext_nonzero, hom_nonzero, index, index_bar,
+                             index_bar_of_kvector, index_of_kvector, zigzag)
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   enumerate_triangulations)
 from infgon.zmodel import Arc, Vertex, ZModel, suspend
@@ -75,6 +77,26 @@ def test_index_pentagon():
     assert index(t, z.arc(1, 3)) == (KVector.basis(z.arc(0, 3))
                                      - KVector.basis(z.arc(0, 2)))
     assert index(t, z.arc(3, 4)) == KVector.zero()
+
+
+def test_index_memo_returns_fresh_equal_answers():
+    z = ZModel.finite(6)
+    t = Triangulation.make(z, {z.arc(0, 2), z.arc(0, 3), z.arc(3, 5)})
+    a = z.arc(1, 4)
+    want = (KVector.basis(z.arc(0, 3)) - KVector.basis(z.arc(0, 2))
+            - KVector.basis(z.arc(3, 5)))
+    first = index(t, a)
+    assert first == want
+    first.coeffs.clear()
+    again = index(t, a)
+    assert again == want and again is not first
+    again.coeffs[z.arc(0, 2)] = 7
+    assert index(t, a) == want
+    # the memo serves only the default cap; a smaller cap still runs
+    # the zig-zag and stops it
+    with pytest.raises(StepCapExceeded):
+        index(t, a, step_cap=1)
+    assert index(t, a) == want
 
 
 def test_index_fountain():

@@ -7,8 +7,9 @@ from itertools import combinations
 
 import pytest
 
-from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
-                                  enumerate_triangulations, validate)
+from infgon.triangulation import (DualQuiver, Fountain, Leapfrog,
+                                  Triangulation, enumerate_triangulations,
+                                  validate)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
 
 
@@ -154,6 +155,40 @@ def test_sup_fountain_symbolic():
     got = t.sup_connected(Vertex(0, 0), Vertex(0, 3), Vertex(0, -2),
                           diagonals_only=True)
     assert got == Vertex(0, -2)
+
+
+def brute_extremal(t, n, x, lo, hi, edges, want_sup):
+    """The last (sup) or first (inf) vertex of [lo, hi], read
+    counterclockwise from lo, joined to x by a diagonal of t or, when
+    edges are allowed, by an edge of the n-gon."""
+    joined = [lo + j for j in range((hi - lo) % n + 1)
+              if frozenset({(lo + j) % n, x}) in t
+              or (edges and (lo + j - x) % n in (1, n - 1))]
+    if not joined:
+        return None
+    return (joined[-1] if want_sup else joined[0]) % n
+
+
+def test_sup_inf_match_brute_force_heptagon():
+    n = 7
+    z = ZModel.finite(n)
+    for t in enumerate_triangulations(z):
+        pairs = {frozenset({a.p.idx, a.q.idx}) for a in t.core}
+        for x in range(n):
+            for lo in range(n):
+                for hi in range(n):
+                    if (x - lo) % n <= (hi - lo) % n:
+                        continue  # [lo, hi] contains x
+                    for diagonals_only in (False, True):
+                        for want_sup, query in ((True, t.sup_connected),
+                                                (False, t.inf_connected)):
+                            got = query(z.v(x), z.v(lo), z.v(hi),
+                                        diagonals_only=diagonals_only)
+                            want = brute_extremal(pairs, n, x, lo, hi,
+                                                  not diagonals_only,
+                                                  want_sup)
+                            assert (None if got is None else got.idx) \
+                                == want, (t.core, x, lo, hi, diagonals_only)
 
 
 def test_inf_connected_none():
@@ -358,6 +393,15 @@ def test_dual_quiver_fountain_path():
     assert q.is_acyclic()
     assert all(v <= 1 for v in indeg.values())
     assert all(v <= 1 for v in outdeg.values())
+
+
+def test_is_acyclic_on_long_path_and_cycle():
+    z = ZModel.blocks(1)
+    nodes = tuple(z.arc(i, i + 2) for i in range(5000))
+    path = tuple(zip(nodes, nodes[1:]))
+    assert DualQuiver(nodes, path, 0).is_acyclic()
+    cycle = path + ((nodes[-1], nodes[0]),)
+    assert not DualQuiver(nodes, cycle, 0).is_acyclic()
 
 
 def test_dual_quiver_no_loops_or_2cycles():

@@ -98,6 +98,27 @@ def test_between_xor(n, a, x, b):
     assert z.cyclically_between(a, x, b) != z.cyclically_between(b, x, a)
 
 
+@pytest.mark.parametrize("z, bad, good", [
+    (ZModel.finite(6), Vertex(0, 6), (Vertex(0, 1), Vertex(0, 3))),
+    (ZModel.finite(6), Vertex(1, 0), (Vertex(0, 1), Vertex(0, 3))),
+    (ZModel.finite(6), Limit(0), (Vertex(0, 1), Vertex(0, 3))),
+    (ZModel.blocks(2), Vertex(2, 0), (Vertex(0, 1), Vertex(1, 3))),
+])
+def test_foreign_points_raise_model_error(z, bad, good):
+    g, h = good
+    with pytest.raises(ModelError):
+        z.key(bad)
+    for between in (z.cyclically_between, z.strictly_between, z.in_closed):
+        for args in ((bad, g, h), (g, bad, h), (g, h, bad)):
+            with pytest.raises(ModelError):
+                between(*args)
+    diagonal = Arc(g, h)
+    with pytest.raises(ModelError):
+        z.crosses(Arc(bad, g), diagonal)
+    with pytest.raises(ModelError):
+        z.crosses(diagonal, Arc(bad, g))
+
+
 def test_crosses_examples():
     z4 = ZModel.finite(4)
     assert z4.crosses(z4.arc(0, 2), z4.arc(1, 3))
