@@ -1,7 +1,8 @@
 """Command-line front end: JSON in, JSON or SVG out, stable exit codes.
 
-Exit codes: 0 success, 1 validation/property failure, 2 precondition
-or parse error, 3 internal step cap exceeded.
+Exit codes: 0 success, 1 validation/property failure (also a computing
+command's input failing the structural checks), 2 precondition or
+parse error, 3 internal step cap exceeded.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .homindex import (KVector, StepCapExceeded, check_duality, index,
                        zigzag)
 from .render import RenderSpec, render_svg
 from .triangulation import (Fountain, Leapfrog, Triangulation,
-                            UnattainedError, validate)
+                            UnattainedError, validate, validate_structure)
 from .zmodel import Arc, ClosurePoint, Limit, ModelError, Vertex, ZModel
 
 
@@ -33,6 +34,16 @@ class ParseError(ValueError):
     def __init__(self, pointer: str, message: str):
         super().__init__(f"{pointer}: {message}")
         self.pointer = pointer
+
+
+class InvalidTriangulation(ValueError):
+    """A computing command's input fails the structural checks of
+    ``validate``; carries the same reason and witness."""
+
+    def __init__(self, report):
+        super().__init__(f"invalid triangulation: {report.reason}; "
+                         f"witness {report.witness!r}")
+        self.report = report
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +204,25 @@ def _parse_point_token(z: ZModel, tok: str) -> ClosurePoint:
     return z.v(_int(tok, "--arc"))
 
 
-def _load_tri(path: str) -> Triangulation:
+def _read_tri(path: str) -> Triangulation:
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError("/", f"invalid JSON: {exc}") from exc
     return triangulation_from_json(obj)
+
+
+def _load_tri(path: str) -> Triangulation:
+    """A triangulation for a computing command: parsed, then held to the
+    structural checks of ``validate`` (tail coverage, diagonals), which
+    cost O(core + tails).  The crossing and face checks are left to
+    ``infgon validate``."""
+    t = _read_tri(path)
+    rep = validate_structure(t)
+    if not rep.ok:
+        raise InvalidTriangulation(rep)
+    return t
 
 
 def _arc_from_tokens(z: ZModel, toks) -> Arc:
@@ -236,7 +259,7 @@ def _window_arcs(t: Triangulation, lo: int, hi: int):
 
 
 def cmd_validate(args) -> int:
-    t = _load_tri(args.triangulation)
+    t = _read_tri(args.triangulation)
     rep = validate(t)
     _emit_json(args, {"ok": rep.ok, "reason": rep.reason,
                       "witness": repr(rep.witness) if rep.witness else None})
@@ -440,8 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", nargs=2, type=int, default=[-6, 6],
                        metavar=("LO", "HI"))
         p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", choices=["json", "svg"],
-                       default="json")
 
     cmds = {
         "validate": (cmd_validate, {}),
@@ -474,6 +495,9 @@ def main(argv: list[str] | None = None) -> int:
     except StepCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InvalidTriangulation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ParseError, ModelError, RealizationUnsupported,
             UnattainedError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .homindex import index, index_bar
-from .triangulation import Triangulation, _SubFamily
-from .zmodel import Arc, ModelError, Vertex, suspend
+from .triangulation import Triangulation, _crossing_runs
+from .zmodel import Arc, ModelError, suspend
 
 
 class RealizationUnsupported(RuntimeError):
@@ -148,75 +148,13 @@ def cvector_bar_eval(q: CVectorQuery, t_arc: Arc) -> int:
 # Dimension vectors: exact crossing indicators.
 
 
-def _family_crossing_runs(t: Triangulation, sf: _SubFamily, a: Arc
-                          ) -> list[tuple[int | None, int | None]]:
-    """Maximal index runs i where member(i) crosses the virtual arc a.
-
-    Exact: the crossing predicate is eventually constant in i with
-    breakpoints inside the evaluated windows."""
-    z = t.z
-    cands: set[int] = set()
-    cands |= t._breakpoints(sf.e1, [a.p, a.q])
-    cands |= t._breakpoints(sf.e2, [a.p, a.q])
-    for bd in (sf.imin, sf.imax):
-        if bd is not None:
-            cands.add(bd)
-    window: set[int] = set()
-    for c in cands:
-        window.update(range(c - 2, c + 3))
-    big = (t._data_magnitude() + max((abs(c) for c in window), default=0)
-           + 29)
-    for p in (a.p, a.q):
-        if isinstance(p, Vertex):
-            big += abs(p.idx)
-
-    def f(i: int) -> bool:
-        if not sf.in_range(i):
-            return False
-        m = sf.member(i)
-        return z.is_diagonal(m) and z.crosses(a, m)
-
-    pts = sorted(i for i in window if sf.in_range(i))
-    up_unbounded = sf.imax is None and f(big)
-    down_unbounded = sf.imin is None and f(-big)
-    vals = {i: f(i) for i in pts}
-    runs: list[tuple[int | None, int | None]] = []
-    cur_lo: int | None = None
-    prev: int | None = None
-    prev_val = down_unbounded
-    if down_unbounded:
-        cur_lo = None  # open toward -infinity
-        prev_val = True
-    for i in pts:
-        v = vals[i]
-        if prev is not None and i > prev + 1:
-            # no breakpoints strictly between evaluated windows
-            assert v == prev_val, "breakpoint escaped the candidate window"
-        if v and not prev_val:
-            cur_lo = i
-        if prev_val and not v:
-            runs.append((cur_lo, prev))
-            cur_lo = None
-        prev, prev_val = i, v
-    if prev_val:
-        if up_unbounded:
-            runs.append((cur_lo, None))
-        else:
-            runs.append((cur_lo, prev))
-    elif up_unbounded:
-        # all window points false but far members cross: run starts
-        # beyond the window, which cannot happen (breakpoints covered)
-        raise AssertionError("inconsistent tail crossing structure")
-    return runs
-
-
 def dimension_vector(t: Triangulation, a: Arc) -> CoVector:
     """The 0/1 crossing-indicator functional of the virtual arc a."""
     z = t.z
     explicit = {d: 1 for d in t.core if z.crosses(a, d)}
     terms: list[TailRange] = []
     for sf in t.subfamilies():
-        for lo, hi in _family_crossing_runs(t, sf, a):
+        for lo, hi in _crossing_runs(z, sf, a):
             if lo is not None and hi is not None:
                 for i in range(lo, hi + 1):
                     explicit[sf.member(i)] = 1

@@ -11,22 +11,20 @@ the positive root system of a Borel subalgebra of sl_infinity (or of
 sl_n in the finite case).
 
 Infinite tail families are handled with the same eventual-constancy
-discipline as elsewhere: predicates on a family are evaluated on
-candidate breakpoint windows plus a far sentinel index, which is an
-exact decision procedure, not a sample.
+discipline as elsewhere: every predicate on a family is decided by
+``_SubFamily.runs``, an exact decision procedure, not a sample.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .cvector import (CoVector, _family_crossing_runs, dimension_vector,
-                      support, support_subset)
+from .cvector import CoVector, dimension_vector, support, support_subset
 from .triangulation import (Leapfrog, Triangulation, UnattainedError,
-                            _SubFamily)
+                            _crossing_runs, _SubFamily)
 from .zmodel import Arc, ClosurePoint, Limit, ModelError, Vertex
 
 
@@ -91,39 +89,31 @@ def add_vectors(a: dict, b: dict) -> dict:
 
 
 class _RunInfo:
-    """An infinite index run of crossing members of one subfamily."""
+    """An infinite index run of crossing members of one subfamily, held
+    as the subfamily restricted to the run."""
 
     def __init__(self, ocs: "OrderedCrossingSet", sf: _SubFamily,
-                 lo: int | None, hi: int | None, big: int):
-        self.sf = sf
-        self.lo = lo
-        self.hi = hi
-        if hi is None:
-            self.closed = lo
-            self.open_sign = 1
-        else:
-            self.closed = hi
-            self.open_sign = -1
-        self.sentinel = self.closed + self.open_sign * (big + abs(self.closed))
-        self.closed_member = sf.member(self.closed)
+                 lo: int | None, hi: int | None):
+        self.sf = sf = replace(sf, imin=lo, imax=hi)
+        self.open_sign = 1 if hi is None else -1
+        self.closed = lo if hi is None else hi
         step = sf.member(self.closed + self.open_sign)
-        self.dir_up = ocs._cmp(self.closed_member, step) < 0
-        self.inc_with_i = self.dir_up if self.open_sign > 0 else not self.dir_up
-        # limit point the open end accumulates at (via the p-endpoint)
-        sent_m = sf.member(self.sentinel)
-        p_side, _ = ocs._sides(sent_m)
-        ep = sf.e1 if sf.vertex(0, self.sentinel) == p_side else sf.e2
-        blk, _, slope = ep
-        z = ocs.t.z
+        self.dir_up = ocs._cmp(sf.member(self.closed), step) < 0
+        self.inc_with_i = self.dir_up == (self.open_sign > 0)
+        # limit point the open end accumulates at (via the p-endpoint,
+        # the one strictly inside (e, f))
+        e, f, z = ocs.e, ocs.f, ocs.t.z
+        p_first = self.reaches_open_end(sf.runs(
+            (e, f), lambda i: z.strictly_between(e, sf.vertex(0, i), f)))
+        blk, _, slope = sf.e1 if p_first else sf.e2
         going_up = (slope > 0) == (self.open_sign > 0)
         self.limit = Limit(blk) if going_up else Limit((blk - 1) % z.k)
 
-    def covers(self, i: int) -> bool:
-        if self.lo is not None and i < self.lo:
-            return False
-        if self.hi is not None and i > self.hi:
-            return False
-        return True
+    def reaches_open_end(self, runs) -> bool:
+        """Whether one of these index runs is unbounded toward this
+        run's open end."""
+        return any((hi if self.open_sign > 0 else lo) is None
+                   for lo, hi in runs)
 
 
 class _Segment:
@@ -154,17 +144,13 @@ class OrderedCrossingSet:
         self.f = z._coerce_point(f) if not isinstance(f, Vertex) else z.v(f)
         self.pair = Arc(self.e, self.f)
         explicit = [d for d in t.core if z.crosses(self.pair, d)]
-        big = t._data_magnitude() + 29
-        for p in (self.pair.p, self.pair.q):
-            if isinstance(p, Vertex):
-                big += abs(p.idx)
         self._runs: list[_RunInfo] = []
         for sf in t.subfamilies():
-            for lo, hi in _family_crossing_runs(t, sf, self.pair):
+            for lo, hi in _crossing_runs(z, sf, self.pair):
                 if lo is not None and hi is not None:
                     explicit.extend(sf.member(i) for i in range(lo, hi + 1))
                 else:
-                    self._runs.append(_RunInfo(self, sf, lo, hi, big))
+                    self._runs.append(_RunInfo(self, sf, lo, hi))
         if not explicit and not self._runs:
             raise ModelError(
                 f"{self.pair!r} crosses no diagonal of T (empty Y)")
@@ -348,14 +334,18 @@ class OrderedCrossingSet:
 
     # -- immediate neighbors --------------------------------------------
 
-    def _run_window(self, r: _RunInfo, bounds: list[Vertex]) -> list[int]:
-        idxs = set(self.t._breakpoints(r.sf.e1, bounds))
-        idxs |= self.t._breakpoints(r.sf.e2, bounds)
-        idxs.add(r.closed)
-        window: set[int] = set()
-        for c in idxs:
-            window.update(range(c - 2, c + 3))
-        return sorted(i for i in window if r.covers(i))
+    def _side_runs(self, r: _RunInfo, x: Arc, want: int):
+        """Index runs of r's members other than x lying below x
+        (want = -1) or above it (want = 1)."""
+        def on_side(i):
+            m = r.sf.member(i)
+            return m != x and self._cmp(m, x) == want
+        return r.sf.runs((x.p, x.q, self.e, self.f), on_side)
+
+    def _far_side(self, r: _RunInfo, x: Arc, want: int) -> bool:
+        """Whether r's members far toward its open end lie below x
+        (want = -1) or above it (want = 1)."""
+        return r.reaches_open_end(self._side_runs(r, x, want))
 
     def _neighbor(self, a: Arc, below: bool) -> Arc | None:
         """Greatest member < a (below) or least member > a; None when
@@ -365,31 +355,22 @@ class OrderedCrossingSet:
         want = -1 if below else 1
         cands = [m for m in self._explicit
                  if m != a and self._cmp(m, a) == want]
-        bounds = [p for p in (a.p, a.q, self.e, self.f)
-                  if isinstance(p, Vertex)]
         marker_runs: list[_RunInfo] = []
         for r in self._runs:
-            good = [r.sf.member(i) for i in self._run_window(r, bounds)
-                    if r.sf.member(i) != a
-                    and self._cmp(r.sf.member(i), a) == want]
-            if good:
-                best_in_run = good[0]
-                for m in good[1:]:
-                    if self._cmp(m, best_in_run) == -want:
-                        best_in_run = m
-                cands.append(best_in_run)
-            sm = r.sf.member(r.sentinel)
-            if sm != a and self._cmp(sm, a) == want:
-                # the open end of the run lies on the requested side of a
-                if below == r.dir_up:
+            for lo, hi in self._side_runs(r, a, want):
+                # members rise with i iff inc_with_i; keep the end
+                # nearest a, which is open when they approach a limit
+                near = hi if r.inc_with_i == below else lo
+                if near is None:
                     marker_runs.append(r)
+                else:
+                    cands.append(r.sf.member(near))
         best = None
         for m in cands:
             if best is None or self._cmp(m, best) == -want:
                 best = m
         for r in marker_runs:
-            sm = r.sf.member(r.sentinel)
-            if best is None or self._cmp(best, sm) == want:
+            if best is None or self._far_side(r, best, -want):
                 raise UnattainedError(
                     "immediate neighbor approaches a limit point "
                     "(non-sequential crossing order)")
@@ -409,17 +390,8 @@ class OrderedCrossingSet:
         cands = [m for m in self._explicit if z.crosses(v, m)]
         marker_runs: list[_RunInfo] = []
         for r in self._runs:
-            for sl, sh in _family_crossing_runs(self.t, r.sf, v):
-                lo = sl if r.lo is None else (
-                    r.lo if sl is None else max(sl, r.lo))
-                hi = sh if r.hi is None else (
-                    r.hi if sh is None else min(sh, r.hi))
-                if lo is not None and hi is not None and lo > hi:
-                    continue
-                if want_min:
-                    end = lo if r.inc_with_i else hi
-                else:
-                    end = hi if r.inc_with_i else lo
+            for lo, hi in _crossing_runs(z, r.sf, v):
+                end = lo if r.inc_with_i == want_min else hi
                 if end is None:
                     marker_runs.append(r)
                 else:
@@ -431,8 +403,7 @@ class OrderedCrossingSet:
             if best is None or self._cmp(m, best) == want:
                 best = m
         for r in marker_runs:
-            sm = r.sf.member(r.sentinel)
-            if best is None or self._cmp(sm, best) == want:
+            if best is None or self._far_side(r, best, want):
                 raise UnattainedError(
                     "extreme crossing member approaches a limit point")
         return best
@@ -540,15 +511,20 @@ def root_of_arc(t: Triangulation, e: ClosurePoint, f: ClosurePoint,
 
 def delta_plus(yext: YExt, window: int | None = None) -> list[Root]:
     """Delta^+(Y_ext): all roots eps_y - eps_{y'} with y > y' among
-    the elements of Y_ext (restricted to the first/last ``window``
-    elements when Y is infinite)."""
+    the elements of Y_ext (restricted, when Y is infinite, to the first
+    ``window`` elements if Y has a least one and the last ``window``
+    if it has a greatest one)."""
     if yext.is_finite:
         els = list(yext.members)
     else:
         if window is None:
             raise ModelError("infinite Y_ext needs an enumeration window")
+        if not (yext.y.has_least or yext.y.has_greatest):
+            raise ModelError("Y has neither a least nor a greatest element")
         els = []
-        for el in yext.first(window) + yext.last(window):
+        ends = ((yext.first(window) if yext.y.has_least else [])
+                + (yext.last(window) if yext.y.has_greatest else []))
+        for el in ends:
             if el not in els:
                 els.append(el)
     return [Root(pos=els[j], neg=els[i])

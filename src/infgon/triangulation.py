@@ -6,21 +6,36 @@ fountain (all diagonals from one base vertex, converging to the limit
 from both sides) or a leapfrog (diagonals alternating across the limit
 point).
 
-Queries over the infinite tail families are answered exactly: every
-predicate used here (interval membership, crossing) is, as a function
-of the family index, eventually constant with breakpoints only near
-finitely many indices computable from the data.  Evaluating at those
-breakpoints plus one large sentinel index is therefore a complete
-decision procedure, not a sample.
+Queries over the infinite tail families are answered exactly.  A tail
+splits into subfamilies whose members have endpoints (b, o + s*i),
+affine in one index i with slope s in {-1, 0, 1}.  Every predicate used
+here (interval membership, crossing, being a diagonal) reads a member
+only through the cyclic order of its endpoints among themselves and
+against finitely many given closure points.  As a function of i it can
+change only within one index of a breakpoint: where a moving endpoint
+meets a given vertex of its block or the other endpoint, or at an end
+of the range.  ``_SubFamily.runs`` evaluates every index within 2 of a
+breakpoint plus one sentinel beyond them all, a complete decision
+procedure, not a sample (its docstring gives the argument).
+
+No breakpoint or window is placed at vertex 0, where the position keys
+start: every cyclic test rotates the keys to start at its own low end.
+Windows are measured from the data hull (per block, the least and
+greatest index the data names), so shifting every index by m shifts
+all of them by m, and the work does not depend on index magnitude.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .zmodel import (Arc, ClosurePoint, Limit, ModelError, Vertex, ZModel,
                      keys_in_closed)
+
+
+# Tail members and boundary edges looked at beyond the data hull.
+_MARGIN = 8
 
 
 class UnattainedError(RuntimeError):
@@ -127,6 +142,80 @@ class _SubFamily:
             return "any" if v.idx == o else None
         return (v.idx - o) * s
 
+    def breakpoints(self, bounds: Iterable[ClosurePoint]) -> set[int]:
+        """The indices where the cyclic order of member(i)'s endpoints,
+        among themselves and against the bounds, can change: each
+        finite end of the range, each index where a moving endpoint
+        meets a bound vertex of its block, and the index nearest below
+        the meeting of two endpoints of one block."""
+        pts = {bd for bd in (self.imin, self.imax) if bd is not None}
+        for b, o, s in (self.e1, self.e2):
+            if s:
+                pts.update((p.idx - o) * s for p in bounds
+                           if isinstance(p, Vertex) and p.block == b)
+        (b1, o1, s1), (b2, o2, s2) = self.e1, self.e2
+        if b1 == b2 and s1 != s2:
+            pts.add((o2 - o1) // (s1 - s2))
+        return pts
+
+    def runs(self, bounds: Iterable[ClosurePoint],
+             pred: Callable[[int], bool]
+             ) -> list[tuple[int | None, int | None]]:
+        """The maximal runs (lo, hi) of indices in the range where pred
+        holds, in increasing order; None marks an unbounded end.
+
+        pred is called only on indices in the range, and must read
+        member(i) only through the cyclic order of its endpoints among
+        themselves and against the closure points in ``bounds``
+        (coincidence and adjacency included).
+
+        Why the window and one sentinel are exact.  An endpoint
+        (b, o + s*i) with s != 0 moves one vertex per index inside block
+        b, past no limit point and no vertex of another block.  Against
+        a bound vertex (b, x) its order (before, adjacent, equal,
+        adjacent, after) changes only at c = (x - o)*s and c +- 1.  Two
+        endpoints of one block with slopes s1 != s2 are equal or
+        adjacent only within one index of c = (o2 - o1) // (s1 - s2).
+        So pred is constant on each stretch of the range lying at least
+        2 from every breakpoint, the range ends being breakpoints.  The
+        window holds every index within 2 of a breakpoint: two window
+        points that are not neighbours both belong to the stretch
+        between them, and on an unbounded side every index past the
+        outermost window point belongs to the stretch it opens.  The
+        sentinel, one index beyond, samples that stretch; a run
+        reaching it is unbounded.
+        """
+        pad = range(-2, 3)
+        pts = sorted({c + d for c in self.breakpoints(bounds) for d in pad
+                      if self.in_range(c + d)})
+        low = self.imin is None
+        high = self.imax is None
+        if low:
+            pts.insert(0, pts[0] - 1)
+        if high:
+            pts.append(pts[-1] + 1)
+        out: list[tuple[int | None, int | None]] = []
+        start = prev = None
+        prev_val = False
+        for i in pts:
+            val = pred(i)
+            if prev is not None and i > prev + 1 and val != prev_val:
+                raise AssertionError("breakpoint escaped the window")
+            if val and not prev_val:
+                start = i
+            elif prev_val and not val:
+                out.append((start, prev))
+            prev, prev_val = i, val
+        if prev_val:
+            out.append((start, None if high else prev))
+        if low and out and out[0][0] == pts[0]:
+            out[0] = (None, out[0][1])
+        return out
+
+    def near_end(self, lo: int | None, hi: int | None) -> int:
+        """The end of run (lo, hi) nearest the range's finite end."""
+        return lo if self.imin is not None else hi
+
     def index_of(self, a: Arc) -> int | None:
         """The family index of the member equal to arc a, if any."""
         if not (isinstance(a.p, Vertex) and isinstance(a.q, Vertex)):
@@ -209,25 +298,33 @@ class Triangulation:
     def contains_or_edge(self, a: Arc) -> bool:
         return self.z.is_edge(a) or self.contains(a)
 
-    # -- magnitude data for sentinels ---------------------------------
+    # -- the data hull -------------------------------------------------
 
-    def _data_magnitude(self) -> int:
-        cached = self.__dict__.get("_mag_cache")
-        if cached is not None:
-            return cached
-        m = 4
-        for a in self.core:
-            for p in (a.p, a.q):
+    def _hull(self) -> dict[int, tuple[int, int]]:
+        """Per block, the least and greatest vertex index the data
+        names: core endpoints, tail bases and each tail subfamily's
+        member at its finite end."""
+        cached = self.__dict__.get("_hull_cache")
+        if cached is None:
+            idx: dict[int, list[int]] = {}
+            ends = [p for a in self.core for p in (a.p, a.q)]
+            for sf in self.subfamilies():
+                end = sf.imin if sf.imin is not None else sf.imax
+                ends += (sf.vertex(0, end), sf.vertex(1, end))
+            for p in ends:
                 if isinstance(p, Vertex):
-                    m = max(m, abs(p.idx))
-        for sf in self.subfamilies():
-            for (_, o, _) in (sf.e1, sf.e2):
-                m = max(m, abs(o))
-            for b in (sf.imin, sf.imax):
-                if b is not None:
-                    m = max(m, abs(b))
-        object.__setattr__(self, "_mag_cache", m)
-        return m
+                    idx.setdefault(p.block, []).append(p.idx)
+            cached = {b: (min(v), max(v)) for b, v in idx.items()}
+            object.__setattr__(self, "_hull_cache", cached)
+        return cached
+
+    def _default_window(self) -> int:
+        """Tail members listed per subfamily by default: the widest
+        block hull plus a margin, so that every window reaches past the
+        data on both sides of each limit point."""
+        spread = max((hi - lo for lo, hi in self._hull().values()),
+                     default=0)
+        return spread + _MARGIN
 
     def neighbours(self) -> dict[ClosurePoint, tuple[ClosurePoint, ...]]:
         """Each endpoint of a core diagonal mapped to the other endpoints
@@ -246,19 +343,6 @@ class Triangulation:
 
     # -- the exact extremal engine ------------------------------------
 
-    def _breakpoints(self, ep: tuple[int, int, int],
-                     bounds: list[ClosurePoint]) -> set[int]:
-        b, o, s = ep
-        if s == 0:
-            return set()
-        pts: set[int] = set()
-        for p in bounds:
-            if isinstance(p, Vertex) and p.block == b:
-                pts.add((p.idx - o) * s)
-        if not self.z.is_finite and b == 0:
-            pts.add((0 - o) * s)
-        return pts
-
     def _extremal_connected(self, want_min: bool,
                             a_lo: Vertex, a_hi: Vertex,
                             b_lo: ClosurePoint, b_hi: ClosurePoint,
@@ -271,7 +355,7 @@ class Triangulation:
         k_alo, k_ahi = key(a_lo), key(a_hi)
         k_blo, k_bhi = key(b_lo), key(b_hi)
         feas: dict[Vertex, tuple] = {}
-        markers: list[tuple] = []  # (kind, rel_of_limit)
+        limits: list[tuple] = []  # limits approached on the wanted side
 
         def in_a(p):
             return (isinstance(p, Vertex)
@@ -300,73 +384,39 @@ class Triangulation:
                     if in_b(w):
                         add(u)
 
-        big = self._data_magnitude()
-        for p in (a_lo, a_hi, b_lo, b_hi):
-            if isinstance(p, Vertex):
-                big = max(big, abs(p.idx))
-
+        bounds = (a_lo, a_hi, b_lo, b_hi)
         for sf in self.subfamilies():
             for (ea, eb) in ((sf.e1, sf.e2), (sf.e2, sf.e1)):
-                cands: set[int] = set()
-                cands |= self._breakpoints(ea, [a_lo, a_hi])
-                cands |= self._breakpoints(eb, [b_lo, b_hi])
-                for bd in (sf.imin, sf.imax):
-                    if bd is not None:
-                        cands.add(bd)
-                window: set[int] = set()
-                for c in cands:
-                    window.update(range(c - 2, c + 3))
-                big_here = big + max((abs(c) for c in window), default=0) + 29
-                sentinels = []
-                if sf.imax is None:
-                    sentinels.append(big_here)
-                if sf.imin is None:
-                    sentinels.append(-big_here)
+                blk, off, slope = ea
 
-                def feasible(i, ea=ea, eb=eb, sf=sf):
-                    if not sf.in_range(i):
-                        return False
-                    va = Vertex(ea[0], ea[1] + ea[2] * i)
+                def feasible(i, eb=eb, blk=blk, off=off, slope=slope):
+                    va = Vertex(blk, off + slope * i)
                     vb = Vertex(eb[0], eb[1] + eb[2] * i)
-                    if va == vb:
-                        return False
-                    return in_a(va) and in_b(vb)
+                    return va != vb and in_a(va) and in_b(vb)
 
-                for i in window:
-                    if feasible(i):
-                        add(Vertex(ea[0], ea[1] + ea[2] * i))
-                for s in sentinels:
-                    if not feasible(s):
-                        continue
-                    bblk, _, slope = ea
-                    if slope == 0:
-                        add(Vertex(bblk, ea[1]))
-                        continue
-                    # direction of idx as the family runs off to this
-                    # infinite end
-                    going_up = (slope > 0) == (s > 0)
-                    if going_up:
-                        lim = Limit(bblk)
-                        markers.append(("max", z.rel(lim, a_lo)))
-                    else:
-                        lim = Limit((bblk - 1) % z.k)
-                        markers.append(("min", z.rel(lim, a_lo)))
+                for lo, hi in sf.runs(bounds, feasible):
+                    # along a run va moves monotonically inside A, so
+                    # its extremes sit at the run's ends
+                    for end, up in ((lo, False), (hi, True)):
+                        if end is not None or slope == 0:
+                            add(Vertex(blk, off + slope * (end or 0)))
+                        elif ((slope > 0) == up) != want_min:
+                            lim = blk - 1 if want_min else blk
+                            limits.append(z.rel(Limit(lim % z.k), a_lo))
 
-        relevant = [r for kind, r in markers
-                    if kind == ("min" if want_min else "max")]
         if not feas:
-            if relevant:
+            if limits:
                 raise UnattainedError(
                     "candidate set accumulates at a limit point")
             return None
         if want_min:
             best = min(feas, key=feas.get)
-            if any(r < feas[best] for r in relevant):
+            if any(r < feas[best] for r in limits):
                 raise UnattainedError(
                     "infimum approaches a limit point, not attained")
         else:
             best = max(feas, key=feas.get)
-            if any(r > feas[best] for r in relevant):
+            if any(r > feas[best] for r in limits):
                 raise UnattainedError(
                     "supremum approaches a limit point, not attained")
         return best
@@ -517,9 +567,10 @@ class Triangulation:
     # -- dual quiver ----------------------------------------------------
 
     def window_nodes(self, window: int | None = None) -> list[Arc]:
-        """Core diagonals plus tail members with indices within a
-        junction window."""
-        w = window if window is not None else self._data_magnitude() + 8
+        """Core diagonals plus, for each tail subfamily, the members at
+        its finite end and the next ``window`` indices (by default the
+        widest block hull plus a margin), in key order."""
+        w = window if window is not None else self._default_window()
         nodes = list(self.core)
         for sf in self.subfamilies():
             if sf.imin is not None:
@@ -542,7 +593,7 @@ class Triangulation:
 
     def dual_quiver(self, window: int | None = None) -> DualQuiver:
         z = self.z
-        w = window if window is not None else self._data_magnitude() + 8
+        w = window if window is not None else self._default_window()
         nodes = self.window_nodes(w)
         node_set = set(nodes)
         triangles: set[frozenset[Vertex]] = set()
@@ -569,38 +620,52 @@ class Triangulation:
 # Validation
 
 
-def validate(t: Triangulation) -> ValidationReport:
+def _crossing_runs(z: ZModel, sf: _SubFamily, a: Arc
+                   ) -> list[tuple[int | None, int | None]]:
+    """Maximal index runs where member(i) is a diagonal crossing the
+    (possibly virtual) arc a."""
+    def crosses(i):
+        u, w = sf.vertex(0, i), sf.vertex(1, i)
+        if u == w:
+            return False
+        m = Arc(u, w)
+        return z.is_diagonal(m) and z.crosses(a, m)
+    return sf.runs((a.p, a.q), crosses)
+
+
+def validate_structure(t: Triangulation) -> ValidationReport:
+    """The structural checks of ``validate``, in O(core + tails): one
+    tail at every limit point and nowhere else (iv), and every core arc
+    and every tail member a diagonal (i)."""
     z = t.z
-    # (iv) every limit point carries exactly one tail
     expected = set(range(z.k)) if not z.is_finite else set()
     have = {g for g, _ in t.tails}
     if have != expected:
-        missing = expected - have
-        extra = have - expected
         return ValidationReport(False, "tail coverage",
-                                {"missing": sorted(missing),
-                                 "extra": sorted(extra)})
-
-    # (i) all arcs are diagonals
+                                {"missing": sorted(expected - have),
+                                 "extra": sorted(have - expected)})
     for a in t.core:
         if not z.is_diagonal(a):
             return ValidationReport(False, "non-diagonal arc", a)
+    for sf in t.subfamilies():
+        def bad(i, sf=sf):
+            u, w = sf.vertex(0, i), sf.vertex(1, i)
+            return u == w or not z.is_diagonal(Arc(u, w))
+        for lo, hi in sf.runs((), bad):
+            return ValidationReport(False, "non-diagonal tail member",
+                                    (sf.gap, sf.sub, sf.near_end(lo, hi)))
+    return ValidationReport(True)
+
+
+def validate(t: Triangulation) -> ValidationReport:
+    """Whether t is a triangulation: the structural checks, then (ii)
+    no two arcs cross and (iii) every face is a triangle.  The first
+    failure is reported with its witness."""
+    rep = validate_structure(t)
+    if not rep.ok:
+        return rep
+    z = t.z
     subfams = t.subfamilies()
-    big = t._data_magnitude() + 29
-    for sf in subfams:
-        probe = []
-        if sf.imin is not None:
-            probe += [sf.imin, sf.imin + 1]
-        if sf.imax is not None:
-            probe += [sf.imax, sf.imax - 1]
-        probe += [big if sf.imax is None else sf.imax - big]
-        for i in probe:
-            if sf.in_range(i):
-                m = sf.vertex(0, i), sf.vertex(1, i)
-                if m[0] == m[1] or not z.is_diagonal(Arc(*m)):
-                    return ValidationReport(
-                        False, "non-diagonal tail member",
-                        (sf.gap, sf.sub, i))
 
     # (ii) pairwise non-crossing
     core = sorted(t.core, key=lambda a: (z.key(a.p), z.key(a.q)))
@@ -609,31 +674,14 @@ def validate(t: Triangulation) -> ValidationReport:
             if z.crosses(a, b):
                 return ValidationReport(False, "crossing pair", (a, b))
 
-    def family_crosses_arc(sf: _SubFamily, arc: Arc):
-        cands: set[int] = set()
-        cands |= t._breakpoints(sf.e1, [arc.p, arc.q])
-        cands |= t._breakpoints(sf.e2, [arc.p, arc.q])
-        for bd in (sf.imin, sf.imax):
-            if bd is not None:
-                cands.add(bd)
-        window: set[int] = set()
-        for c in cands:
-            window.update(range(c - 2, c + 3))
-        s = big + max((abs(c) for c in window), default=0)
-        window.add(s if sf.imin is not None else -s)
-        for i in window:
-            if not sf.in_range(i):
-                continue
-            m = sf.member(i)
-            if m == arc:
-                continue
-            if z.crosses(arc, m):
-                return i
+    def first_crossing(sf: _SubFamily, arc: Arc) -> int | None:
+        for lo, hi in _crossing_runs(z, sf, arc):
+            return sf.near_end(lo, hi)
         return None
 
     for sf in subfams:
         for a in core:
-            i = family_crosses_arc(sf, a)
+            i = first_crossing(sf, a)
             if i is not None:
                 return ValidationReport(False, "crossing pair",
                                         (a, (sf.gap, sf.sub, i)))
@@ -641,18 +689,25 @@ def validate(t: Triangulation) -> ValidationReport:
         for fb in subfams[ia + 1:]:
             if fa.gap == fb.gap:
                 continue  # same tail: non-crossing by construction
-            probes: set[int] = set()
-            for bd in (fb.imin, fb.imax):
-                if bd is not None:
-                    probes.update(range(bd - big, bd + big + 1))
-            for j in probes:
-                if not fb.in_range(j):
-                    continue
-                i = family_crosses_arc(fa, fb.member(j))
-                if i is not None:
-                    return ValidationReport(
-                        False, "crossing pair",
-                        ((fa.gap, fa.sub, i), (fb.gap, fb.sub, j)))
+            # Whether some member of fa crosses fb.member(j) is decided
+            # by runs over j.  Crossing reads order only.  As j moves,
+            # fa's breakpoints against fb.member(j) move in step and in
+            # parallel (in a shared block the tails run toward opposite
+            # ends); the answer changes only when one comes within 2 of
+            # a fixed one (fa's range end, or where fa meets a constant
+            # endpoint): fa's vertices there are the bounds for j.
+            fixed = [Vertex(b, o) for sf in (fa, fb)
+                     for b, o, s in (sf.e1, sf.e2) if s == 0]
+            anchors = [fa.vertex(w, i) for i in fa.breakpoints(fixed)
+                       if fa.in_range(i) for w in (0, 1)]
+            for lo, hi in fb.runs(
+                    anchors + fixed,
+                    lambda j: first_crossing(fa, fb.member(j)) is not None):
+                j = fb.near_end(lo, hi)
+                return ValidationReport(
+                    False, "crossing pair",
+                    ((fa.gap, fa.sub, first_crossing(fa, fb.member(j))),
+                     (fb.gap, fb.sub, j)))
 
     # (iii) maximality by face extraction
     def check_faces_of(d: Arc, sides):
@@ -673,13 +728,15 @@ def validate(t: Triangulation) -> ValidationReport:
         bad = check_faces_of(d, [z.succ(d.p), z.succ(d.q)])
         if bad:
             return bad
-    # edges: every edge's inner side must be a triangle
+    # edges: every edge's inner side must be a triangle; past the data
+    # hull the faces repeat along each tail
     if z.is_finite:
         edges = [Arc(v, z.succ(v)) for v in z.vertices()]
     else:
-        reach = t._data_magnitude() + 10
-        edges = [Arc(Vertex(b, i), Vertex(b, i + 1))
-                 for b in range(z.k) for i in range(-reach, reach)]
+        hull = t._hull()
+        edges = [Arc(Vertex(b, i), Vertex(b, i + 1)) for b in range(z.k)
+                 for lo, hi in [hull.get(b, (0, 0))]
+                 for i in range(lo - _MARGIN, hi + _MARGIN)]
     for e in edges:
         u = e.p if z.succ(e.p) == e.q else e.q
         w = e.other(u)

@@ -23,6 +23,19 @@ LEAPFROG = {"z": {"blocks": 1}, "core": [],
             "tails": [{"limit": 0, "type": "leapfrog",
                        "right_from": 1, "left_to": -1}]}
 BAD = {"z": {"finite": 6}, "core": [[0, 2], [1, 3]]}  # crossing diagonals
+# member {(0,0),(0,0)} at index 0 is not an arc
+DEGENERATE = {"z": {"blocks": 1}, "core": [],
+              "tails": [{"limit": 0, "type": "fountain", "base": [0, 0],
+                         "right_from": 0, "left_to": 0}]}
+LEAPFROG_CORE = {"z": {"blocks": 1}, "core": [[[0, -2], [0, 0]],
+                                              [[0, 0], [0, 2]]],
+                 "tails": [{"limit": 0, "type": "leapfrog",
+                            "right_from": 2, "left_to": -2}]}
+BLOCKS2 = {"z": {"blocks": 2}, "core": [[[0, 0], [1, 0]]],
+           "tails": [{"limit": 0, "type": "fountain", "base": [0, 0],
+                      "right_from": 2, "left_to": -1},
+                     {"limit": 1, "type": "fountain", "base": [1, 0],
+                      "right_from": 2, "left_to": -1}]}
 
 
 @pytest.fixture
@@ -162,6 +175,29 @@ def test_roots_fountain(tri_file, capsys):
     assert out["roots"]
 
 
+@pytest.mark.parametrize("obj, e, f", [
+    (LEAPFROG_CORE, "1", "L0"), (LEAPFROG_CORE, "-1", "L0")])
+def test_roots_with_one_end(tri_file, capsys, obj, e, f):
+    """A crossing set of order type omega lists the roots among -inf
+    and its first elements."""
+    code, out = run(capsys, "roots", "--triangulation", tri_file(obj),
+                    "--arc", e, f, "--window", "-3", "3")
+    assert code == 0
+    assert out["descriptor"] == "omega"
+    assert out["neg_inf_adjoined"] is True
+    # -inf and the 6 least elements: 7 choose 2 roots
+    assert len(out["roots"]) == 21
+    assert sum(r["neg"] == "-inf" for r in out["roots"]) == 6
+
+
+def test_roots_on_blocks2_pair(tri_file, capsys):
+    """The maximal pair of the two-fountain Blocks(2) fixture, read as
+    having no greatest element, still gets its roots listed."""
+    code, out = run(capsys, "roots", "--triangulation", tri_file(BLOCKS2),
+                    "--arc", "0:1", "1:1", "--window", "-3", "3")
+    assert code == 0 and out["neg_inf_adjoined"] is True and out["roots"]
+
+
 def test_duality_command(tri_file, capsys):
     code, out = run(capsys, "duality",
                     "--triangulation", tri_file(PENTAGON),
@@ -257,6 +293,33 @@ def test_exit_2_on_degenerate_arc(tri_file, capsys):
     p = tri_file(PENTAGON)
     assert main(["dimvec", "--triangulation", p, "--arc", "0", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "--arc", "1", "-1"],
+    ["dimvec", "--arc", "1", "-1"],
+    ["decompose"],
+    ["render"],
+])
+def test_computing_commands_reject_invalid_tails(tri_file, capsys, argv):
+    p = tri_file(DEGENERATE)
+    code, out = run(capsys, "validate", "--triangulation", p)
+    assert code == 1
+    assert out["reason"] == "non-diagonal tail member"
+    assert out["witness"] == "(0, 'right', 0)"
+    assert main([argv[0], "--triangulation", p] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("non-diagonal tail member; witness (0, 'right', 0)"
+            in captured.err)
+
+
+def test_format_flag_is_gone(tri_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["index", "--triangulation", tri_file(PENTAGON),
+              "--arc", "1", "3", "--format", "json"])
+    capsys.readouterr()
+    assert exc.value.code == 2
 
 
 def test_out_flag_writes_file(tri_file, tmp_path, capsys):

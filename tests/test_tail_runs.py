@@ -1,0 +1,273 @@
+"""The breakpoint-runs procedure for tail families, checked against
+brute force, and the offset invariance it buys: every answer at vertex
+offset m is the m = 0 answer shifted, for the same work."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from infgon.cvector import dimension_vector
+from infgon.decomposition import maximal_pairs
+from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
+                                  _crossing_runs, _subfamilies_of_tail,
+                                  validate, validate_structure)
+from infgon.zmodel import Arc, Limit, Vertex, ZModel
+
+OFFSETS = (0, 100, 1000)
+
+
+# -- brute-force oracle for _SubFamily.runs ---------------------------------
+
+
+@st.composite
+def family_and_bounds(draw, m):
+    """A fountain or leapfrog subfamily of Blocks(1) or Blocks(2) at
+    offset m (valid or not), and four closure points near the data."""
+    k = draw(st.sampled_from([1, 2]))
+    gap = draw(st.integers(0, k - 1))
+    small = st.integers(-6, 6)
+    if draw(st.booleans()):
+        tail = Fountain(Vertex(draw(st.integers(0, k - 1)), m + draw(small)),
+                        m + draw(small), m + draw(small))
+    else:
+        tail = Leapfrog(m + draw(small), m + draw(small))
+    z = ZModel.blocks(k)
+    sf = draw(st.sampled_from(_subfamilies_of_tail(z, gap, tail)))
+    point = st.one_of(
+        st.builds(lambda b, i: Vertex(b, m + i),
+                  st.integers(0, k - 1), st.integers(-9, 9)),
+        st.builds(Limit, st.integers(0, k - 1)))
+    bounds = draw(st.lists(point, min_size=4, max_size=4))
+    return z, sf, bounds
+
+
+def _reach(sf, bounds, m) -> int:
+    """4 * (hull spread + offset) for the family's finite end and the
+    bounds: far past every breakpoint."""
+    end = sf.imin if sf.imin is not None else sf.imax
+    idx = [sf.vertex(0, end).idx, sf.vertex(1, end).idx, end]
+    idx += [p.idx for p in bounds if isinstance(p, Vertex)]
+    return 4 * (max(idx) - min(idx) + m + 1)
+
+
+def _assert_runs_exact(sf, runs, pred, reach):
+    lo_r = -reach if sf.imin is None else sf.imin
+    hi_r = reach if sf.imax is None else sf.imax
+    truth = {i for i in range(lo_r, hi_r + 1) if pred(i)}
+    got = set()
+    for lo, hi in runs:
+        got.update(range(lo_r if lo is None else lo,
+                         (hi_r if hi is None else hi) + 1))
+    assert got == truth
+    # runs are maximal, ordered and disjoint
+    for (_, h1), (l2, _) in zip(runs, runs[1:]):
+        assert h1 is not None and l2 is not None and l2 > h1 + 1
+    # an unbounded end is really unbounded: true at the far edge
+    for lo, hi in runs:
+        if lo is None:
+            assert pred(-reach)
+        if hi is None:
+            assert pred(reach)
+
+
+def _predicates(z, sf, bounds):
+    a, b, c, d = bounds
+
+    def in_intervals(i):
+        u, w = sf.vertex(0, i), sf.vertex(1, i)
+        return (u != w and z.in_closed(a, u, b) and z.in_closed(c, w, d))
+
+    def not_diagonal(i):
+        u, w = sf.vertex(0, i), sf.vertex(1, i)
+        return u == w or not z.is_diagonal(Arc(u, w))
+
+    return [((a, b, c, d), in_intervals), ((), not_diagonal)]
+
+
+@pytest.mark.parametrize("m", OFFSETS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_runs_match_brute_force(m, data):
+    z, sf, bounds = data.draw(family_and_bounds(m))
+    reach = _reach(sf, bounds, m)
+    for bnd, pred in _predicates(z, sf, bounds):
+        _assert_runs_exact(sf, sf.runs(bnd, pred), pred, reach)
+    a, b = bounds[0], bounds[1]
+    if a != b:
+        arc = Arc(a, b)
+
+        def crosses(i):
+            u, w = sf.vertex(0, i), sf.vertex(1, i)
+            return (u != w and z.is_diagonal(Arc(u, w))
+                    and z.crosses(arc, Arc(u, w)))
+        _assert_runs_exact(sf, _crossing_runs(z, sf, arc), crosses, reach)
+
+
+def test_runs_window_does_not_depend_on_vertex_zero():
+    """A family far from vertex 0 evaluates the same number of indices
+    as its translate through vertex 0."""
+    z = ZModel.blocks(1)
+    counts = []
+    for m in (0, 1000):
+        seen = []
+        for sf in _subfamilies_of_tail(z, 0, Fountain(Vertex(0, m), m + 2,
+                                                      m - 2)):
+            sf.runs((Vertex(0, m - 1), Vertex(0, m + 5)),
+                    lambda i: seen.append(i) or False)
+        counts.append(len(seen))
+    assert counts[0] == counts[1]
+
+
+# -- offset invariance on the tail fixtures ----------------------------------
+
+
+def fountain(m: int) -> Triangulation:
+    return Triangulation.make(ZModel.blocks(1), set(),
+                              {0: Fountain(Vertex(0, m), m + 2, m - 2)})
+
+
+def leapfrog(m: int) -> Triangulation:
+    z = ZModel.blocks(1)
+    return Triangulation.make(z, {z.arc(m - 2, m), z.arc(m, m + 2)},
+                              {0: Leapfrog(m + 2, m - 2)})
+
+
+def blocks2(m: int) -> Triangulation:
+    return Triangulation.make(
+        ZModel.blocks(2), {Arc(Vertex(0, m), Vertex(1, m))},
+        {0: Fountain(Vertex(0, m), m + 2, m - 1),
+         1: Fountain(Vertex(1, m), m + 2, m - 1)})
+
+
+# fixture, and whether its tail family indices are vertex indices
+FIXTURES = [(fountain, True), (leapfrog, False), (blocks2, True)]
+
+
+def _shift(x, m: int):
+    """x with every vertex index moved by m."""
+    if isinstance(x, Vertex):
+        return Vertex(x.block, x.idx + m)
+    if isinstance(x, Arc):
+        return Arc(_shift(x.p, m), _shift(x.q, m))
+    if isinstance(x, (tuple, list, frozenset, set)):
+        return type(x)(_shift(y, m) for y in x)
+    return x
+
+
+def _shift_covector(c, m: int, index_moves: bool):
+    s = m if index_moves else 0
+    return ({_shift(a, m): v for a, v in c.explicit.items()},
+            {(tr.gap, tr.sub, None if tr.lo is None else tr.lo + s,
+              None if tr.hi is None else tr.hi + s, tr.coeff)
+             for tr in c.tail_terms})
+
+
+@pytest.mark.parametrize("build,index_moves", FIXTURES)
+def test_answers_are_the_m0_answers_shifted(build, index_moves):
+    t0 = build(0)
+    z = t0.z
+    acyclic0 = t0.dual_quiver().is_acyclic()
+    pairs0 = maximal_pairs(t0)
+    verts = [Vertex(b, i) for b in range(z.k) for i in range(-5, 6)]
+    diags = [Arc(p, q) for i, p in enumerate(verts) for q in verts[i + 1:]
+             if z.is_diagonal(Arc(p, q))][::3]
+    dims0 = [_shift_covector(dimension_vector(t0, a), 0, False)
+             for a in diags]
+    for m in OFFSETS:
+        t = build(m)
+        assert validate(t).ok
+        assert t.dual_quiver().is_acyclic() == acyclic0
+        assert maximal_pairs(t) == {_shift(p, m) for p in pairs0}
+        for a, want in zip(diags, dims0):
+            got = _shift_covector(dimension_vector(t, _shift(a, m)), -m,
+                                  index_moves)
+            assert got == want
+
+
+def _degenerate_fountain(m):
+    return Triangulation.make(ZModel.blocks(1), set(),
+                              {0: Fountain(Vertex(0, m), m, m)})
+
+
+def _fountain_gap(m):
+    return Triangulation.make(ZModel.blocks(1), set(),
+                              {0: Fountain(Vertex(0, m), m + 3, m - 2)})
+
+
+def _core_crosses_tail(m):
+    z = ZModel.blocks(1)
+    return Triangulation.make(z, {z.arc(m - 5, m)},
+                              {0: Fountain(Vertex(0, m + 3), m + 6, m)})
+
+
+def _tails_cross(m):
+    return Triangulation.make(
+        ZModel.blocks(2), {Arc(Vertex(0, m), Vertex(1, m))},
+        {0: Fountain(Vertex(0, m), m + 2, m + 3),
+         1: Fountain(Vertex(1, m), m + 2, m - 1)})
+
+
+def _shift_witness(w, m: int):
+    """A witness with vertex indices moved by m; the fixtures are
+    fountains, so a tail reference (gap, sub, i) moves too."""
+    if isinstance(w, tuple) and len(w) == 3 and isinstance(w[1], str):
+        return (w[0], w[1], w[2] + m)
+    if isinstance(w, tuple):
+        return tuple(_shift_witness(x, m) for x in w)
+    return _shift(w, m)
+
+
+@pytest.mark.parametrize("build", [_degenerate_fountain, _fountain_gap,
+                                   _core_crosses_tail, _tails_cross])
+def test_invalid_fixture_rejected_with_translated_witness(build):
+    rep0 = validate(build(0))
+    assert not rep0.ok
+    rep = validate(build(1000))
+    assert (rep.ok, rep.reason) == (False, rep0.reason)
+    assert rep.witness == _shift_witness(rep0.witness, 1000)
+
+
+def test_validate_work_does_not_grow_with_offset(monkeypatch):
+    calls = {"n": 0}
+    inner = Triangulation._extremal_connected
+
+    def counted(self, *args):
+        calls["n"] += 1
+        return inner(self, *args)
+
+    monkeypatch.setattr(Triangulation, "_extremal_connected", counted)
+    for build, _ in FIXTURES:
+        per_m = []
+        for m in (0, 1000):
+            calls["n"] = 0
+            assert validate(build(m)).ok
+            per_m.append(calls["n"])
+        assert per_m[1] <= per_m[0], build.__name__
+
+
+def test_structure_check_names_the_degenerate_member():
+    rep = validate_structure(_degenerate_fountain(0))
+    assert (rep.ok, rep.reason, rep.witness) == (
+        False, "non-diagonal tail member", (0, "right", 0))
+    assert validate(_degenerate_fountain(0)) == rep
+    assert validate_structure(fountain(1000)).ok
+
+
+@pytest.mark.parametrize("tail, witness", [
+    (Fountain(Vertex(0, 10), 0, -5), (0, "right", 9)),
+    (Leapfrog(0, 20), (0, "a", 10)),
+])
+def test_degenerate_member_inside_the_range_is_reported(tail, witness):
+    """Members that are not diagonals away from both range ends are
+    found by the runs over the whole range, not only near its end."""
+    t = Triangulation.make(ZModel.blocks(1), set(), {0: tail})
+    rep = validate(t)
+    assert (rep.ok, rep.reason, rep.witness) == (
+        False, "non-diagonal tail member", witness)
+
+
+def test_default_window_measured_from_data():
+    for build, _ in FIXTURES:
+        assert (len(build(1000).window_nodes())
+                == len(build(0).window_nodes()))
