@@ -10,7 +10,7 @@ agree row by row.
 import random
 
 from infgon.cvector import CVectorQuery, cvector_eval
-from infgon.fzoracle import from_triangulation, mutate
+from infgon.fzoracle import run_flip_path
 from infgon.homindex import index
 from infgon.triangulation import enumerate_triangulations
 from infgon.zmodel import ZModel
@@ -22,23 +22,15 @@ for n in (5, 6, 7):
     tris = enumerate_triangulations(z)
     for _ in range(20):
         t = rng.choice(tris)
-        seed = from_triangulation(t)
-        cur = t
-        labels = list(seed.labels)
-        for _ in range(rng.randrange(0, 9)):
-            d = rng.choice(labels)
-            k = labels.index(d)
-            cur, dstar = cur.flip(d)
-            labels[k] = dstar
-            seed = mutate(seed, k, new_label=dstar)
+        seed, cur = run_flip_path(t, rng=rng, max_len=8)
         seed.check()
-        for j, u in enumerate(labels):
+        for j, u in enumerate(seed.labels):
             q = CVectorQuery(t, cur, u)
-            crow = [cvector_eval(q, d) for d in seed.basis]
+            crow = tuple(cvector_eval(q, d) for d in seed.basis)
             kv = index(t, u)
-            grow = [kv.get(d) for d in seed.basis]
+            grow = tuple(kv.get(d) for d in seed.basis)
             checked += 1
-            if seed.c[j].tolist() != crow or seed.g[j].tolist() != grow:
+            if seed.c[j] != crow or seed.g[j] != grow:
                 mismatches += 1
                 print("MISMATCH at", n, u, crow, grow)
 print(f"checked {checked} rows across random flip paths; "

@@ -12,16 +12,13 @@ import json
 import random
 import sys
 
-import numpy as np
-
 from .cvector import (CVectorQuery, CoVector, RealizationUnsupported,
                       cvector_eval, cvector_full, dimension_vector,
                       image_arc, realize_dimension_vector)
 from .decomposition import (NegInf, crossing_order, delta_plus, in_X,
                             maximal_pairs, root_of_arc, root_system_label,
                             y_ext)
-from .fzoracle import from_triangulation as seed_of
-from .fzoracle import mutate
+from .fzoracle import identity, run_flip_path
 from .homindex import (KVector, StepCapExceeded, check_duality, index,
                        zigzag)
 from .render import RenderSpec, render_svg
@@ -215,9 +212,9 @@ def _read_tri(path: str) -> Triangulation:
 
 def _load_tri(path: str) -> Triangulation:
     """A triangulation for a computing command: parsed, then held to the
-    structural checks of ``validate`` (tail coverage, diagonals), which
-    cost O(core + tails).  The crossing and face checks are left to
-    ``infgon validate``."""
+    checks of ``validate_structure`` (tail coverage, diagonals, no two
+    core arcs crossing), which cost O(core² + tails).  The tail
+    crossing and face checks are left to ``infgon validate``."""
     t = _read_tri(path)
     rep = validate_structure(t)
     if not rep.ok:
@@ -391,25 +388,15 @@ def cmd_oracle(args) -> int:
     rng = random.Random(args.seed)
     mismatches = 0
     for _ in range(args.paths):
-        seed = seed_of(t)
-        cur = t
-        labels = list(seed.labels)
-        for _ in range(rng.randrange(0, args.max_len + 1)):
-            d = rng.choice(labels)
-            k = labels.index(d)
-            cur, dstar = cur.flip(d)
-            labels[k] = dstar
-            seed = mutate(seed, k, new_label=dstar)
-        for j, uarc in enumerate(labels):
+        seed, cur = run_flip_path(t, rng=rng, max_len=args.max_len)
+        for j, uarc in enumerate(seed.labels):
             q = CVectorQuery(t, cur, uarc)
-            crow = [cvector_eval(q, d) for d in seed.basis]
+            crow = tuple(cvector_eval(q, d) for d in seed.basis)
             kv = index(t, uarc)
-            grow = [kv.get(d) for d in seed.basis]
-            if (seed.c[j].tolist() != crow
-                    or seed.g[j].tolist() != grow):
+            grow = tuple(kv.get(d) for d in seed.basis)
+            if seed.c[j] != crow or seed.g[j] != grow:
                 mismatches += 1
-        if not np.array_equal(seed.pairing_matrix(),
-                              np.eye(seed.m, dtype=np.int64)):
+        if seed.pairing_matrix() != identity(seed.m):
             mismatches += 1
     _emit_json(args, {"paths": args.paths, "mismatches": mismatches})
     return 0 if mismatches == 0 else 1

@@ -634,9 +634,10 @@ def _crossing_runs(z: ZModel, sf: _SubFamily, a: Arc
 
 
 def validate_structure(t: Triangulation) -> ValidationReport:
-    """The structural checks of ``validate``, in O(core + tails): one
-    tail at every limit point and nowhere else (iv), and every core arc
-    and every tail member a diagonal (i)."""
+    """The checks of ``validate`` that cost O(core² + tails): one tail
+    at every limit point and nowhere else (iv), every core arc and
+    every tail member a diagonal (i), and no two core arcs crossing
+    (the core part of (ii))."""
     z = t.z
     expected = set(range(z.k)) if not z.is_finite else set()
     have = {g for g, _ in t.tails}
@@ -654,25 +655,27 @@ def validate_structure(t: Triangulation) -> ValidationReport:
         for lo, hi in sf.runs((), bad):
             return ValidationReport(False, "non-diagonal tail member",
                                     (sf.gap, sf.sub, sf.near_end(lo, hi)))
+    core = sorted(t.core, key=lambda a: (z.key(a.p), z.key(a.q)))
+    for i, a in enumerate(core):
+        for b in core[i + 1:]:
+            if z.crosses(a, b):
+                return ValidationReport(False, "crossing pair", (a, b))
     return ValidationReport(True)
 
 
 def validate(t: Triangulation) -> ValidationReport:
-    """Whether t is a triangulation: the structural checks, then (ii)
-    no two arcs cross and (iii) every face is a triangle.  The first
-    failure is reported with its witness."""
+    """Whether t is a triangulation: the checks of
+    ``validate_structure``, then (ii) no tail member crosses another
+    arc and (iii) every face is a triangle.  The first failure is
+    reported with its witness."""
     rep = validate_structure(t)
     if not rep.ok:
         return rep
     z = t.z
     subfams = t.subfamilies()
 
-    # (ii) pairwise non-crossing
+    # (ii) pairwise non-crossing; core against core is done above
     core = sorted(t.core, key=lambda a: (z.key(a.p), z.key(a.q)))
-    for i, a in enumerate(core):
-        for b in core[i + 1:]:
-            if z.crosses(a, b):
-                return ValidationReport(False, "crossing pair", (a, b))
 
     def first_crossing(sf: _SubFamily, arc: Arc) -> int | None:
         for lo, hi in _crossing_runs(z, sf, arc):

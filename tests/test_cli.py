@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -312,6 +315,36 @@ def test_computing_commands_reject_invalid_tails(tri_file, capsys, argv):
     assert captured.out == ""
     assert ("non-diagonal tail member; witness (0, 'right', 0)"
             in captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["realize", "--arc", "1", "3"],
+    ["index", "--arc", "1", "3"],
+])
+def test_computing_commands_reject_crossing_core(tri_file, capsys, argv):
+    p = tri_file(BAD)
+    code, out = run(capsys, "validate", "--triangulation", p)
+    assert code == 1 and out["reason"] == "crossing pair"
+    assert main([argv[0], "--triangulation", p] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: invalid triangulation: crossing pair; witness "
+            f"{out['witness']}\n") == captured.err
+
+
+def test_import_loads_only_the_standard_library():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import infgon.cli\n"
+            "assert 'numpy' not in sys.modules\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "extra = new - set(sys.stdlib_module_names) - {'infgon'}\n"
+            "assert not extra, sorted(extra)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_format_flag_is_gone(tri_file, capsys):
