@@ -1,7 +1,7 @@
 """Command-line front end: JSON in, JSON or SVG out, stable exit codes.
 
 Exit codes: 0 success, 1 validation/property failure (also a computing
-command's input failing the structural checks), 2 precondition or
+command's input failing the checks run before it), 2 precondition or
 parse error, 3 internal step cap exceeded.
 """
 
@@ -34,8 +34,8 @@ class ParseError(ValueError):
 
 
 class InvalidTriangulation(ValueError):
-    """A computing command's input fails the structural checks of
-    ``validate``; carries the same reason and witness."""
+    """A computing command's input fails a check of ``validate``;
+    carries the same reason and witness."""
 
     def __init__(self, report):
         super().__init__(f"invalid triangulation: {report.reason}; "
@@ -50,7 +50,7 @@ class InvalidTriangulation(ValueError):
 def _int(value, pointer: str) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(pointer, f"expected an integer, got {value!r}"
                          ) from None
 
@@ -63,6 +63,14 @@ def _field(obj: dict, name: str, pointer: str):
 
 def _int_field(obj: dict, name: str, pointer: str) -> int:
     return _int(_field(obj, name, pointer), f"{pointer}/{name}")
+
+
+def _list_field(obj: dict, name: str, pointer: str) -> list:
+    value = obj.get(name, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{pointer}/{name}",
+                         f"expected a list, got {value!r}")
+    return value
 
 
 def model_from_json(obj, pointer: str = "/z") -> ZModel:
@@ -116,9 +124,9 @@ def triangulation_from_json(obj, pointer: str = "") -> Triangulation:
         raise ParseError(pointer or "/", "triangulation must be an object")
     z = model_from_json(obj.get("z"), pointer + "/z")
     core = [arc_from_json(z, a, f"{pointer}/core/{i}")
-            for i, a in enumerate(obj.get("core", []))]
+            for i, a in enumerate(_list_field(obj, "core", pointer))]
     tails = {}
-    for i, tl in enumerate(obj.get("tails", [])):
+    for i, tl in enumerate(_list_field(obj, "tails", pointer)):
         tp = f"{pointer}/tails/{i}"
         if not isinstance(tl, dict) or "limit" not in tl:
             raise ParseError(tp, 'tail needs a "limit" gap')
@@ -213,10 +221,15 @@ def _read_tri(path: str) -> Triangulation:
 def _load_tri(path: str) -> Triangulation:
     """A triangulation for a computing command: parsed, then held to the
     checks of ``validate_structure`` (tail coverage, diagonals, no two
-    core arcs crossing), which cost O(core² + tails).  The tail
-    crossing and face checks are left to ``infgon validate``."""
+    core arcs crossing), which cost O(core² + tails).  Over a finite
+    polygon these leave only the count: n - 3 pairwise non-crossing
+    diagonals triangulate the n-gon, and any other count gets the full
+    ``validate`` report.  The tail crossing and face checks of an
+    infinite model are left to ``infgon validate``."""
     t = _read_tri(path)
     rep = validate_structure(t)
+    if rep.ok and t.z.is_finite and len(t.core) != t.z.n - 3:
+        rep = validate(t)
     if not rep.ok:
         raise InvalidTriangulation(rep)
     return t

@@ -295,20 +295,20 @@ def cvector_full(q: CVectorQuery) -> tuple[int, Arc | None, CoVector]:
 def _complete_greedy(t: Triangulation, arcs: set[Arc]) -> frozenset[Arc]:
     """Complete a non-crossing arc set over a finite polygon to a
     triangulation by scanning diagonals in canonical order (equivalent
-    to fanning every remaining face from its least vertex)."""
+    to fanning every remaining face from its least vertex).  Chords
+    are held as index pairs p < q, and (i, j) crosses (p, q) iff
+    exactly one of p, q lies strictly between i and j."""
     z = t.z
     n = z.n
     out = set(arcs)
+    kept = {(a.p.idx, a.q.idx) for a in arcs}
     for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
+        for j in range(i + 2, n if i else n - 1):
+            if (i, j) in kept or any(i < p < j < q or p < i < q < j
+                                     for p, q in kept):
                 continue
-            d = z.arc(i, j)
-            if d in out:
-                continue
-            if any(z.crosses(d, a) for a in out):
-                continue
-            out.add(d)
+            kept.add((i, j))
+            out.add(z.arc(i, j))
     return frozenset(out)
 
 

@@ -140,8 +140,8 @@ class OrderedCrossingSet:
     def __init__(self, t: Triangulation, e: ClosurePoint, f: ClosurePoint):
         z = t.z
         self.t = t
-        self.e = z._coerce_point(e) if not isinstance(e, Vertex) else z.v(e)
-        self.f = z._coerce_point(f) if not isinstance(f, Vertex) else z.v(f)
+        self.e = z._coerce_point(e)
+        self.f = z._coerce_point(f)
         self.pair = Arc(self.e, self.f)
         explicit = [d for d in t.core if z.crosses(self.pair, d)]
         self._runs: list[_RunInfo] = []
@@ -416,8 +416,20 @@ class OrderedCrossingSet:
 
 def crossing_order(t: Triangulation, e: ClosurePoint, f: ClosurePoint
                    ) -> OrderedCrossingSet:
-    """The crossing set Y of the virtual arc {e, f}, ordered from e."""
-    return OrderedCrossingSet(t, e, f)
+    """The crossing set Y of the virtual arc {e, f}, ordered from e.
+
+    Memoized on t per ordered pair (e, f), after the coercion the
+    constructor applies (a point outside the model raises ModelError
+    first), so (f, e) is a separate entry, ordered from f.  Every call
+    for a pair returns the same read-only Y; a failure, such as an
+    empty Y, is never stored and is raised again on every call."""
+    z = t.z
+    pair = (z._coerce_point(e), z._coerce_point(f))
+    memo = t._memo("crossing_order")
+    y = memo.get(pair)
+    if y is None:
+        y = memo[pair] = OrderedCrossingSet(t, *pair)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +502,16 @@ def psi(y: OrderedCrossingSet, a: Arc, b: Arc) -> Root:
 def in_X(t: Triangulation, e: ClosurePoint, f: ClosurePoint,
          c: CoVector) -> bool:
     """Membership of a positive c-vector in X_{e,f}: support inclusion
-    into the support of dim({e, f})."""
+    into the support of dim({e, f}), which is memoized on t per arc
+    {e, f}."""
     if c.is_zero():
         raise ModelError("the zero vector is not a c-vector")
-    return support_subset(c, dimension_vector(t, t.z.arc(e, f)))
+    pair = t.z.arc(e, f)
+    dims = t._memo("in_X")
+    dim = dims.get(pair)
+    if dim is None:
+        dim = dims[pair] = dimension_vector(t, pair)
+    return support_subset(c, dim)
 
 
 def root_of_arc(t: Triangulation, e: ClosurePoint, f: ClosurePoint,

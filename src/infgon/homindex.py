@@ -145,7 +145,7 @@ def index(t: Triangulation, a: Arc, step_cap: int = DEFAULT_STEP_CAP
     every call returns a fresh KVector."""
     if step_cap != DEFAULT_STEP_CAP:
         return _zigzag_index(t, a, step_cap)
-    memo = t.__dict__.setdefault("_index_cache", {})
+    memo = t._memo("index")
     coeffs = memo.get(a)
     if coeffs is None:
         coeffs = memo[a] = _zigzag_index(t, a, step_cap).coeffs

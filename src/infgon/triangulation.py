@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .zmodel import (Arc, ClosurePoint, Limit, ModelError, Vertex, ZModel,
-                     keys_in_closed)
+                     keys_cross, keys_in_closed)
 
 
 # Tail members and boundary edges looked at beyond the data hull.
@@ -270,6 +270,13 @@ class Triangulation:
     @property
     def tail_map(self) -> dict[int, Tail]:
         return dict(self.tails)
+
+    def _memo(self, name: str) -> dict:
+        """The memo table ``name`` kept on this triangulation, empty on
+        first use.  The fields are frozen, so an answer stored here
+        stays right for the triangulation's life; store only answers
+        that nobody mutates, and never a failure."""
+        return self.__dict__.setdefault("_memo_" + name, {})
 
     def subfamilies(self) -> tuple[_SubFamily, ...]:
         cached = self.__dict__.get("_subfam_cache")
@@ -623,14 +630,13 @@ class Triangulation:
 def _crossing_runs(z: ZModel, sf: _SubFamily, a: Arc
                    ) -> list[tuple[int | None, int | None]]:
     """Maximal index runs where member(i) is a diagonal crossing the
-    (possibly virtual) arc a."""
-    def crosses(i):
-        u, w = sf.vertex(0, i), sf.vertex(1, i)
-        if u == w:
-            return False
-        m = Arc(u, w)
-        return z.is_diagonal(m) and z.crosses(a, m)
-    return sf.runs((a.p, a.q), crosses)
+    (possibly virtual) arc a.  A member that is not a diagonal crosses
+    nothing, as no point lies strictly between equal or adjacent
+    vertices, so the one test on position keys decides both."""
+    key = z.key
+    ka, kb = key(a.p), key(a.q)
+    return sf.runs((a.p, a.q), lambda i: keys_cross(
+        ka, kb, key(sf.vertex(0, i)), key(sf.vertex(1, i))))
 
 
 def validate_structure(t: Triangulation) -> ValidationReport:

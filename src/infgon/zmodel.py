@@ -220,11 +220,8 @@ class ZModel:
         """
         if not self.is_diagonal(t):
             raise ModelError(f"{t!r} is not a diagonal")
-        ka, kb = self.key(a.p), self.key(a.q)
-        kp, kq = self.key(t.p), self.key(t.q)
-        if kp in (ka, kb) or kq in (ka, kb):
-            return False
-        return keys_in_closed(ka, kp, kb) != keys_in_closed(ka, kq, kb)
+        key = self.key
+        return keys_cross(key(a.p), key(a.q), key(t.p), key(t.q))
 
 
 def keys_in_closed(klo, kp, khi) -> bool:
@@ -235,6 +232,17 @@ def keys_in_closed(klo, kp, khi) -> bool:
     if klo == khi:
         return kp == klo
     return (kp < klo, kp) <= (khi < klo, khi)
+
+
+def keys_cross(ka, kb, kp, kq) -> bool:
+    """The one crossing test: whether the chord with endpoint keys kp,
+    kq crosses the chord with endpoint keys ka != kb, that is, exactly
+    one of kp, kq lies strictly inside the interval from ka to kb.  A
+    shared endpoint is no crossing.  Symmetric in the two chords and
+    in the order of each chord's endpoints."""
+    if kp == ka or kp == kb or kq == ka or kq == kb:
+        return False
+    return keys_in_closed(ka, kp, kb) != keys_in_closed(ka, kq, kb)
 
 
 def _point_sort_key(p: ClosurePoint):

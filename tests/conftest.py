@@ -1,0 +1,10 @@
+"""Hypothesis profiles: ``HYPOTHESIS_PROFILE=ci`` selects a derandomized
+run, so that the fuzz and property tests draw the same examples on
+every run."""
+
+import os
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infgon.cli import (main, triangulation_from_json,
                         triangulation_to_json)
-from infgon.triangulation import Fountain, Leapfrog, Triangulation
+from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
+                                  enumerate_triangulations)
 from infgon.zmodel import Vertex, ZModel
 
 PENTAGON = {"z": {"finite": 5}, "core": [[0, 2], [0, 3]]}
@@ -260,6 +265,7 @@ def test_exit_2_on_parse_error(tri_file, capsys):
       "tails": [{"limit": 0, "type": "leapfrog", "right_from": [],
                  "left_to": -1}]}, "/tails/0/right_from"),
     ({"z": {"blocks": 1}, "core": [[[0, "a"], [0, 2]]]}, "/core/0/0/1"),
+    ({"z": {"finite": math.inf}}, "/z/finite"),  # JSON Infinity
 ])
 def test_exit_2_with_pointer_on_malformed_field(tri_file, capsys, obj,
                                                 pointer):
@@ -332,6 +338,38 @@ def test_computing_commands_reject_crossing_core(tri_file, capsys, argv):
             f"{out['witness']}\n") == captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["realize", "--arc", "1", "3"],
+    ["dimvec", "--arc", "1", "3"],
+    ["index", "--arc", "1", "3"],
+    ["decompose"],
+])
+def test_computing_commands_reject_missing_diagonal(tri_file, capsys, argv):
+    """One non-crossing diagonal of the hexagon passes the structural
+    checks; the count n - 3 sends it to validate's face check."""
+    p = tri_file({"z": {"finite": 6}, "core": [[0, 2]]})
+    code, out = run(capsys, "validate", "--triangulation", p)
+    assert code == 1 and out["reason"] == "non-triangular face"
+    assert main([argv[0], "--triangulation", p] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: invalid triangulation: non-triangular face; witness "
+            f"{out['witness']}\n") == captured.err
+
+
+@pytest.mark.parametrize("doc", [{"z": {"finite": 6}, "core": 5},
+                                 {"z": {"blocks": 1}, "tails": "x"}])
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["index", "--arc", "1", "3"], ["decompose"], ["render"],
+])
+def test_non_list_core_or_tails_is_a_parse_error(tri_file, capsys, doc,
+                                                 argv):
+    pointer = "/core" if "core" in doc else "/tails"
+    p = tri_file(doc)
+    assert main([argv[0], "--triangulation", p] + argv[1:]) == 2
+    assert f"error: {pointer}: expected a list" in capsys.readouterr().err
+
+
 def test_import_loads_only_the_standard_library():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     code = ("import sys\n"
@@ -368,3 +406,87 @@ def test_output_is_deterministic_json(tri_file, capsys):
     _, a = run(capsys, "decompose", "--triangulation", tri_file(PENTAGON))
     _, b = run(capsys, "decompose", "--triangulation", tri_file(PENTAGON))
     assert a == b
+
+
+# -- fuzzing ----------------------------------------------------------------
+#
+# Every input ends in an answer (exit 0), a rejected triangulation
+# (exit 1), a parse or precondition error (exit 2) or the step cap
+# (exit 3), never in an exception.  Polygons have at most 12 vertices
+# and every number lies within 20 of 0, so that `validate` stays fast.
+
+SMALL = st.integers(-20, 20)
+SCALAR = (st.none() | st.booleans() | st.text(max_size=3) | st.floats(-20, 20)
+          | st.sampled_from([math.inf, -math.inf, math.nan]))
+JUNK = st.recursive(
+    SCALAR | SMALL,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+INT = SMALL | SCALAR  # an integer field, sometimes malformed
+POINT = st.one_of(INT, st.lists(INT, min_size=2, max_size=2),
+                  st.builds(lambda g: {"limit": g}, INT), JUNK)
+ARC = st.one_of(st.lists(POINT, min_size=2, max_size=2), JUNK)
+MODEL = st.one_of(
+    st.builds(lambda n: {"finite": n}, st.integers(-2, 12)),
+    st.builds(lambda k: {"blocks": k}, st.integers(-1, 3)),
+    st.builds(lambda name, v: {name: v},
+              st.sampled_from(["finite", "blocks"]), SCALAR),
+    JUNK)
+
+
+@st.composite
+def _tail_json(draw):
+    tail = {"limit": draw(st.integers(-1, 3) | SCALAR),
+            "type": draw(st.sampled_from(["fountain", "leapfrog", "x"])),
+            "base": draw(POINT), "right_from": draw(INT),
+            "left_to": draw(INT)}
+    for name in draw(st.lists(st.sampled_from(sorted(tail)), max_size=2)):
+        if draw(st.booleans()):
+            tail[name] = draw(JUNK)
+        else:
+            tail.pop(name, None)
+    return tail
+
+
+def _valid_documents():
+    docs = [triangulation_to_json(t) for n in range(4, 9)
+            for t in enumerate_triangulations(ZModel.finite(n))]
+    return docs + [FOUNTAIN, FOUNTAIN2, LEAPFROG, LEAPFROG_CORE, BLOCKS2]
+
+
+DOCUMENT = st.one_of(
+    st.sampled_from(_valid_documents()),
+    st.fixed_dictionaries(
+        {"z": MODEL},
+        optional={"core": st.lists(ARC, max_size=8) | JUNK,
+                  "tails": st.lists(_tail_json(), max_size=3) | JUNK}),
+    JUNK)
+TOKEN = st.one_of(
+    SMALL.map(str),
+    st.builds("{}:{}".format, st.integers(-1, 3), SMALL),
+    st.builds("L{}".format, st.integers(-1, 3)),
+    st.text(alphabet="0123456789:Lx- ", max_size=4))
+
+
+def _exit_code(argv) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            return exc.code
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=DOCUMENT, tokens=st.lists(TOKEN, min_size=2, max_size=2))
+def test_fuzzed_documents_end_in_an_exit_code(tmp_path_factory, doc,
+                                              tokens):
+    path = tmp_path_factory.mktemp("fuzz") / "t.json"
+    path.write_text(json.dumps(doc))
+    p = str(path)
+    for argv in (["validate"], ["index", "--arc", *tokens],
+                 ["dimvec", "--arc", *tokens],
+                 ["realize", "--arc", *tokens]):
+        code = _exit_code([argv[0], "--triangulation", p] + argv[1:])
+        assert code in (0, 1, 2, 3), (argv, code)

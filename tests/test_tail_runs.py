@@ -20,25 +20,35 @@ OFFSETS = (0, 100, 1000)
 # -- brute-force oracle for _SubFamily.runs ---------------------------------
 
 
+def tails(k: int, m: int):
+    """A fountain or leapfrog of Blocks(k) with its data within 6 of
+    offset m, valid or not."""
+    small = st.integers(-6, 6)
+    return st.one_of(
+        st.builds(lambda b, i, r, l: Fountain(Vertex(b, m + i), m + r, m + l),
+                  st.integers(0, k - 1), small, small, small),
+        st.builds(lambda r, l: Leapfrog(m + r, m + l), small, small))
+
+
+def points(k: int, m: int):
+    """A closure point of Blocks(k): a vertex within 9 of offset m, or a
+    limit point."""
+    return st.one_of(
+        st.builds(lambda b, i: Vertex(b, m + i),
+                  st.integers(0, k - 1), st.integers(-9, 9)),
+        st.builds(Limit, st.integers(0, k - 1)))
+
+
 @st.composite
 def family_and_bounds(draw, m):
     """A fountain or leapfrog subfamily of Blocks(1) or Blocks(2) at
     offset m (valid or not), and four closure points near the data."""
     k = draw(st.sampled_from([1, 2]))
     gap = draw(st.integers(0, k - 1))
-    small = st.integers(-6, 6)
-    if draw(st.booleans()):
-        tail = Fountain(Vertex(draw(st.integers(0, k - 1)), m + draw(small)),
-                        m + draw(small), m + draw(small))
-    else:
-        tail = Leapfrog(m + draw(small), m + draw(small))
+    tail = draw(tails(k, m))
     z = ZModel.blocks(k)
     sf = draw(st.sampled_from(_subfamilies_of_tail(z, gap, tail)))
-    point = st.one_of(
-        st.builds(lambda b, i: Vertex(b, m + i),
-                  st.integers(0, k - 1), st.integers(-9, 9)),
-        st.builds(Limit, st.integers(0, k - 1)))
-    bounds = draw(st.lists(point, min_size=4, max_size=4))
+    bounds = draw(st.lists(points(k, m), min_size=4, max_size=4))
     return z, sf, bounds
 
 

@@ -9,7 +9,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel, suspend, unsuspend
+from infgon.zmodel import (Arc, Limit, ModelError, Vertex, ZModel, keys_cross,
+                           suspend, unsuspend)
 
 
 def chords_intersect(n: int, a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -158,6 +159,36 @@ def test_crosses_limit_endpoint():
     a = Arc(Limit(0), Vertex(0, 0))
     assert z.crosses(a, z.arc(Vertex(0, 2), Vertex(0, -2)))
     assert not z.crosses(a, z.arc(Vertex(0, 2), Vertex(0, 4)))
+
+
+def _exactly_one_inside(z, a, t):
+    """The crossing definition read through strictly_between."""
+    if t.p in (a.p, a.q) or t.q in (a.p, a.q):
+        return False
+    return (z.strictly_between(a.p, t.p, a.q)
+            != z.strictly_between(a.p, t.q, a.q))
+
+
+@pytest.mark.parametrize("z, pts", [
+    (ZModel.finite(7), [Vertex(0, i) for i in range(7)]),
+    (ZModel.blocks(2), [Vertex(b, i) for b in (0, 1) for i in range(-3, 4)]
+     + [Limit(0), Limit(1)]),
+])
+def test_keys_cross_is_the_crossing_test(z, pts):
+    """On every heptagon diagonal pair, and on every arc of a Blocks(2)
+    window (limit endpoints included) against every diagonal, keys_cross
+    agrees with ZModel.crosses and the definition, in either endpoint
+    order."""
+    arcs = [Arc(p, q) for p, q in combinations(pts, 2)]
+    diagonals = [a for a in arcs if z.is_diagonal(a)]
+    for a in (diagonals if z.is_finite else arcs):
+        ka, kb = z.key(a.p), z.key(a.q)
+        for t in diagonals:
+            want = z.crosses(a, t)
+            assert want == _exactly_one_inside(z, a, t)
+            kp, kq = z.key(t.p), z.key(t.q)
+            assert keys_cross(ka, kb, kp, kq) == want
+            assert keys_cross(kb, ka, kq, kp) == want
 
 
 def test_suspend():
