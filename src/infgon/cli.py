@@ -221,15 +221,13 @@ def _read_tri(path: str) -> Triangulation:
 def _load_tri(path: str) -> Triangulation:
     """A triangulation for a computing command: parsed, then held to the
     checks of ``validate_structure`` (tail coverage, diagonals, no two
-    core arcs crossing), which cost O(core² + tails).  Over a finite
-    polygon these leave only the count: n - 3 pairwise non-crossing
-    diagonals triangulate the n-gon, and any other count gets the full
-    ``validate`` report.  The tail crossing and face checks of an
-    infinite model are left to ``infgon validate``."""
+    core arcs crossing), which cost O(core² + tails).  A finite polygon
+    gets the full ``validate``, which after those checks needs only the
+    count of n - 3 diagonals, or walks faces to a witness.  The tail
+    crossing and face checks of an infinite model are left to
+    ``infgon validate``."""
     t = _read_tri(path)
-    rep = validate_structure(t)
-    if rep.ok and t.z.is_finite and len(t.core) != t.z.n - 3:
-        rep = validate(t)
+    rep = validate(t) if t.z.is_finite else validate_structure(t)
     if not rep.ok:
         raise InvalidTriangulation(rep)
     return t
@@ -253,15 +251,9 @@ def _emit_json(args, obj) -> None:
 
 
 def _window_arcs(t: Triangulation, lo: int, hi: int):
-    out = []
-    for a in t.window_nodes(2 * (abs(lo) + abs(hi)) + 8):
-        ok = True
-        for p in a.endpoints():
-            if isinstance(p, Vertex) and not (lo <= p.idx <= hi):
-                ok = False
-        if ok:
-            out.append(a)
-    return out
+    return [a for a in t.window_nodes(2 * (abs(lo) + abs(hi)) + 8)
+            if all(lo <= p.idx <= hi for p in a.endpoints()
+                   if isinstance(p, Vertex))]
 
 
 # ---------------------------------------------------------------------------

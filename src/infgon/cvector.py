@@ -67,12 +67,6 @@ class CoVector:
             tuple(TailRange(tr.gap, tr.sub, tr.lo, tr.hi, -tr.coeff)
                   for tr in self.tail_terms))
 
-    def scale(self, n: int) -> "CoVector":
-        return CoVector(
-            self.t, {a: n * c for a, c in self.explicit.items()},
-            tuple(TailRange(tr.gap, tr.sub, tr.lo, tr.hi, n * tr.coeff)
-                  for tr in self.tail_terms))
-
     def is_zero(self) -> bool:
         return not self.explicit and not self.tail_terms
 
@@ -88,9 +82,6 @@ class CoVector:
 
     def sign_coherent(self) -> bool:
         return self.is_zero() or self.is_positive() or self.is_negative()
-
-    def values_over(self, window: list[Arc]) -> list[int]:
-        return [self.eval(d) for d in window]
 
     def _canon(self):
         z = self.t.z

@@ -25,7 +25,8 @@ from itertools import combinations
 from .cvector import CoVector, dimension_vector, support, support_subset
 from .triangulation import (Leapfrog, Triangulation, UnattainedError,
                             _crossing_runs, _SubFamily)
-from .zmodel import Arc, ClosurePoint, Limit, ModelError, Vertex
+from .zmodel import (Arc, ClosurePoint, Limit, ModelError, Vertex,
+                     keys_cross, keys_in_closed)
 
 
 @dataclass(frozen=True)
@@ -131,11 +132,24 @@ class _Segment:
 
 class OrderedCrossingSet:
     """The diagonals of T crossing the virtual arc {e, f}, totally
-    ordered along the segment from e to f.
+    ordered along the segment from e to f.  Finite members are stored
+    explicitly; infinite tail runs are kept symbolic.  All order
+    queries are answered exactly, on position keys.
 
-    Finite members are stored explicitly; infinite tail runs are kept
-    symbolic.  All order queries (neighbors, extremes, windows, order
-    type) are answered exactly."""
+    The order key.  A crosser x has one endpoint p strictly inside the
+    counterclockwise interval (e, f) and the other, q, inside (f, e).
+    With ke, kf, kp, kq their keys, rp = (kp < ke, kp) places p in the
+    rotation of the keys that starts at e, and rq = (kq < kf, kq) places
+    q in the one that starts at f.  The pairwise rule compares d1 =
+    sign(rp_x - rp_y) and d2 = sign(rq_y - rq_x): it returns the nonzero
+    one or their common sign, and raises when they are nonzero and
+    opposite.  okey(x) = (rp, rq reversed) agrees with it.  Let x != y
+    share no endpoint.  y's p lies inside the chord x iff rp_y > rp_x,
+    and y's q iff rq_y < rq_x, so x and y cross iff d1 != d2: there the
+    rule raises, and so does ``_cmp``, by ``keys_cross`` on the cached
+    keys; otherwise d1 == d2, which the key, read rp first, gives.  A
+    shared p makes d1 = 0 and the key reads rq; a shared q makes d2 = 0
+    and the key reads rp."""
 
     def __init__(self, t: Triangulation, e: ClosurePoint, f: ClosurePoint):
         z = t.z
@@ -143,6 +157,8 @@ class OrderedCrossingSet:
         self.e = z._coerce_point(e)
         self.f = z._coerce_point(f)
         self.pair = Arc(self.e, self.f)
+        self._ke, self._kf = z.key(self.e), z.key(self.f)
+        self._keys: dict[Arc, tuple] = {}  # explicit member -> keys
         explicit = [d for d in t.core if z.crosses(self.pair, d)]
         self._runs: list[_RunInfo] = []
         for sf in t.subfamilies():
@@ -154,38 +170,46 @@ class OrderedCrossingSet:
         if not explicit and not self._runs:
             raise ModelError(
                 f"{self.pair!r} crosses no diagonal of T (empty Y)")
+        self._keys = {a: self._okey(a) for a in explicit}
         self._explicit: tuple[Arc, ...] = tuple(
             sorted(explicit, key=functools.cmp_to_key(self._cmp)))
         self._struct = None
 
-    # -- the nesting comparator ---------------------------------------
+    # -- the order key --------------------------------------------------
 
-    def _sides(self, x: Arc) -> tuple[Vertex, Vertex]:
-        """(p, q) with p the endpoint strictly inside ccw (e, f)."""
-        if self.t.z.strictly_between(self.e, x.p, self.f):
-            return x.p, x.q
-        return x.q, x.p
+    def _order_keys(self, k1, k2) -> tuple:
+        """(okey, kp, kq) for the crosser with endpoint keys k1, k2: kp
+        the key of the endpoint strictly inside (e, f), kq the other's.
+        rq reversed is (kq >= kf, -kq), which compares descending."""
+        ke, kf = self._ke, self._kf
+        if k1 != ke and k1 != kf and keys_in_closed(ke, k1, kf):
+            kp, kq = k1, k2
+        else:
+            kp, kq = k2, k1
+        return (((kp < ke, kp), (kq >= kf, -kq[0], -kq[1], -kq[2])),
+                kp, kq)
+
+    def _okey(self, x: Arc) -> tuple:
+        key = self.t.z.key
+        return self._keys.get(x) or self._order_keys(key(x.p), key(x.q))
+
+    def _cmp_keys(self, kx, ky, arcs) -> int:
+        """-1/+1: the order of two crossers from their keys (okey, kp,
+        kq); ``arcs()`` gives the two arcs for an error message."""
+        if kx[0] == ky[0]:
+            raise ModelError("{!r} and {!r} coincide as crossers"
+                             .format(*arcs()))
+        if keys_cross(kx[1], kx[2], ky[1], ky[2]):
+            raise ModelError("incomparable crossing diagonals {!r}, {!r} "
+                             "(crossing pair)".format(*arcs()))
+        return -1 if kx[0] < ky[0] else 1
 
     def _cmp(self, x: Arc, y: Arc) -> int:
         """-1/0/+1: position of the crossing point of x along e -> f
-        against that of y."""
+        against that of y, for members x, y of Y."""
         if x == y:
             return 0
-        z = self.t.z
-        px, qx = self._sides(x)
-        py, qy = self._sides(y)
-        rp_x, rp_y = z.rel(px, self.e), z.rel(py, self.e)
-        d1 = -1 if rp_x < rp_y else (1 if rp_x > rp_y else 0)
-        rq_x, rq_y = z.rel(qx, self.f), z.rel(qy, self.f)
-        d2 = -1 if rq_x > rq_y else (1 if rq_x < rq_y else 0)
-        if d1 == 0 and d2 == 0:
-            raise ModelError(f"{x!r} and {y!r} coincide as crossers")
-        if d1 == 0 or d1 == d2:
-            return d2 if d1 == 0 else d1
-        if d2 == 0:
-            return d1
-        raise ModelError(
-            f"incomparable crossing diagonals {x!r}, {y!r} (crossing pair)")
+        return self._cmp_keys(self._okey(x), self._okey(y), lambda: (x, y))
 
     def less(self, x: Arc, y: Arc) -> bool:
         return self._cmp(x, y) < 0
@@ -205,8 +229,7 @@ class OrderedCrossingSet:
         nseg = len(cut_rels) + 1
         segs = [_Segment(i) for i in range(nseg)]
         for a in self._explicit:
-            pa, _ = self._sides(a)
-            s = bisect.bisect_left(cut_rels, z.rel(pa, self.e))
+            s = bisect.bisect_left(cut_rels, self._keys[a][0][0])
             segs[s].explicit.append(a)
         for r in self._runs:
             ci = cut_rels.index(z.rel(r.limit, self.e))
@@ -276,76 +299,87 @@ class OrderedCrossingSet:
 
     def first(self, k: int) -> list[Arc]:
         """The k least elements, enumerated upward."""
-        if k <= 0:
-            return []
-        if not self._runs:
-            return list(self._explicit[:k])
-        if not self.has_least:
-            raise ModelError("Y has no least element")
-        seg = self._segments()[0][0]
-        expl = list(seg.explicit)
-        ptrs = [[r, r.closed] for r in seg.up_runs]
-        out: list[Arc] = []
-        while len(out) < k:
-            heads: list[tuple[Arc, object]] = []
-            if expl:
-                heads.append((expl[0], None))
-            for pr in ptrs:
-                heads.append((pr[0].sf.member(pr[1]), pr))
-            best = heads[0]
-            for h in heads[1:]:
-                if self._cmp(h[0], best[0]) < 0:
-                    best = h
-            out.append(best[0])
-            if best[1] is None:
-                expl.pop(0)
-            else:
-                best[1][1] += best[1][0].open_sign
-        return out
+        return self._merge(k, up=True)
 
     def last(self, k: int) -> list[Arc]:
         """The k greatest elements, in increasing order."""
+        return self._merge(k, up=False)
+
+    def _merge(self, k: int, up: bool) -> list[Arc]:
+        """The k least (up) or greatest members, in increasing order: a
+        k-way merge, from Y's end inward, of the end segment's explicit
+        members and of its tail runs, each read from its closed end."""
         if k <= 0:
             return []
         if not self._runs:
-            return list(self._explicit[-k:])
-        if not self.has_greatest:
-            raise ModelError("Y has no greatest element")
-        seg = self._segments()[0][-1]
-        expl = list(seg.explicit)
-        ptrs = [[r, r.closed] for r in seg.down_runs]
+            return list(self._explicit[:k] if up else self._explicit[-k:])
+        if not (self.has_least if up else self.has_greatest):
+            raise ModelError("Y has no least element" if up
+                             else "Y has no greatest element")
+        live = self._segments()[0]
+        seg = live[0] if up else live[-1]
+        expl = seg.explicit if up else seg.explicit[::-1]
+        ptrs = [[r, r.closed] for r in (seg.up_runs if up else seg.down_runs)]
+        want = -1 if up else 1
         out: list[Arc] = []
+        j = 0
         while len(out) < k:
-            heads: list[tuple[Arc, object]] = []
-            if expl:
-                heads.append((expl[-1], None))
-            for pr in ptrs:
-                heads.append((pr[0].sf.member(pr[1]), pr))
+            heads = [(expl[j], None)] if j < len(expl) else []
+            heads += [(pr[0].sf.member(pr[1]), pr) for pr in ptrs]
             best = heads[0]
             for h in heads[1:]:
-                if self._cmp(h[0], best[0]) > 0:
+                if self._cmp(h[0], best[0]) == want:
                     best = h
             out.append(best[0])
             if best[1] is None:
-                expl.pop()
+                j += 1
             else:
                 best[1][1] += best[1][0].open_sign
-        return list(reversed(out))
+        return out if up else out[::-1]
 
-    # -- immediate neighbors --------------------------------------------
+    # -- one keyed selection ---------------------------------------------
 
     def _side_runs(self, r: _RunInfo, x: Arc, want: int):
         """Index runs of r's members other than x lying below x
-        (want = -1) or above it (want = 1)."""
-        def on_side(i):
-            m = r.sf.member(i)
-            return m != x and self._cmp(m, x) == want
-        return r.sf.runs((x.p, x.q, self.e, self.f), on_side)
+        (want = -1) or above it (want = 1), read on position keys."""
+        z, sf = self.t.z, r.sf
+        kx = self._okey(x)
 
-    def _far_side(self, r: _RunInfo, x: Arc, want: int) -> bool:
-        """Whether r's members far toward its open end lie below x
-        (want = -1) or above it (want = 1)."""
-        return r.reaches_open_end(self._side_runs(r, x, want))
+        def on_side(i):
+            km = self._order_keys(sf.key(z, 0, i), sf.key(z, 1, i))
+            return km[0] != kx[0] and self._cmp_keys(
+                km, kx, lambda: (sf.member(i), x)) == want
+        return sf.runs((x.p, x.q, self.e, self.f), on_side)
+
+    def _select(self, cands: list[Arc], runs, low: bool,
+                unattained: str) -> Arc | None:
+        """The least (low) or greatest of the members ``cands`` and of
+        the index runs (r, lo, hi) of Y's tail runs r; None when there
+        are none.  A run whose wanted end is open gives no candidate: it
+        raises UnattainedError(unattained) unless the one found lies
+        beyond the run's members far toward that end."""
+        want = -1 if low else 1
+        markers: list[_RunInfo] = []
+        for r, lo, hi in runs:
+            # members rise with i iff inc_with_i; the wanted end is
+            # open when they approach a limit point
+            end = lo if r.inc_with_i == low else hi
+            if end is None:
+                markers.append(r)
+            else:
+                cands.append(r.sf.member(end))
+        best = None
+        for m in cands:
+            if best is None or self._cmp(m, best) == want:
+                best = m
+        for r in markers:
+            # r's members far toward its open end lie beyond best
+            if best is None or r.reaches_open_end(
+                    self._side_runs(r, best, want)):
+                raise UnattainedError(unattained)
+        return best
+
+    # -- immediate neighbors --------------------------------------------
 
     def _neighbor(self, a: Arc, below: bool) -> Arc | None:
         """Greatest member < a (below) or least member > a; None when
@@ -353,28 +387,14 @@ class OrderedCrossingSet:
         if not self.contains(a):
             raise ModelError(f"{a!r} is not a member of Y")
         want = -1 if below else 1
-        cands = [m for m in self._explicit
-                 if m != a and self._cmp(m, a) == want]
-        marker_runs: list[_RunInfo] = []
-        for r in self._runs:
-            for lo, hi in self._side_runs(r, a, want):
-                # members rise with i iff inc_with_i; keep the end
-                # nearest a, which is open when they approach a limit
-                near = hi if r.inc_with_i == below else lo
-                if near is None:
-                    marker_runs.append(r)
-                else:
-                    cands.append(r.sf.member(near))
-        best = None
-        for m in cands:
-            if best is None or self._cmp(m, best) == -want:
-                best = m
-        for r in marker_runs:
-            if best is None or self._far_side(r, best, -want):
-                raise UnattainedError(
-                    "immediate neighbor approaches a limit point "
-                    "(non-sequential crossing order)")
-        return best
+        ka = self._okey(a)
+        cands = [m for m in self._explicit if m != a and self._cmp_keys(
+            self._keys[m], ka, lambda m=m: (m, a)) == want]
+        runs = [(r, lo, hi) for r in self._runs
+                for lo, hi in self._side_runs(r, a, want)]
+        return self._select(cands, runs, not below,
+                            "immediate neighbor approaches a limit point "
+                            "(non-sequential crossing order)")
 
     def pred_in(self, a: Arc) -> Arc | None:
         return self._neighbor(a, below=True)
@@ -384,34 +404,20 @@ class OrderedCrossingSet:
 
     # -- extreme crossers of another arc ---------------------------------
 
-    def _extreme_crosser(self, v: Arc, want_min: bool) -> Arc:
-        z = self.t.z
-        want = -1 if want_min else 1
-        cands = [m for m in self._explicit if z.crosses(v, m)]
-        marker_runs: list[_RunInfo] = []
-        for r in self._runs:
-            for lo, hi in _crossing_runs(z, r.sf, v):
-                end = lo if r.inc_with_i == want_min else hi
-                if end is None:
-                    marker_runs.append(r)
-                else:
-                    cands.append(r.sf.member(end))
-        if not cands and not marker_runs:
-            raise ModelError(f"{v!r} crosses no member of Y")
-        best = None
-        for m in cands:
-            if best is None or self._cmp(m, best) == want:
-                best = m
-        for r in marker_runs:
-            if best is None or self._far_side(r, best, want):
-                raise UnattainedError(
-                    "extreme crossing member approaches a limit point")
-        return best
-
     def crossing_interval_of(self, v: Arc) -> tuple[Arc, Arc]:
-        """Least and greatest member of Y crossing v."""
-        return (self._extreme_crosser(v, True),
-                self._extreme_crosser(v, False))
+        """Least and greatest member of Y crossing v; v's crossing runs
+        are found once, for both ends."""
+        z = self.t.z
+        kv = (z.key(v.p), z.key(v.q))
+        cands = [m for m in self._explicit
+                 if keys_cross(*kv, *self._keys[m][1:])]
+        runs = [(r, lo, hi) for r in self._runs
+                for lo, hi in _crossing_runs(z, r.sf, v)]
+        if not cands and not runs:
+            raise ModelError(f"{v!r} crosses no member of Y")
+        msg = "extreme crossing member approaches a limit point"
+        return (self._select(list(cands), runs, True, msg),
+                self._select(cands, runs, False, msg))
 
 
 def crossing_order(t: Triangulation, e: ClosurePoint, f: ClosurePoint
@@ -475,8 +481,7 @@ class YExt:
         if isinstance(el, NegInf):
             return self.y.least()
         live, cuts = self.y._segments()
-        pa, _ = self.y._sides(el)
-        in_head = self.y.t.z.rel(pa, self.y.e) < cuts[0]
+        in_head = self.y._okey(el)[0][0] < cuts[0]
         return self.y.succ_in(el) if in_head else el
 
 

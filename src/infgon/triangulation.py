@@ -27,6 +27,7 @@ all of them by m, and the work does not depend on index magnitude.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -121,6 +122,16 @@ class _SubFamily:
         b, o, s = self.e1 if which == 0 else self.e2
         return Vertex(b, o + s * i)
 
+    def key(self, z: ZModel, which: int, i: int) -> tuple[int, int, int]:
+        """``z.key(self.vertex(which, i))`` by arithmetic, building no
+        vertex; a block outside the model raises z.key's ModelError."""
+        b, o, s = self.e2 if which else self.e1
+        idx = o + s * i
+        k = z.k
+        if k is None or not 0 <= b < k:
+            return z.key(Vertex(b, idx))
+        return (k, 0, idx) if b == 0 and idx < 0 else (b, 0, idx)
+
     def member(self, i: int) -> Arc:
         return Arc(self.vertex(0, i), self.vertex(1, i))
 
@@ -167,7 +178,9 @@ class _SubFamily:
         pred is called only on indices in the range, and must read
         member(i) only through the cyclic order of its endpoints among
         themselves and against the closure points in ``bounds``
-        (coincidence and adjacency included).
+        (coincidence and adjacency included).  The predicates here read
+        the endpoint keys (``key``) against the keys of the bounds: keys
+        order the closure points counterclockwise, so that is such a read.
 
         Why the window and one sentinel are exact.  An endpoint
         (b, o + s*i) with s != 0 moves one vertex per index inside block
@@ -185,11 +198,11 @@ class _SubFamily:
         sentinel, one index beyond, samples that stretch; a run
         reaching it is unbounded.
         """
-        pad = range(-2, 3)
-        pts = sorted({c + d for c in self.breakpoints(bounds) for d in pad
-                      if self.in_range(c + d)})
-        low = self.imin is None
-        high = self.imax is None
+        low, high = self.imin is None, self.imax is None
+        pts = sorted({c + d for c in self.breakpoints(bounds)
+                      for d in (-2, -1, 0, 1, 2)})
+        pts = pts[0 if low else bisect.bisect_left(pts, self.imin):
+                  None if high else bisect.bisect_right(pts, self.imax)]
         if low:
             pts.insert(0, pts[0] - 1)
         if high:
@@ -266,10 +279,6 @@ class Triangulation:
         tails = tails or {}
         return Triangulation(z, frozenset(core),
                              tuple(sorted(tails.items())))
-
-    @property
-    def tail_map(self) -> dict[int, Tail]:
-        return dict(self.tails)
 
     def _memo(self, name: str) -> dict:
         """The memo table ``name`` kept on this triangulation, empty on
@@ -393,13 +402,15 @@ class Triangulation:
 
         bounds = (a_lo, a_hi, b_lo, b_hi)
         for sf in self.subfamilies():
-            for (ea, eb) in ((sf.e1, sf.e2), (sf.e2, sf.e1)):
-                blk, off, slope = ea
+            for wa in (0, 1):
+                blk, off, slope = sf.e2 if wa else sf.e1
 
-                def feasible(i, eb=eb, blk=blk, off=off, slope=slope):
-                    va = Vertex(blk, off + slope * i)
-                    vb = Vertex(eb[0], eb[1] + eb[2] * i)
-                    return va != vb and in_a(va) and in_b(vb)
+                def feasible(i, sf=sf, wa=wa):
+                    ka = sf.key(z, wa, i)
+                    if not keys_in_closed(k_alo, ka, k_ahi):
+                        return False
+                    kb = sf.key(z, 1 - wa, i)
+                    return ka != kb and keys_in_closed(k_blo, kb, k_bhi)
 
                 for lo, hi in sf.runs(bounds, feasible):
                     # along a run va moves monotonically inside A, so
@@ -541,21 +552,13 @@ class Triangulation:
             if b1 != b2:
                 continue
             # |(o1 + s1 i) - (o2 + s2 i)| == 2 has at most two solutions
-            for target in (2, -2):
-                num = target - (o1 - o2)
-                den = s1 - s2
-                sols = []
-                if den == 0:
-                    continue
-                if num % den == 0:
-                    sols.append(num // den)
-                for i in sols:
-                    if sf.in_range(i):
-                        u, w = sf.vertex(0, i), sf.vertex(1, i)
+            den = s1 - s2
+            for num in (2 - (o1 - o2), -2 - (o1 - o2)):
+                if den and num % den == 0 and sf.in_range(num // den):
+                    a = sf.member(num // den)
+                    for (u, w) in ((a.p, a.q), (a.q, a.p)):
                         if z.succ(z.succ(u)) == w:
                             cands.add(z.succ(u))
-                        if z.succ(z.succ(w)) == u:
-                            cands.add(z.succ(w))
         return {e for e in cands
                 if self.contains(Arc(z.pred(e), z.succ(e)))}
 
@@ -585,13 +588,8 @@ class Triangulation:
             else:
                 rng = range(sf.imax - w, sf.imax + 1)
             nodes.extend(sf.member(i) for i in rng)
-        seen = set()
-        out = []
-        for a in sorted(nodes, key=lambda a: (self.z.key(a.p), self.z.key(a.q))):
-            if a not in seen:
-                seen.add(a)
-                out.append(a)
-        return out
+        return list(dict.fromkeys(sorted(
+            nodes, key=lambda a: (self.z.key(a.p), self.z.key(a.q)))))
 
     def _ccw_triangle(self, verts: frozenset[Vertex]
                       ) -> tuple[Vertex, Vertex, Vertex]:
@@ -633,10 +631,10 @@ def _crossing_runs(z: ZModel, sf: _SubFamily, a: Arc
     (possibly virtual) arc a.  A member that is not a diagonal crosses
     nothing, as no point lies strictly between equal or adjacent
     vertices, so the one test on position keys decides both."""
-    key = z.key
-    ka, kb = key(a.p), key(a.q)
+    ka, kb = z.key(a.p), z.key(a.q)
+    key = sf.key
     return sf.runs((a.p, a.q), lambda i: keys_cross(
-        ka, kb, key(sf.vertex(0, i)), key(sf.vertex(1, i))))
+        ka, kb, key(z, 0, i), key(z, 1, i)))
 
 
 def validate_structure(t: Triangulation) -> ValidationReport:
@@ -645,12 +643,15 @@ def validate_structure(t: Triangulation) -> ValidationReport:
     every tail member a diagonal (i), and no two core arcs crossing
     (the core part of (ii))."""
     z = t.z
-    expected = set(range(z.k)) if not z.is_finite else set()
-    have = {g for g, _ in t.tails}
-    if have != expected:
+    k = 0 if z.is_finite else z.k
+    have = sorted({g for g, _ in t.tails})
+    extra = [g for g in have if not 0 <= g < k]
+    inside = [-1] + [g for g in have if 0 <= g < k] + [k]
+    # the gaps with no tail, as closed ranges
+    missing = [(a + 1, b - 1) for a, b in zip(inside, inside[1:]) if b > a + 1]
+    if missing or extra:
         return ValidationReport(False, "tail coverage",
-                                {"missing": sorted(expected - have),
-                                 "extra": sorted(have - expected)})
+                                {"missing": missing, "extra": extra})
     for a in t.core:
         if not z.is_diagonal(a):
             return ValidationReport(False, "non-diagonal arc", a)
@@ -673,11 +674,22 @@ def validate(t: Triangulation) -> ValidationReport:
     """Whether t is a triangulation: the checks of
     ``validate_structure``, then (ii) no tail member crosses another
     arc and (iii) every face is a triangle.  The first failure is
-    reported with its witness."""
+    reported with its witness.
+
+    The n - 3 rule.  Over a finite n-gon every set of pairwise
+    non-crossing diagonals extends to a triangulation, and every
+    triangulation has n - 3 diagonals.  So once the structural checks
+    pass, a core of n - 3 diagonals is a triangulation and no face is
+    walked.  A shorter core leaves a face that is not a triangle: the
+    walk looks for it at the faces of the core diagonals, then at the
+    boundary edges, listed lazily from vertex 0, and stops at the first
+    witness without building the n edges."""
     rep = validate_structure(t)
     if not rep.ok:
         return rep
     z = t.z
+    if z.is_finite and len(t.core) == z.n - 3:
+        return rep
     subfams = t.subfamilies()
 
     # (ii) pairwise non-crossing; core against core is done above
@@ -740,12 +752,13 @@ def validate(t: Triangulation) -> ValidationReport:
     # edges: every edge's inner side must be a triangle; past the data
     # hull the faces repeat along each tail
     if z.is_finite:
-        edges = [Arc(v, z.succ(v)) for v in z.vertices()]
+        edges = (Arc(Vertex(0, i), Vertex(0, (i + 1) % z.n))
+                 for i in range(z.n))
     else:
         hull = t._hull()
-        edges = [Arc(Vertex(b, i), Vertex(b, i + 1)) for b in range(z.k)
+        edges = (Arc(Vertex(b, i), Vertex(b, i + 1)) for b in range(z.k)
                  for lo, hi in [hull.get(b, (0, 0))]
-                 for i in range(lo - _MARGIN, hi + _MARGIN)]
+                 for i in range(lo - _MARGIN, hi + _MARGIN))
     for e in edges:
         u = e.p if z.succ(e.p) == e.q else e.q
         w = e.other(u)

@@ -277,9 +277,6 @@ class Arc:
             return self.p
         raise ModelError(f"{x!r} is not an endpoint of {self!r}")
 
-    def has_endpoint(self, x: ClosurePoint) -> bool:
-        return x == self.p or x == self.q
-
     def __repr__(self) -> str:
         return f"Arc({self.p!r},{self.q!r})"
 

@@ -9,6 +9,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -355,6 +356,32 @@ def test_computing_commands_reject_missing_diagonal(tri_file, capsys, argv):
     assert captured.out == ""
     assert (f"error: invalid triangulation: non-triangular face; witness "
             f"{out['witness']}\n") == captured.err
+
+
+@pytest.mark.parametrize("doc, argv, reason", [
+    ({"z": {"blocks": 100000000}, "core": [], "tails": []}, ["validate"],
+     "tail coverage"),
+    ({"z": {"blocks": 100000000}, "core": [], "tails": []},
+     ["index", "--arc", "0:1", "0:3"], "tail coverage"),
+    ({"z": {"finite": 1000000000}, "core": []}, ["validate"],
+     "non-triangular face"),
+    ({"z": {"finite": 1000000000}, "core": []}, ["index", "--arc", "1", "3"],
+     "non-triangular face"),
+])
+def test_huge_models_are_rejected_at_once(tri_file, capsys, doc, argv,
+                                          reason):
+    """Tail coverage is decided on the tails given, as gap ranges, and
+    the face walk stops at its first witness: neither pays for the size
+    of the model."""
+    p = tri_file(doc)
+    start = time.perf_counter()
+    code = main([argv[0], "--triangulation", p] + argv[1:])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and reason in captured.out + captured.err
+    if reason == "tail coverage":
+        assert "'missing': [(0, 99999999)]" in captured.out + captured.err
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("doc", [{"z": {"finite": 6}, "core": 5},

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infgon.cvector import dimension_vector, support_subset
 from infgon.decomposition import (NEG_INFINITY, MaximalityReport,
@@ -17,6 +19,8 @@ from infgon.decomposition import (NEG_INFINITY, MaximalityReport,
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   enumerate_triangulations)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
+
+from test_tail_runs import OFFSETS, blocks2, fountain, leapfrog, points, tails
 
 
 def pentagon_fan():
@@ -351,3 +355,142 @@ def test_root_system_labels():
     zf, tf = fountain_fixture()
     assert root_system_label(crossing_order(tf, zf.v(1), zf.v(-1))) \
         == "Borel of sl_infinity for Y = omega + omega*"
+
+
+# -- the order key against the pairwise rule it replaced ----------------------
+
+
+def _reference_cmp(y, x, w):
+    """The pairwise rule on crossers of {e, f}: d1 compares the
+    endpoints inside (e, f), read from e; d2 compares the other
+    endpoints, read from f, descending.  A reference copy of the
+    comparator that the order key replaced."""
+    z = y.t.z
+    if x == w:
+        return 0
+
+    def sides(a):
+        if z.strictly_between(y.e, a.p, y.f):
+            return a.p, a.q
+        return a.q, a.p
+    (px, qx), (pw, qw) = sides(x), sides(w)
+    rp_x, rp_w = z.rel(px, y.e), z.rel(pw, y.e)
+    d1 = -1 if rp_x < rp_w else (1 if rp_x > rp_w else 0)
+    rq_x, rq_w = z.rel(qx, y.f), z.rel(qw, y.f)
+    d2 = -1 if rq_x > rq_w else (1 if rq_x < rq_w else 0)
+    if d1 == 0 and d2 == 0:
+        raise ModelError(f"{x!r} and {w!r} coincide as crossers")
+    if d1 == 0 or d1 == d2:
+        return d2 if d1 == 0 else d1
+    if d2 == 0:
+        return d1
+    raise ModelError(
+        f"incomparable crossing diagonals {x!r}, {w!r} (crossing pair)")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ModelError as exc:
+        return ("raises", str(exc))
+
+
+def _window_members(y, window):
+    """The members of Y among the arcs of ``window_nodes(window)``."""
+    z = y.t.z
+    return [a for a in y.t.window_nodes(window)
+            if z.is_diagonal(a) and z.crosses(y.pair, a)]
+
+
+def _assert_cmp_is_the_reference(y, members):
+    for x in members:
+        for w in members:
+            assert (_outcome(y._cmp, x, w)
+                    == _outcome(_reference_cmp, y, x, w)), (x, w)
+
+
+def _oriented_pairs(t):
+    for pair in maximal_pairs(t):
+        e, f = sorted(pair, key=t.z.key)
+        yield from ((e, f), (f, e))
+
+
+FIXTURES = [fountain, leapfrog, blocks2]
+
+
+@pytest.mark.parametrize("m", OFFSETS)
+@pytest.mark.parametrize("build", FIXTURES)
+def test_keyed_cmp_is_the_pairwise_rule_on_fixtures(build, m):
+    t = build(m)
+    for e, f in _oriented_pairs(t):
+        y = crossing_order(t, e, f)
+        _assert_cmp_is_the_reference(y, _window_members(y, 12))
+
+
+@pytest.mark.parametrize("m", OFFSETS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_keyed_cmp_is_the_pairwise_rule_on_generated_tails(m, data):
+    """Tails valid or not, so crossing members occur: there both rules
+    raise the same error."""
+    k = data.draw(st.sampled_from([1, 2]))
+    t = Triangulation.make(ZModel.blocks(k), set(),
+                           {g: data.draw(tails(k, m)) for g in range(k)})
+    e, f = data.draw(st.lists(points(k, m), min_size=2, max_size=2,
+                              unique=True))
+    try:
+        y = crossing_order(t, e, f)
+        members = _window_members(y, 8)
+    except ModelError:
+        return  # Y is empty, or a listed tail member is not an arc
+    _assert_cmp_is_the_reference(y, members)
+
+
+def test_crossing_crossers_still_raise():
+    z = ZModel.finite(8)
+    t = Triangulation.make(z, {z.arc(0, j) for j in range(2, 7)})
+    y = crossing_order(t, z.v(2), z.v(6))
+    x, w = z.arc(3, 7), z.arc(4, 0)
+    for a, b in ((x, w), (w, x)):
+        with pytest.raises(ModelError, match=r"\(crossing pair\)$"):
+            y._cmp(a, b)
+        assert _outcome(y._cmp, a, b) == _outcome(_reference_cmp, y, a, b)
+    bad = Triangulation.make(z, {x, w})
+    with pytest.raises(ModelError, match="crossing pair"):
+        crossing_order(bad, z.v(2), z.v(6))
+    # a core diagonal crossing members of a tail run: the side runs raise
+    z1 = ZModel.blocks(1)
+    tf = Triangulation.make(z1, {z1.arc(1, 4)},
+                            {0: Fountain(Vertex(0, 0), 2, -2)})
+    yf = crossing_order(tf, z1.v(-1), z1.v(2))
+    for neighbor in (yf.pred_in, yf.succ_in):
+        with pytest.raises(ModelError, match="crossing pair"):
+            neighbor(z1.arc(1, 4))
+
+
+@pytest.mark.parametrize("m", OFFSETS)
+@pytest.mark.parametrize("build", FIXTURES)
+def test_neighbors_and_crossing_intervals_are_brute_force(build, m):
+    """Against Y's members over a wide explicit window, sorted by the
+    reference rule: every neighbour of a member near the finite ends
+    lies one index along its run, so inside the window."""
+    t = build(m)
+    z = t.z
+    verts = [Vertex(b, i) for b in range(z.k) for i in range(m - 6, m + 7)]
+    probes = [Arc(p, q) for i, p in enumerate(verts) for q in verts[i + 1:]
+              if z.is_diagonal(Arc(p, q))]
+    for e, f in _oriented_pairs(t):
+        y = crossing_order(t, e, f)
+        wide = sorted(_window_members(y, 40), key=functools.cmp_to_key(
+            functools.partial(_reference_cmp, y)))
+        for a in _window_members(y, 12):
+            i = wide.index(a)
+            assert y.pred_in(a) == (wide[i - 1] if i > 0 else None)
+            assert y.succ_in(a) == (wide[i + 1] if i + 1 < len(wide)
+                                    else None)
+        for v in probes:
+            dv = dimension_vector(t, v)
+            if dv.is_zero() or not in_X(t, e, f, dv):
+                continue
+            crossers = [a for a in wide if z.crosses(v, a)]
+            assert y.crossing_interval_of(v) == (crossers[0], crossers[-1])

@@ -4,15 +4,18 @@ offset m is the m = 0 answer shifted, for the same work."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from infgon.cvector import dimension_vector
 from infgon.decomposition import maximal_pairs
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
-                                  _crossing_runs, _subfamilies_of_tail,
-                                  validate, validate_structure)
-from infgon.zmodel import Arc, Limit, Vertex, ZModel
+                                  _crossing_runs, _SubFamily,
+                                  _subfamilies_of_tail, validate,
+                                  validate_structure)
+from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
 
 OFFSETS = (0, 100, 1000)
 
@@ -53,12 +56,13 @@ def family_and_bounds(draw, m):
 
 
 def _reach(sf, bounds, m) -> int:
-    """4 * (hull spread + offset) for the family's finite end and the
-    bounds: far past every breakpoint."""
+    """4 * (hull spread + largest index magnitude) for the family's
+    finite end and the bounds: far past every breakpoint, which lies
+    within 3 such magnitudes of 0, and past the offset m."""
     end = sf.imin if sf.imin is not None else sf.imax
     idx = [sf.vertex(0, end).idx, sf.vertex(1, end).idx, end]
     idx += [p.idx for p in bounds if isinstance(p, Vertex)]
-    return 4 * (max(idx) - min(idx) + m + 1)
+    return 4 * (max(idx) - min(idx) + max(m, *map(abs, idx)) + 1)
 
 
 def _assert_runs_exact(sf, runs, pred, reach):
@@ -281,3 +285,39 @@ def test_default_window_measured_from_data():
     for build, _ in FIXTURES:
         assert (len(build(1000).window_nodes())
                 == len(build(0).window_nodes()))
+
+
+# -- member keys by arithmetic ------------------------------------------------
+
+
+@pytest.mark.parametrize("m", OFFSETS)
+@pytest.mark.parametrize("build", [fountain, leapfrog, blocks2])
+def test_member_key_is_the_model_key(build, m):
+    """On a window reaching 3m + 40 past each finite end (through vertex
+    0 and the negative half of block 0), the key computed from the
+    index is the key of the vertex."""
+    t = build(m)
+    z = t.z
+    for sf in t.subfamilies():
+        end = sf.imin if sf.imin is not None else sf.imax
+        for i in range(end - 3 * m - 40, end + 3 * m + 41):
+            for w in (0, 1):
+                assert sf.key(z, w, i) == z.key(sf.vertex(w, i))
+
+
+@pytest.mark.parametrize("z, sf, which, idx", [
+    (ZModel.blocks(2), _SubFamily(0, "right", 0, None, (0, 5, 0), (2, 0, 1)),
+     1, (-3, 0, 4)),
+    (ZModel.blocks(1), _SubFamily(0, "left", None, 0, (-1, 0, 1), (0, 0, 0)),
+     0, (-2, 0)),
+    (ZModel.finite(6), _SubFamily(0, "right", 0, None, (0, 0, 0), (0, 2, 1)),
+     1, (-3, 4, 9)),
+])
+def test_member_key_outside_the_model_raises_the_model_error(z, sf, which,
+                                                             idx):
+    for i in idx:
+        with pytest.raises(ModelError) as want:
+            z.key(sf.vertex(which, i))
+        with pytest.raises(ModelError, match=re.escape(str(want.value))):
+            sf.key(z, which, i)
+    assert sf.key(z, 1 - which, 1) == z.key(sf.vertex(1 - which, 1))

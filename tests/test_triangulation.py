@@ -9,7 +9,7 @@ import pytest
 
 from infgon.triangulation import (DualQuiver, Fountain, Leapfrog,
                                   Triangulation, enumerate_triangulations,
-                                  validate)
+                                  validate, validate_structure)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
 
 
@@ -92,6 +92,26 @@ def test_validate_missing_tail():
     rep = validate(Triangulation.make(z, set()))
     assert not rep.ok
     assert rep.reason == "tail coverage"
+
+
+def test_tail_coverage_witness_is_gap_ranges():
+    z = ZModel.blocks(6)
+    t = Triangulation.make(z, set(), {g: Leapfrog(2, -2) for g in (1, 3, 7)})
+    rep = validate_structure(t)
+    assert (rep.ok, rep.reason) == (False, "tail coverage")
+    assert rep.witness == {"missing": [(0, 0), (2, 2), (4, 5)], "extra": [7]}
+    assert validate(t) == rep
+
+
+def test_finite_core_of_n_minus_3_needs_no_face_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("face walked")
+
+    monkeypatch.setattr(Triangulation, "triangle_on_side", no_walk)
+    for n in (5, 8, 12):
+        z = ZModel.finite(n)
+        assert validate(Triangulation.make(
+            z, {z.arc(0, j) for j in range(2, n - 1)})).ok
 
 
 def test_validate_fountain_gap_is_invalid():
