@@ -2,29 +2,25 @@
 
 Exit codes: 0 success, 1 validation/property failure (also a computing
 command's input failing the checks run before it), 2 precondition or
-parse error, 3 internal step cap exceeded.
+parse error, 3 internal step cap exceeded.  Each command imports the
+library modules it calls, so a process loads only what it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
+from typing import TYPE_CHECKING
 
-from .cvector import (CVectorQuery, CoVector, RealizationUnsupported,
-                      cvector_eval, cvector_full, dimension_vector,
-                      image_arc, realize_dimension_vector)
-from .decomposition import (NegInf, crossing_order, delta_plus, in_X,
-                            maximal_pairs, root_of_arc, root_system_label,
-                            y_ext)
-from .fzoracle import identity, run_flip_path
-from .homindex import (KVector, StepCapExceeded, check_duality, index,
-                       zigzag)
-from .render import RenderSpec, render_svg
 from .triangulation import (Fountain, Leapfrog, Triangulation,
                             UnattainedError, validate, validate_structure)
-from .zmodel import Arc, ClosurePoint, Limit, ModelError, Vertex, ZModel
+from .zmodel import (Arc, ClosurePoint, Limit, ModelError,
+                     RealizationUnsupported, StepCapExceeded, Vertex, ZModel)
+
+if TYPE_CHECKING:
+    from .cvector import CoVector
+    from .homindex import KVector
 
 
 class ParseError(ValueError):
@@ -190,7 +186,7 @@ def covector_to_json(c: CoVector):
 
 
 def root_to_json(z: ZModel, r):
-    neg = "-inf" if isinstance(r.neg, NegInf) else arc_to_json(z, r.neg)
+    neg = arc_to_json(z, r.neg) if isinstance(r.neg, Arc) else "-inf"
     return {"pos": arc_to_json(z, r.pos), "neg": neg}
 
 
@@ -269,6 +265,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_index(args) -> int:
+    from .homindex import index
     t = _load_tri(args.triangulation)
     a = _arc_from_tokens(t.z, args.arc)
     _emit_json(args, kvector_to_json(t.z, index(t, a)))
@@ -276,6 +273,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_cvector(args) -> int:
+    from .cvector import CVectorQuery, cvector_full
     t = _load_tri(args.triangulation)
     u_tri = _load_tri(args.second_triangulation)
     u = _arc_from_tokens(t.z, args.arc)
@@ -287,6 +285,7 @@ def cmd_cvector(args) -> int:
 
 
 def cmd_dimvec(args) -> int:
+    from .cvector import dimension_vector
     t = _load_tri(args.triangulation)
     a = _arc_from_tokens(t.z, args.arc)
     _emit_json(args, covector_to_json(dimension_vector(t, a)))
@@ -294,6 +293,7 @@ def cmd_dimvec(args) -> int:
 
 
 def cmd_image(args) -> int:
+    from .cvector import image_arc
     t = _load_tri(args.triangulation)
     u = _arc_from_tokens(t.z, args.arc)
     ustar = _arc_from_tokens(t.z, args.second_arc)
@@ -303,6 +303,7 @@ def cmd_image(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    from .cvector import realize_dimension_vector
     t = _load_tri(args.triangulation)
     v = _arc_from_tokens(t.z, args.arc)
     u_tri, u = realize_dimension_vector(t, v)
@@ -312,6 +313,7 @@ def cmd_realize(args) -> int:
 
 
 def _decompose_table(t, e, f, lo, hi):
+    from .decomposition import decompose_row
     z = t.z
     if z.is_finite:
         verts = z.vertices()
@@ -326,16 +328,17 @@ def _decompose_table(t, e, f, lo, hi):
             if not z.is_diagonal(a) or a in seen:
                 continue
             seen.add(a)
-            dv = dimension_vector(t, a)
-            if dv.is_zero() or not in_X(t, e, f, dv):
-                continue
-            rows.append({"arc": arc_to_json(z, a),
-                         "root": root_to_json(z, root_of_arc(t, e, f, a))})
+            root = decompose_row(t, e, f, a)
+            if root is not None:
+                rows.append({"arc": arc_to_json(z, a),
+                             "root": root_to_json(z, root)})
     rows.sort(key=lambda r: json.dumps(r, sort_keys=True))
     return rows
 
 
 def cmd_decompose(args) -> int:
+    from .decomposition import (crossing_order, maximal_pairs,
+                                root_system_label)
     t = _load_tri(args.triangulation)
     z = t.z
     lo, hi = args.window
@@ -355,6 +358,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_roots(args) -> int:
+    from .decomposition import (crossing_order, delta_plus,
+                                root_system_label, y_ext)
     t = _load_tri(args.triangulation)
     z = t.z
     e = _parse_point_token(z, args.arc[0])
@@ -371,6 +376,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_duality(args) -> int:
+    from .homindex import check_duality
     t = _load_tri(args.triangulation)
     u = _load_tri(args.second_triangulation)
     if t.z.is_finite:
@@ -386,6 +392,11 @@ def cmd_duality(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    import random
+
+    from .cvector import CVectorQuery, cvector_eval
+    from .fzoracle import identity, run_flip_path
+    from .homindex import index
     t = _load_tri(args.triangulation)
     z = t.z
     if not z.is_finite:
@@ -408,10 +419,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import RenderSpec, render_svg
     t = _load_tri(args.triangulation)
     z = t.z
     zz = ()
     if args.zigzag:
+        from .homindex import zigzag
         e = _parse_point_token(z, args.zigzag[0])
         f = _parse_point_token(z, args.zigzag[1])
         zz = zigzag(t, e, f).vertices

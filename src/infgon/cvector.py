@@ -9,19 +9,15 @@ Blocks models) are represented exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .homindex import index, index_bar
 from .triangulation import Triangulation, _crossing_runs
-from .zmodel import Arc, ModelError, suspend
+from .zmodel import Arc, Frozen, ModelError, RealizationUnsupported, suspend
 
 
-class RealizationUnsupported(RuntimeError):
-    """The construction would delete infinitely many diagonals."""
-
-
-@dataclass(frozen=True)
-class TailRange:
+class TailRange(NamedTuple):
     """Coefficient ``coeff`` on every member i of subfamily
     (gap, sub) with lo <= i <= hi (None = unbounded)."""
 
@@ -105,19 +101,18 @@ class CoVector:
         return f"CoVector({self.explicit!r}, {self.tail_terms!r})"
 
 
-@dataclass(frozen=True)
-class CVectorQuery:
+class CVectorQuery(Frozen):
     """The c-vector of the pair (u, U) written in the basis dual to T."""
 
-    t: Triangulation
-    u_tri: Triangulation
-    u: Arc
+    __slots__ = _fields = ("t", "u_tri", "u")
+    _values = attrgetter(*_fields)
 
-    def __post_init__(self):
-        if self.t.z != self.u_tri.z:
+    def __init__(self, t: Triangulation, u_tri: Triangulation, u: Arc):
+        if t.z != u_tri.z:
             raise ModelError("triangulations live over different models")
-        if not self.u_tri.contains(self.u):
-            raise ModelError(f"{self.u!r} is not a diagonal of U")
+        if not u_tri.contains(u):
+            raise ModelError(f"{u!r} is not a diagonal of U")
+        super().__init__(t, u_tri, u)
 
 
 def cvector_eval(q: CVectorQuery, t_arc: Arc) -> int:
@@ -158,8 +153,7 @@ def dimension_vector(t: Triangulation, a: Arc) -> CoVector:
 # Supports.
 
 
-@dataclass(frozen=True)
-class SupportDescriptor:
+class SupportDescriptor(NamedTuple):
     arcs: frozenset[Arc]
     ranges: tuple[tuple[int, str, int | None, int | None], ...]
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple
 
 from .cvector import CoVector, dimension_vector, support, support_subset
 from .triangulation import (Leapfrog, Triangulation, UnattainedError,
@@ -29,19 +29,20 @@ from .zmodel import (Arc, ClosurePoint, Limit, ModelError, Vertex,
                      keys_cross, keys_in_closed)
 
 
-@dataclass(frozen=True)
-class NegInf:
+class NegInf(NamedTuple):
     """The formal least element -infinity adjoined to Y."""
 
     def __repr__(self) -> str:
         return "-inf"
 
+    def __bool__(self) -> bool:  # an element, not an empty tuple
+        return True
+
 
 NEG_INFINITY = NegInf()
 
 
-@dataclass(frozen=True)
-class OrderDescriptor:
+class OrderDescriptor(NamedTuple):
     """Order type of a crossing set: Finite(n), or an optional
     omega head, m copies of Z in the middle, and an optional
     omega* tail."""
@@ -64,8 +65,7 @@ class OrderDescriptor:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """eps_pos - eps_neg with pos > neg in Y_ext."""
 
     pos: Arc
@@ -95,7 +95,7 @@ class _RunInfo:
 
     def __init__(self, ocs: "OrderedCrossingSet", sf: _SubFamily,
                  lo: int | None, hi: int | None):
-        self.sf = sf = replace(sf, imin=lo, imax=hi)
+        self.sf = sf = sf._replace(imin=lo, imax=hi)
         self.open_sign = 1 if hi is None else -1
         self.closed = lo if hi is None else hi
         step = sf.member(self.closed + self.open_sign)
@@ -381,10 +381,10 @@ class OrderedCrossingSet:
 
     # -- immediate neighbors --------------------------------------------
 
-    def _neighbor(self, a: Arc, below: bool) -> Arc | None:
-        """Greatest member < a (below) or least member > a; None when
-        no member lies on that side."""
-        if not self.contains(a):
+    def _neighbor(self, a: Arc, below: bool, check=True) -> Arc | None:
+        """Greatest member < a (below) or least member > a, or None;
+        checks that a is a member of Y unless ``check`` is false."""
+        if check and not self.contains(a):
             raise ModelError(f"{a!r} is not a member of Y")
         want = -1 if below else 1
         ka = self._okey(a)
@@ -500,7 +500,12 @@ def psi(y: OrderedCrossingSet, a: Arc, b: Arc) -> Root:
         raise ModelError("interval endpoints must be members of Y")
     if y._cmp(a, b) > 0:
         raise ModelError("malformed interval: a > b")
-    p = y.pred_in(a)
+    return _interval_root(y, a, b)
+
+
+def _interval_root(y: OrderedCrossingSet, a: Arc, b: Arc) -> Root:
+    """psi(y, a, b) for members a <= b of Y, which are not checked."""
+    p = y._neighbor(a, below=True, check=False)
     return Root(pos=b, neg=NEG_INFINITY if p is None else p)
 
 
@@ -519,17 +524,27 @@ def in_X(t: Triangulation, e: ClosurePoint, f: ClosurePoint,
     return support_subset(c, dim)
 
 
+def decompose_row(t: Triangulation, e: ClosurePoint, f: ClosurePoint,
+                  v: Arc) -> Root | None:
+    """The positive root attached to dim(v) in X_{e,f}, or None when
+    dim(v) is zero or not in X_{e,f}: psi of the least and greatest
+    members of Y crossing v, which need no membership check."""
+    dv = dimension_vector(t, v)
+    if dv.is_zero() or not in_X(t, e, f, dv):
+        return None
+    y = crossing_order(t, e, f)
+    return _interval_root(y, *y.crossing_interval_of(v))
+
+
 def root_of_arc(t: Triangulation, e: ClosurePoint, f: ClosurePoint,
                 v: Arc) -> Root:
     """The positive root attached to dim(v) in X_{e,f}."""
-    dv = dimension_vector(t, v)
-    if dv.is_zero():
-        raise ModelError("v crosses no diagonal of T")
-    if not in_X(t, e, f, dv):
+    root = decompose_row(t, e, f, v)
+    if root is None:
+        if dimension_vector(t, v).is_zero():
+            raise ModelError("v crosses no diagonal of T")
         raise ModelError(f"dim({v!r}) is not in X_({e!r},{f!r})")
-    y = crossing_order(t, e, f)
-    a, b = y.crossing_interval_of(v)
-    return psi(y, a, b)
+    return root
 
 
 def delta_plus(yext: YExt, window: int | None = None) -> list[Root]:
@@ -578,8 +593,7 @@ def maximal_pairs(t: Triangulation) -> set[frozenset]:
     return out
 
 
-@dataclass(frozen=True)
-class MaximalityReport:
+class MaximalityReport(NamedTuple):
     acyclic: bool
     pairs: frozenset
     football: tuple[Arc, Arc, Arc] | None = None
@@ -621,7 +635,7 @@ def unique_maximal_iff_acyclic_report(t: Triangulation) -> MaximalityReport:
 __all__ = [
     "NEG_INFINITY", "NegInf", "OrderDescriptor", "OrderedCrossingSet",
     "Root", "YExt", "MaximalityReport", "add_vectors", "crossing_order",
-    "delta_plus", "in_X", "maximal_pairs", "psi", "root_of_arc",
-    "root_system_label", "support", "support_subset", "y_ext",
-    "unique_maximal_iff_acyclic_report",
+    "decompose_row", "delta_plus", "in_X", "maximal_pairs", "psi",
+    "root_of_arc", "root_system_label", "support", "support_subset",
+    "y_ext", "unique_maximal_iff_acyclic_report",
 ]

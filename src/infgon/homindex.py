@@ -3,18 +3,14 @@ predicates, and the two-way duality check between triangulations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .triangulation import Triangulation
-from .zmodel import Arc, ModelError, Vertex, ZModel, suspend
+from .zmodel import (Arc, ModelError, StepCapExceeded, Vertex, ZModel,
+                     suspend)
 
 
 DEFAULT_STEP_CAP = 10 ** 6
-
-
-class StepCapExceeded(RuntimeError):
-    """The zig-zag did not terminate within the step cap; this signals
-    an invalid triangulation (termination is guaranteed on valid ones)."""
 
 
 class KVector:
@@ -72,8 +68,7 @@ class KVector:
         return "KVector(" + " + ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class ZigZagPath:
+class ZigZagPath(NamedTuple):
     vertices: tuple[Vertex, ...]
     anchor: tuple[Vertex, Vertex]
     triangulation: Triangulation
@@ -190,8 +185,7 @@ def index_bar_of_kvector(t: Triangulation, kv: KVector) -> KVector:
     return out
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     ok: bool
     failures: tuple[tuple, ...]
 

@@ -10,7 +10,7 @@ points so that accumulation is visible at any window size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .triangulation import Triangulation
 from .zmodel import Arc, ClosurePoint, Limit, ModelError, Vertex, ZModel
@@ -46,8 +46,7 @@ def _xy(z: ZModel, p: ClosurePoint) -> tuple[float, float]:
     return (_CX + _R * math.cos(a), _CY - _R * math.sin(a))
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(NamedTuple):
     """What to draw: a model, optionally a triangulation (within an
     index window per block for Blocks models), a zig-zag path, and
     highlighted query arcs."""

@@ -28,11 +28,11 @@ all of them by m, and the work does not depend on index magnitude.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple, Union
 
-from .zmodel import (Arc, ClosurePoint, Limit, ModelError, Vertex, ZModel,
-                     keys_cross, keys_in_closed)
+from .zmodel import (Arc, ClosurePoint, Frozen, Limit, ModelError, Vertex,
+                     ZModel, keys_cross, keys_in_closed)
 
 
 # Tail members and boundary edges looked at beyond the data hull.
@@ -47,8 +47,7 @@ class UnattainedError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Fountain:
+class Fountain(NamedTuple):
     """All diagonals {base, (b, i)} for i >= right_from and
     {base, (b+1 mod k, j)} for j <= left_to, at limit point L(b)."""
 
@@ -57,8 +56,7 @@ class Fountain:
     left_to: int
 
 
-@dataclass(frozen=True)
-class Leapfrog:
+class Leapfrog(NamedTuple):
     """Diagonals {(b, right_from+m), (b+1, left_to-m)} and
     {(b+1, left_to-m), (b, right_from+m+1)} for all m >= 0, at L(b)."""
 
@@ -69,15 +67,13 @@ class Leapfrog:
 Tail = Union[Fountain, Leapfrog]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     reason: str | None = None
     witness: object | None = None
 
 
-@dataclass(frozen=True)
-class DualQuiver:
+class DualQuiver(NamedTuple):
     nodes: tuple[Arc, ...]
     arrows: tuple[tuple[Arc, Arc], ...]
     window_bound: int
@@ -106,8 +102,7 @@ class DualQuiver:
 # Tail sub-families: arcs whose endpoints are affine in a single index.
 
 
-@dataclass(frozen=True)
-class _SubFamily:
+class _SubFamily(NamedTuple):
     """Arcs member(i) = {(b1, o1 + s1*i), (b2, o2 + s2*i)}, imin <= i <= imax
     (None bound = unbounded in that direction)."""
 
@@ -267,11 +262,15 @@ def _subfamilies_of_tail(z: ZModel, gap: int, tail: Tail) -> list[_SubFamily]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Triangulation:
-    z: ZModel
-    core: frozenset[Arc]
-    tails: tuple[tuple[int, Tail], ...] = ()
+class Triangulation(Frozen):
+    _fields = ("z", "core", "tails")  # and a __dict__ for the memos
+    _values = attrgetter(*_fields)
+
+    def __init__(self, z: ZModel, core: frozenset[Arc],
+                 tails: tuple[tuple[int, Tail], ...] = ()) -> None:
+        object.__setattr__(self, "z", z)  # not Frozen's loop: built per flip
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "tails", tails)
 
     @staticmethod
     def make(z: ZModel, core: Iterable[Arc], tails: dict[int, Tail] | None = None

@@ -15,7 +15,7 @@ floating-point geometry is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple, Union
 
 
@@ -27,11 +27,48 @@ class Vertex(NamedTuple):
         return f"V({self.block},{self.idx})"
 
 
-@dataclass(frozen=True)
-class Limit:
+class Frozen:
+    """Base of the immutable value classes: ``__init__`` sets the
+    fields ``_fields`` once.  Two instances of one class are equal when
+    their field values ``_values(self)`` are, and hash as the field
+    tuple; ``Arc``, on the hot paths, writes both out."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def _immutable(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f) for f in self._fields))
+
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__qualname__, ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields))
+
+
+class Limit(Frozen):
     """The limit point between block ``gap`` and block ``gap+1 mod k``."""
 
-    gap: int
+    __slots__ = _fields = ("gap",)
+    _values = attrgetter(*_fields)
+
+    def __hash__(self) -> int:  # of the field tuple, as for the others
+        return hash((self.gap,))
 
     def __repr__(self) -> str:
         return f"L({self.gap})"
@@ -44,23 +81,32 @@ class ModelError(ValueError):
     """Raised for structurally invalid model-level inputs."""
 
 
-@dataclass(frozen=True)
-class ZModel:
+class StepCapExceeded(RuntimeError):
+    """The zig-zag did not end within the step cap: invalid input, as
+    it ends on every valid triangulation."""
+
+
+class RealizationUnsupported(RuntimeError):
+    """The construction would delete infinitely many diagonals."""
+
+
+class ZModel(Frozen):
     """Either a finite polygon or a blocks-of-integers model.
 
     Exactly one of ``n`` (finite) and ``k`` (blocks) is set.
     """
 
-    n: int | None = None
-    k: int | None = None
+    __slots__ = _fields = ("n", "k")
+    _values = attrgetter(*_fields)
 
-    def __post_init__(self) -> None:
-        if (self.n is None) == (self.k is None):
+    def __init__(self, n: int | None = None, k: int | None = None) -> None:
+        if (n is None) == (k is None):
             raise ModelError("exactly one of n, k must be given")
-        if self.n is not None and self.n < 4:
+        if n is not None and n < 4:
             raise ModelError("finite model needs n >= 4")
-        if self.k is not None and self.k < 1:
+        if k is not None and k < 1:
             raise ModelError("blocks model needs k >= 1")
+        super().__init__(n, k)
 
     # -- constructors ------------------------------------------------
 
@@ -252,12 +298,10 @@ def _point_sort_key(p: ClosurePoint):
     return (0, p.block, p.idx)
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Frozen):
     """Unordered pair of distinct closure points, stored normalized."""
 
-    p: ClosurePoint
-    q: ClosurePoint
+    __slots__ = _fields = ("p", "q")
 
     def __init__(self, p: ClosurePoint, q: ClosurePoint) -> None:
         if p == q:
@@ -266,6 +310,14 @@ class Arc:
             p, q = q, p
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q) == (other.p, other.q)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
 
     def endpoints(self) -> tuple[ClosurePoint, ClosurePoint]:
         return (self.p, self.q)

@@ -412,6 +412,58 @@ def test_import_loads_only_the_standard_library():
     assert proc.returncode == 0, proc.stderr
 
 
+# Each command's modules beyond cli, zmodel and triangulation.
+HOMINDEX, CVECTOR = {"homindex"}, {"homindex", "cvector"}
+DECOMPOSITION = CVECTOR | {"decomposition"}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["validate"], set()),
+    (["render"], {"render"}),
+    (["render", "--zigzag", "1", "4"], HOMINDEX | {"render"}),
+    (["index", "--arc", "1", "3"], HOMINDEX),
+    (["duality", "--second-triangulation", "PENTAGON2"], HOMINDEX),
+    (["dimvec", "--arc", "1", "3"], CVECTOR),
+    (["cvector", "--second-triangulation", "PENTAGON2", "--arc", "1", "3"],
+     CVECTOR),
+    (["image", "--arc", "1", "3", "--second-arc", "0", "2"], CVECTOR),
+    (["realize", "--arc", "1", "3"], CVECTOR),
+    (["decompose"], DECOMPOSITION),
+    (["roots", "--arc", "1", "4"], DECOMPOSITION),
+    (["oracle", "--paths", "2"], CVECTOR | {"fzoracle"}),
+])
+def test_each_command_loads_only_its_modules(tri_file, argv, extra):
+    """A fresh process running one command imports the modules that
+    command calls and no other infgon module, and never dataclasses."""
+    argv = [tri_file(PENTAGON2, "u.json") if a == "PENTAGON2" else a
+            for a in argv]
+    code = ("import json, sys\n"
+            "from infgon import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "mods = sorted(m[7:] for m in sys.modules\n"
+            "              if m.startswith('infgon.'))\n"
+            "print(json.dumps([code, mods, 'dataclasses' in sys.modules]),\n"
+            "      file=sys.stderr)\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, argv[0], "--triangulation",
+         tri_file(PENTAGON)] + argv[1:],
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True)
+    exit_code, mods, dataclasses = json.loads(proc.stderr.splitlines()[-1])
+    assert exit_code == 0, proc.stderr
+    assert set(mods) == {"cli", "zmodel", "triangulation"} | extra
+    assert not dataclasses
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["validate", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: infgon" in capsys.readouterr().out
+
+
 def test_format_flag_is_gone(tri_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["index", "--triangulation", tri_file(PENTAGON),
@@ -439,8 +491,9 @@ def test_output_is_deterministic_json(tri_file, capsys):
 #
 # Every input ends in an answer (exit 0), a rejected triangulation
 # (exit 1), a parse or precondition error (exit 2) or the step cap
-# (exit 3), never in an exception.  Polygons have at most 12 vertices
-# and every number lies within 20 of 0, so that `validate` stays fast.
+# (exit 3), never in an exception.  Models go up to n = 10^9 vertices
+# and k = 10^6 blocks, which no check may pay for; every index lies
+# within 20 of 0, as `validate` still costs O(spread of the indices).
 
 SMALL = st.integers(-20, 20)
 SCALAR = (st.none() | st.booleans() | st.text(max_size=3) | st.floats(-20, 20)
@@ -455,8 +508,10 @@ POINT = st.one_of(INT, st.lists(INT, min_size=2, max_size=2),
                   st.builds(lambda g: {"limit": g}, INT), JUNK)
 ARC = st.one_of(st.lists(POINT, min_size=2, max_size=2), JUNK)
 MODEL = st.one_of(
-    st.builds(lambda n: {"finite": n}, st.integers(-2, 12)),
-    st.builds(lambda k: {"blocks": k}, st.integers(-1, 3)),
+    st.builds(lambda n: {"finite": n},
+              st.integers(-2, 12) | st.integers(13, 10 ** 9)),
+    st.builds(lambda k: {"blocks": k},
+              st.integers(-1, 3) | st.integers(4, 10 ** 6)),
     st.builds(lambda name, v: {name: v},
               st.sampled_from(["finite", "blocks"]), SCALAR),
     JUNK)
@@ -505,7 +560,7 @@ def _exit_code(argv) -> int:
             return exc.code
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=2000)
 @given(doc=DOCUMENT, tokens=st.lists(TOKEN, min_size=2, max_size=2))
 def test_fuzzed_documents_end_in_an_exit_code(tmp_path_factory, doc,
                                               tokens):

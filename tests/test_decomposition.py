@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from infgon.cvector import dimension_vector, support_subset
 from infgon.decomposition import (NEG_INFINITY, MaximalityReport,
-                                  OrderDescriptor, Root, add_vectors,
-                                  crossing_order, delta_plus, in_X,
-                                  maximal_pairs, psi, root_of_arc,
-                                  root_system_label,
+                                  OrderDescriptor, OrderedCrossingSet, Root,
+                                  add_vectors, crossing_order, decompose_row,
+                                  delta_plus, in_X, maximal_pairs, psi,
+                                  root_of_arc, root_system_label,
                                   unique_maximal_iff_acyclic_report, y_ext)
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   enumerate_triangulations)
@@ -494,3 +494,41 @@ def test_neighbors_and_crossing_intervals_are_brute_force(build, m):
                 continue
             crossers = [a for a in wide if z.crosses(v, a)]
             assert y.crossing_interval_of(v) == (crossers[0], crossers[-1])
+
+
+@pytest.mark.parametrize("m", (0, 100))
+@pytest.mark.parametrize("build", FIXTURES)
+def test_root_of_arc_is_psi_of_the_crossing_interval(build, m, monkeypatch):
+    """root_of_arc and decompose_row build the root from the ends that
+    crossing_interval_of returns, testing no membership in Y again, and
+    agree with the checked psi; off X_{e,f}, decompose_row gives None
+    and root_of_arc its error."""
+    t = build(m)
+    z = t.z
+    verts = [Vertex(b, i) for b in range(z.k) for i in range(m - 6, m + 7)]
+    probes = [Arc(p, q) for i, p in enumerate(verts) for q in verts[i + 1:]
+              if z.is_diagonal(Arc(p, q))]
+    calls = []
+    contains = OrderedCrossingSet.contains
+
+    def counting(self, a):
+        calls.append(a)
+        return contains(self, a)
+    monkeypatch.setattr(OrderedCrossingSet, "contains", counting)
+    rows = 0
+    for e, f in _oriented_pairs(t):
+        y = crossing_order(t, e, f)
+        for v in probes:
+            dv = dimension_vector(t, v)
+            if dv.is_zero() or not in_X(t, e, f, dv):
+                assert decompose_row(t, e, f, v) is None
+                with pytest.raises(ModelError, match="no diagonal" if
+                                   dv.is_zero() else "is not in X"):
+                    root_of_arc(t, e, f, v)
+                continue
+            root, row = root_of_arc(t, e, f, v), decompose_row(t, e, f, v)
+            assert calls == []
+            assert root == row == psi(y, *y.crossing_interval_of(v))
+            calls.clear()
+            rows += 1
+    assert rows > 0
