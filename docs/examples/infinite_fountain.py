@@ -7,8 +7,8 @@ evaluations.
 """
 
 from infgon.cvector import dimension_vector
-from infgon.decomposition import (crossing_order, maximal_pairs, psi,
-                                  root_system_label, y_ext)
+from infgon.decomposition import (YExt, crossing_order, maximal_pairs, psi,
+                                  root_system_label)
 from infgon.homindex import index
 from infgon.triangulation import Fountain, Triangulation, validate
 from infgon.zmodel import Vertex, ZModel
@@ -37,7 +37,7 @@ print("last three: ", y.last(3))
 
 # Y_ext adjoins -infinity exactly when Y has a least element; interval
 # roots are then additive under concatenation.
-ye = y_ext(y)
+ye = YExt(y)
 print("-infinity adjoined?", ye.has_neg_inf)
 a, b, c = y.first(3)
 r_ab = psi(y, a, b)

@@ -7,8 +7,9 @@ set into root-system slices.
 """
 
 from infgon.cvector import CVectorQuery, cvector_full, dimension_vector
-from infgon.decomposition import (crossing_order, delta_plus, maximal_pairs,
-                                  root_of_arc, root_system_label, y_ext)
+from infgon.decomposition import (YExt, crossing_order, delta_plus,
+                                  maximal_pairs, root_of_arc,
+                                  root_system_label)
 from infgon.homindex import index, zigzag
 from infgon.triangulation import Triangulation, enumerate_triangulations, \
     validate
@@ -52,5 +53,5 @@ print("crossing set Y:", y.members)
 for (i, j) in ((1, 3), (1, 4), (2, 4)):
     v = z.arc(i, j)
     print("  arc", v, "-> root", root_of_arc(t, e, f, v))
-print("Delta+:", delta_plus(y_ext(y)))
+print("Delta+:", delta_plus(YExt(y)))
 print("dim {2,4}:", dimension_vector(t, z.arc(2, 4)))

@@ -14,7 +14,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .triangulation import (Fountain, Leapfrog, Triangulation,
-                            UnattainedError, validate, validate_structure)
+                            UnattainedError, validate)
 from .zmodel import (Arc, ClosurePoint, Limit, ModelError,
                      RealizationUnsupported, StepCapExceeded, Vertex, ZModel)
 
@@ -215,15 +215,11 @@ def _read_tri(path: str) -> Triangulation:
 
 
 def _load_tri(path: str) -> Triangulation:
-    """A triangulation for a computing command: parsed, then held to the
-    checks of ``validate_structure`` (tail coverage, diagonals, no two
-    core arcs crossing), which cost O(core² + tails).  A finite polygon
-    gets the full ``validate``, which after those checks needs only the
-    count of n - 3 diagonals, or walks faces to a witness.  The tail
-    crossing and face checks of an infinite model are left to
-    ``infgon validate``."""
+    """A triangulation for a computing command: parsed, then held to
+    the full ``validate``, whose cost grows with the core and the number
+    of tails, not with the model's size or the indices' magnitude."""
     t = _read_tri(path)
-    rep = validate(t) if t.z.is_finite else validate_structure(t)
+    rep = validate(t)
     if not rep.ok:
         raise InvalidTriangulation(rep)
     return t
@@ -358,14 +354,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    from .decomposition import (crossing_order, delta_plus,
-                                root_system_label, y_ext)
+    from .decomposition import (YExt, crossing_order, delta_plus,
+                                root_system_label)
     t = _load_tri(args.triangulation)
     z = t.z
     e = _parse_point_token(z, args.arc[0])
     f = _parse_point_token(z, args.arc[1])
     y = crossing_order(t, e, f)
-    ye = y_ext(y)
+    ye = YExt(y)
     window = args.window[1] - args.window[0] + 1
     roots = delta_plus(ye, window=None if ye.is_finite else window)
     _emit_json(args, {"descriptor": str(y.descriptor()),

@@ -485,10 +485,6 @@ class YExt:
         return self.y.succ_in(el) if in_head else el
 
 
-def y_ext(y: OrderedCrossingSet) -> YExt:
-    return YExt(y)
-
-
 # ---------------------------------------------------------------------------
 # Roots.
 
@@ -603,7 +599,10 @@ class MaximalityReport(NamedTuple):
 def unique_maximal_iff_acyclic_report(t: Triangulation) -> MaximalityReport:
     """Acyclicity of the dual quiver against the number of maximal
     pairs; with several maximal pairs, exhibits an internal triangle
-    (all three sides diagonals of T) witnessing a quiver cycle."""
+    (all three sides diagonals of T) witnessing a quiver cycle.  The
+    triangle is looked for at the core and the tail end members
+    (``window_nodes(0)``): an interior tail member lies only on
+    triangles of its tail, each with an edge side (``validate``)."""
     z = t.z
     acyclic = t.dual_quiver().is_acyclic()
     pairs = frozenset(maximal_pairs(t))
@@ -614,7 +613,7 @@ def unique_maximal_iff_acyclic_report(t: Triangulation) -> MaximalityReport:
     football = None
     triangle = None
     if len(pairs) >= 2:
-        for d in t.window_nodes():
+        for d in t.window_nodes(0):
             for side in (z.succ(d.p), z.succ(d.q)):
                 if side in (d.p, d.q):
                     continue
@@ -637,5 +636,5 @@ __all__ = [
     "Root", "YExt", "MaximalityReport", "add_vectors", "crossing_order",
     "decompose_row", "delta_plus", "in_X", "maximal_pairs", "psi",
     "root_of_arc", "root_system_label", "support", "support_subset",
-    "y_ext", "unique_maximal_iff_acyclic_report",
+    "unique_maximal_iff_acyclic_report",
 ]

@@ -35,7 +35,8 @@ from .zmodel import (Arc, ClosurePoint, Frozen, Limit, ModelError, Vertex,
                      ZModel, keys_cross, keys_in_closed)
 
 
-# Tail members and boundary edges looked at beyond the data hull.
+# Tail members that ``window_nodes`` and ``dual_quiver`` list by default
+# beyond the widest block hull.
 _MARGIN = 8
 
 
@@ -636,11 +637,39 @@ def _crossing_runs(z: ZModel, sf: _SubFamily, a: Arc
         ka, kb, key(z, 0, i), key(z, 1, i)))
 
 
-def validate_structure(t: Triangulation) -> ValidationReport:
-    """The checks of ``validate`` that cost O(core² + tails): one tail
-    at every limit point and nowhere else (iv), every core arc and
-    every tail member a diagonal (i), and no two core arcs crossing
-    (the core part of (ii))."""
+def validate(t: Triangulation) -> ValidationReport:
+    """Whether t is a triangulation: one tail at every limit point and
+    nowhere else (iv), every core arc and every tail member a diagonal
+    (i), no two arcs crossing (ii), and every face a triangle (iii).
+    The checks run cheapest first, and the first failure is reported
+    with its witness.
+
+    The n - 3 rule.  Over a finite n-gon every set of pairwise
+    non-crossing diagonals extends to a triangulation, and every
+    triangulation has n - 3 diagonals.  So once (iv), (i) and the core
+    part of (ii) pass, a core of n - 3 diagonals is a triangulation and
+    no face is walked.
+
+    Why the faces at the core and the tail end members are exact.  Let
+    (iv), (i) and (ii) pass.  A tail member has a triangle of its own
+    tail, with an edge as a side, on the side of the next member, and
+    so does every member past the finite end on its other side.  A fountain's {base, (b, i)} forms
+    them with {base, (b, i -+ 1)}.  A leapfrog with r, l = right_from,
+    left_to has a_m = {(b, r+m), (b+1, l-m)} and b_m = {(b+1, l-m),
+    (b, r+m+1)}: a_m and b_m close a triangle with the edge
+    {(b, r+m), (b, r+m+1)}, and b_m and a_(m+1) one with
+    {(b+1, l-m-1), (b+1, l-m)}.  Members are diagonals, so neighbours
+    lie on opposite sides.  Such a triangle touches the circle only at
+    its corners and no arc crosses its sides, so it is a face.  Every
+    face has an arc of T as a side: T has arcs, and members of a
+    fountain accumulate on both sides of its limit chord.  So a face
+    that is none of these triangles is a face of a core diagonal, or
+    the face of an end member outside its tail, and only those are
+    checked, the arcs in the order of ``t.window_nodes(0)``.  On an
+    n-gon with a non-empty core every face has a core diagonal as a
+    side; the core is walked in its own order.  An empty core is walked
+    at the boundary edges, listed lazily from vertex 0, up to the first
+    witness without building the n edges."""
     z = t.z
     k = 0 if z.is_finite else z.k
     have = sorted({g for g, _ in t.tails})
@@ -654,7 +683,8 @@ def validate_structure(t: Triangulation) -> ValidationReport:
     for a in t.core:
         if not z.is_diagonal(a):
             return ValidationReport(False, "non-diagonal arc", a)
-    for sf in t.subfamilies():
+    subfams = t.subfamilies()
+    for sf in subfams:
         def bad(i, sf=sf):
             u, w = sf.vertex(0, i), sf.vertex(1, i)
             return u == w or not z.is_diagonal(Arc(u, w))
@@ -666,34 +696,10 @@ def validate_structure(t: Triangulation) -> ValidationReport:
         for b in core[i + 1:]:
             if z.crosses(a, b):
                 return ValidationReport(False, "crossing pair", (a, b))
-    return ValidationReport(True)
-
-
-def validate(t: Triangulation) -> ValidationReport:
-    """Whether t is a triangulation: the checks of
-    ``validate_structure``, then (ii) no tail member crosses another
-    arc and (iii) every face is a triangle.  The first failure is
-    reported with its witness.
-
-    The n - 3 rule.  Over a finite n-gon every set of pairwise
-    non-crossing diagonals extends to a triangulation, and every
-    triangulation has n - 3 diagonals.  So once the structural checks
-    pass, a core of n - 3 diagonals is a triangulation and no face is
-    walked.  A shorter core leaves a face that is not a triangle: the
-    walk looks for it at the faces of the core diagonals, then at the
-    boundary edges, listed lazily from vertex 0, and stops at the first
-    witness without building the n edges."""
-    rep = validate_structure(t)
-    if not rep.ok:
-        return rep
-    z = t.z
     if z.is_finite and len(t.core) == z.n - 3:
-        return rep
-    subfams = t.subfamilies()
+        return ValidationReport(True)
 
-    # (ii) pairwise non-crossing; core against core is done above
-    core = sorted(t.core, key=lambda a: (z.key(a.p), z.key(a.q)))
-
+    # (ii) for the tails
     def first_crossing(sf: _SubFamily, arc: Arc) -> int | None:
         for lo, hi in _crossing_runs(z, sf, arc):
             return sf.near_end(lo, hi)
@@ -729,7 +735,7 @@ def validate(t: Triangulation) -> ValidationReport:
                     ((fa.gap, fa.sub, first_crossing(fa, fb.member(j))),
                      (fb.gap, fb.sub, j)))
 
-    # (iii) maximality by face extraction
+    # (iii) the faces that can fail, as the docstring argues
     def check_faces_of(d: Arc, sides):
         for side in sides:
             try:
@@ -743,27 +749,24 @@ def validate(t: Triangulation) -> ValidationReport:
                                             (d, sidearc))
         return None
 
-    check_nodes = list(t.core) if z.is_finite else t.window_nodes()
-    for d in check_nodes:
-        bad = check_faces_of(d, [z.succ(d.p), z.succ(d.q)])
+    # both faces of each core diagonal, and of each end member the face
+    # outside its tail, marked by its moving end one index past the range
+    sides = {d: (z.succ(d.p), z.succ(d.q)) for d in t.core}
+    for sf in subfams:
+        i = sf.near_end(sf.imin, sf.imax)
+        past = i - 1 if sf.imin is not None else i + 1
+        sides.setdefault(sf.member(i), (sf.vertex(1, past),))
+    for d in sides if z.is_finite else sorted(
+            sides, key=lambda a: (z.key(a.p), z.key(a.q))):
+        bad = check_faces_of(d, sides[d])
         if bad:
             return bad
-    # edges: every edge's inner side must be a triangle; past the data
-    # hull the faces repeat along each tail
-    if z.is_finite:
-        edges = (Arc(Vertex(0, i), Vertex(0, (i + 1) % z.n))
-                 for i in range(z.n))
-    else:
-        hull = t._hull()
-        edges = (Arc(Vertex(b, i), Vertex(b, i + 1)) for b in range(z.k)
-                 for lo, hi in [hull.get(b, (0, 0))]
-                 for i in range(lo - _MARGIN, hi + _MARGIN))
-    for e in edges:
-        u = e.p if z.succ(e.p) == e.q else e.q
-        w = e.other(u)
-        bad = check_faces_of(e, [z.succ(w)])
-        if bad:
-            return bad
+    if z.is_finite and not t.core:
+        for i in range(z.n):
+            u, w = Vertex(0, i), Vertex(0, (i + 1) % z.n)
+            bad = check_faces_of(Arc(u, w), [z.succ(w)])
+            if bad:
+                return bad
     return ValidationReport(True)
 
 

@@ -322,13 +322,6 @@ class Arc(Frozen):
     def endpoints(self) -> tuple[ClosurePoint, ClosurePoint]:
         return (self.p, self.q)
 
-    def other(self, x: ClosurePoint) -> ClosurePoint:
-        if x == self.p:
-            return self.q
-        if x == self.q:
-            return self.p
-        raise ModelError(f"{x!r} is not an endpoint of {self!r}")
-
     def __repr__(self) -> str:
         return f"Arc({self.p!r},{self.q!r})"
 

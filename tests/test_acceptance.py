@@ -14,9 +14,9 @@ from itertools import combinations
 
 from infgon.cvector import (CVectorQuery, cvector_eval, cvector_full,
                             dimension_vector, realize_dimension_vector)
-from infgon.decomposition import (add_vectors, crossing_order, delta_plus,
-                                  in_X, maximal_pairs, psi, root_of_arc,
-                                  root_system_label, y_ext)
+from infgon.decomposition import (YExt, add_vectors, crossing_order,
+                                  delta_plus, in_X, maximal_pairs, psi,
+                                  root_of_arc, root_system_label)
 from infgon.fzoracle import det, run_flip_path
 from infgon.homindex import KVector, check_duality, index, zigzag
 from infgon.render import render_svg
@@ -176,7 +176,7 @@ def test_criterion_4_maximal_pairs_and_borel():
         roots = {root_of_arc(t, e, f, v) for v in members.values()}
         assert len(roots) == 3
         y = crossing_order(t, e, f)
-        assert roots == set(delta_plus(y_ext(y)))
+        assert roots == set(delta_plus(YExt(y)))
 
     z5 = ZModel.finite(5)
     fan = Triangulation.make(z5, {z5.arc(0, 2), z5.arc(0, 3)})
@@ -200,7 +200,7 @@ def test_criterion_5_fountain():
 
     y = crossing_order(t, z.v(1), z.v(-1))
     assert str(y.descriptor()) == "omega + omega*"
-    ye = y_ext(y)
+    ye = YExt(y)
     assert ye.has_neg_inf
     assert "sl_infinity" in root_system_label(y)
 

@@ -40,6 +40,11 @@ LEAPFROG_CORE = {"z": {"blocks": 1}, "core": [[[0, -2], [0, 0]],
                                               [[0, 0], [0, 2]]],
                  "tails": [{"limit": 0, "type": "leapfrog",
                             "right_from": 2, "left_to": -2}]}
+# the core arc {1, 3} crosses the fountain member {0, 2}
+TAIL_CROSSING = {"z": {"blocks": 1}, "core": [[[0, -1], [0, 1]],
+                                              [[0, 1], [0, 3]]],
+                 "tails": [{"limit": 0, "type": "fountain", "base": [0, 0],
+                            "right_from": 2, "left_to": -2}]}
 BLOCKS2 = {"z": {"blocks": 2}, "core": [[[0, 0], [1, 0]]],
            "tails": [{"limit": 0, "type": "fountain", "base": [0, 0],
                       "right_from": 2, "left_to": -1},
@@ -340,6 +345,28 @@ def test_computing_commands_reject_crossing_core(tri_file, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["index", "--arc", "1", "-1"],
+    ["dimvec", "--arc", "0", "5"],
+    ["decompose"],
+    ["roots", "--arc", "1", "-1"],
+    ["render"],
+])
+def test_computing_commands_reject_core_crossing_tail(tri_file, capsys,
+                                                      argv):
+    """A core arc crossing a tail member passes the checks of the core
+    alone; every command runs the full ``validate`` and stops."""
+    p = tri_file(TAIL_CROSSING)
+    code, out = run(capsys, "validate", "--triangulation", p)
+    assert code == 1 and out["reason"] == "crossing pair"
+    assert out["witness"] == "(Arc(V(0,1),V(0,3)), (0, 'right', 2))"
+    assert main([argv[0], "--triangulation", p] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: invalid triangulation: crossing pair; witness "
+            f"{out['witness']}\n") == captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["realize", "--arc", "1", "3"],
     ["dimvec", "--arc", "1", "3"],
     ["index", "--arc", "1", "3"],
@@ -358,6 +385,13 @@ def test_computing_commands_reject_missing_diagonal(tri_file, capsys, argv):
             f"{out['witness']}\n") == captured.err
 
 
+# A leapfrog whose first member repeats the one core arc, 2 * 10^6
+# vertices long: the face under it is not a triangle.
+SPREAD = {"z": {"blocks": 1}, "core": [[[0, -10 ** 6], [0, 10 ** 6]]],
+          "tails": [{"limit": 0, "type": "leapfrog", "right_from": 10 ** 6,
+                     "left_to": -10 ** 6}]}
+
+
 @pytest.mark.parametrize("doc, argv, reason", [
     ({"z": {"blocks": 100000000}, "core": [], "tails": []}, ["validate"],
      "tail coverage"),
@@ -367,12 +401,17 @@ def test_computing_commands_reject_missing_diagonal(tri_file, capsys, argv):
      "non-triangular face"),
     ({"z": {"finite": 1000000000}, "core": []}, ["index", "--arc", "1", "3"],
      "non-triangular face"),
+    (SPREAD, ["validate"], "non-triangular face"),
+    (SPREAD, ["index", "--arc", "0", "5"], "non-triangular face"),
+    (SPREAD, ["dimvec", "--arc", "0", "5"], "non-triangular face"),
 ])
 def test_huge_models_are_rejected_at_once(tri_file, capsys, doc, argv,
                                           reason):
-    """Tail coverage is decided on the tails given, as gap ranges, and
-    the face walk stops at its first witness: neither pays for the size
-    of the model."""
+    """Tail coverage is decided on the tails given, as gap ranges, the
+    face walk of an n-gon stops at its first witness, and the faces of
+    a Blocks(k) model are checked at the core and the tail end members
+    only: none of them pays for the size of the model or the spread of
+    the indices."""
     p = tri_file(doc)
     start = time.perf_counter()
     code = main([argv[0], "--triangulation", p] + argv[1:])
@@ -407,7 +446,8 @@ def test_import_loads_only_the_standard_library():
             "extra = new - set(sys.stdlib_module_names) - {'infgon'}\n"
             "assert not extra, sorted(extra)\n")
     proc = subprocess.run([sys.executable, "-c", code],
-                          env={"PYTHONPATH": str(src)},
+                          env={"PYTHONPATH": str(src),
+                               "PYTHONDONTWRITEBYTECODE": "1"},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -492,18 +532,22 @@ def test_output_is_deterministic_json(tri_file, capsys):
 # Every input ends in an answer (exit 0), a rejected triangulation
 # (exit 1), a parse or precondition error (exit 2) or the step cap
 # (exit 3), never in an exception.  Models go up to n = 10^9 vertices
-# and k = 10^6 blocks, which no check may pay for; every index lies
-# within 20 of 0, as `validate` still costs O(spread of the indices).
+# and k = 10^6 blocks, and document indices up to 10^12 in size, which
+# no check may pay for.  The `--arc` tokens stay within 20 of 0, near
+# the data of the valid documents: a zig-zag across a leapfrog takes one
+# step per member it passes (2d - 2 vertices from (0, 1) to (0, d)), so
+# an arc far from the data is a long query, not a fault.
 
 SMALL = st.integers(-20, 20)
+WIDE = SMALL | st.integers(-10 ** 12, 10 ** 12)
 SCALAR = (st.none() | st.booleans() | st.text(max_size=3) | st.floats(-20, 20)
           | st.sampled_from([math.inf, -math.inf, math.nan]))
 JUNK = st.recursive(
-    SCALAR | SMALL,
+    SCALAR | WIDE,
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6)
-INT = SMALL | SCALAR  # an integer field, sometimes malformed
+INT = WIDE | SCALAR  # an integer field, sometimes malformed
 POINT = st.one_of(INT, st.lists(INT, min_size=2, max_size=2),
                   st.builds(lambda g: {"limit": g}, INT), JUNK)
 ARC = st.one_of(st.lists(POINT, min_size=2, max_size=2), JUNK)

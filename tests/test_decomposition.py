@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 from infgon.cvector import dimension_vector, support_subset
 from infgon.decomposition import (NEG_INFINITY, MaximalityReport,
                                   OrderDescriptor, OrderedCrossingSet, Root,
-                                  add_vectors, crossing_order, decompose_row,
-                                  delta_plus, in_X, maximal_pairs, psi,
-                                  root_of_arc, root_system_label,
-                                  unique_maximal_iff_acyclic_report, y_ext)
+                                  YExt, add_vectors, crossing_order,
+                                  decompose_row, delta_plus, in_X,
+                                  maximal_pairs, psi, root_of_arc,
+                                  root_system_label,
+                                  unique_maximal_iff_acyclic_report)
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   enumerate_triangulations)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
@@ -116,7 +117,7 @@ def test_crossing_order_matches_comparator_exhaustive():
 
 def test_y_ext_finite():
     z, t = pentagon_fan()
-    ye = y_ext(crossing_order(t, z.v(1), z.v(4)))
+    ye = YExt(crossing_order(t, z.v(1), z.v(4)))
     assert ye.has_neg_inf
     assert len(ye) == 3
     assert ye.members == (NEG_INFINITY, z.arc(0, 2), z.arc(0, 3))
@@ -125,7 +126,7 @@ def test_y_ext_finite():
 def test_y_ext_iso_fountain():
     z, t = fountain_fixture()
     y = crossing_order(t, z.v(1), z.v(-1))
-    ye = y_ext(y)
+    ye = YExt(y)
     assert ye.has_neg_inf
     assert ye.iso_to_y(NEG_INFINITY) == z.arc(0, 2)
     assert ye.iso_to_y(z.arc(0, 2)) == z.arc(0, 3)
@@ -143,7 +144,7 @@ def test_y_ext_no_least_unchanged():
     # reversed orientation: from the limit point, Y has no least
     y = crossing_order(t, Limit(0), Vertex(0, 0))
     assert not y.has_least
-    ye = y_ext(y)
+    ye = YExt(y)
     assert not ye.has_neg_inf
     d = y.descriptor()
     assert d.tail and not d.head
@@ -210,18 +211,18 @@ def test_root_of_arc_fountain():
 
 def test_delta_plus_counts():
     z, t = pentagon_fan()
-    ye = y_ext(crossing_order(t, z.v(1), z.v(4)))
+    ye = YExt(crossing_order(t, z.v(1), z.v(4)))
     assert len(delta_plus(ye)) == 3
     z7 = ZModel.finite(8)
     fan = Triangulation.make(z7, {z7.arc(0, j) for j in range(2, 7)})
-    ye8 = y_ext(crossing_order(fan, z7.v(1), z7.v(7)))
+    ye8 = YExt(crossing_order(fan, z7.v(1), z7.v(7)))
     n = len(ye8)
     assert len(delta_plus(ye8)) == n * (n - 1) // 2
 
 
 def test_delta_plus_infinite_window():
     z, t = fountain_fixture()
-    ye = y_ext(crossing_order(t, z.v(1), z.v(-1)))
+    ye = YExt(crossing_order(t, z.v(1), z.v(-1)))
     roots = delta_plus(ye, window=3)
     assert len(roots) == 15  # C(6, 2) over -inf, 2 head, 3 tail elements
     assert len(set(roots)) == 15
@@ -263,7 +264,7 @@ def test_x_size_and_bijection_finite():
             assert len(x_members) == m * (m + 1) // 2
             roots = {root_of_arc(t, e, f, v) for _, v in x_members}
             assert len(roots) == len(x_members)
-            assert roots == set(delta_plus(y_ext(y)))
+            assert roots == set(delta_plus(YExt(y)))
 
 
 def test_x_downward_closed_and_union():
@@ -317,7 +318,7 @@ def test_hexagon_three_x_sets_sl3():
         e, f = sorted(pair, key=z.key)
         xs = [dv for dv in dims if in_X(t, e, f, dv)]
         assert len(xs) == 3  # Delta+(sl_3)
-        assert len(y_ext(crossing_order(t, e, f))) == 3
+        assert len(YExt(crossing_order(t, e, f))) == 3
 
 
 def test_unique_maximal_iff_acyclic():

@@ -13,8 +13,7 @@ from infgon.cvector import dimension_vector
 from infgon.decomposition import maximal_pairs
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   _crossing_runs, _SubFamily,
-                                  _subfamilies_of_tail, validate,
-                                  validate_structure)
+                                  _subfamilies_of_tail, validate)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
 
 OFFSETS = (0, 100, 1000)
@@ -261,11 +260,10 @@ def test_validate_work_does_not_grow_with_offset(monkeypatch):
 
 
 def test_structure_check_names_the_degenerate_member():
-    rep = validate_structure(_degenerate_fountain(0))
+    rep = validate(_degenerate_fountain(0))
     assert (rep.ok, rep.reason, rep.witness) == (
         False, "non-diagonal tail member", (0, "right", 0))
-    assert validate(_degenerate_fountain(0)) == rep
-    assert validate_structure(fountain(1000)).ok
+    assert validate(fountain(1000)).ok
 
 
 @pytest.mark.parametrize("tail, witness", [
