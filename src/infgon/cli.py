@@ -275,7 +275,7 @@ def cmd_cvector(args) -> int:
     u = _arc_from_tokens(t.z, args.arc)
     sign, v_arc, cov = cvector_full(CVectorQuery(t, u_tri, u))
     _emit_json(args, {"sign": sign,
-                      "arc": arc_to_json(t.z, v_arc) if v_arc else None,
+                      "arc": arc_to_json(t.z, v_arc),
                       "covector": covector_to_json(cov)})
     return 0
 

@@ -9,6 +9,7 @@ Blocks models) are represented exactly.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -135,7 +136,9 @@ def cvector_bar_eval(q: CVectorQuery, t_arc: Arc) -> int:
 
 
 def dimension_vector(t: Triangulation, a: Arc) -> CoVector:
-    """The 0/1 crossing-indicator functional of the virtual arc a."""
+    """The 0/1 crossing-indicator functional of the virtual arc a.  An
+    arc that T holds twice (in the core and a tail, or in two tails)
+    counts once: explicit arcs that a tail term covers are dropped."""
     z = t.z
     explicit = {d: 1 for d in t.core if z.crosses(a, d)}
     terms: list[TailRange] = []
@@ -146,6 +149,9 @@ def dimension_vector(t: Triangulation, a: Arc) -> CoVector:
                     explicit[sf.member(i)] = 1
             else:
                 terms.append(TailRange(sf.gap, sf.sub, lo, hi, 1))
+    if terms:
+        covered = CoVector(t, None, tuple(terms))
+        explicit = {d: 1 for d in explicit if not covered.eval(d)}
     return CoVector(t, explicit, tuple(terms))
 
 
@@ -217,10 +223,6 @@ def support_subset(a: CoVector, b: CoVector) -> bool:
 # Image arcs and full c-vectors.
 
 
-def exchange_partner(u_tri: Triangulation, d: Arc) -> Arc:
-    return u_tri.flip(d)[1]
-
-
 def image_arc(t: Triangulation, u: Arc, ustar: Arc) -> Arc | None:
     """The arc describing the image of the extremal map determined by
     the crossing pair (u, u*): u = {b0, b1} and u* = {a0^-, a1^-}."""
@@ -241,36 +243,37 @@ def image_arc(t: Triangulation, u: Arc, ustar: Arc) -> Arc | None:
     return Arc(h0, h1)
 
 
-def cvector_full(q: CVectorQuery) -> tuple[int, Arc | None, CoVector]:
+def _support_member(t: Triangulation, c: CoVector) -> Arc | None:
+    """A diagonal of T where c is nonzero, None when c is zero: an
+    explicit arc, or the member at a tail term's finite end."""
+    fams = {(sf.gap, sf.sub): sf for sf in t.subfamilies()}
+    ends = (fams[tr.gap, tr.sub].member(tr.hi if tr.lo is None else tr.lo)
+            for tr in c.tail_terms)
+    return next(chain(c.explicit, ends), None)
+
+
+def cvector_full(q: CVectorQuery) -> tuple[int, Arc, CoVector]:
     """Sign, representing arc, and exact CoVector of the c-vector of
     (u, U) over T.
 
-    The sign is read off from evaluations over T's diagonals (finite
-    core plus tail window); sign coherence makes any nonzero value
-    decisive and the dual-basis property excludes the zero functional."""
+    With u* the exchange partner of u in U, a positive c-vector is the
+    dimension vector of the image arc of (u, u*), and a negative one
+    minus that of the image arc of (u*, u).  Each candidate is checked
+    by the index formula at one diagonal of T in its exact support: the
+    c-vector is sign-coherent (Nakanishi-Zelevinsky), so one value of
+    the candidate's sign decides it, and no window is sampled."""
     t, u_tri, u = q.t, q.u_tri, q.u
-    sign = 0
-    for d in t.window_nodes():
-        v = cvector_eval(q, d)
-        if v > 0:
-            sign = 1
-            break
-        if v < 0:
-            sign = -1
-            break
-    if sign == 0:
-        raise ModelError("c-vector vanished on the entire window; "
-                         "invalid query or window too small")
-    ustar = exchange_partner(u_tri, u)
-    if sign > 0:
-        v_arc = image_arc(t, u, ustar)
+    ustar = u_tri.exchange_partner(u)
+    for sign, (a, b) in ((1, (u, ustar)), (-1, (ustar, u))):
+        v_arc = image_arc(t, a, b)
         if v_arc is None:
-            raise ModelError("positive c-vector without an image arc")
-        return (1, v_arc, dimension_vector(t, v_arc))
-    v_arc = image_arc(t, ustar, u)
-    if v_arc is None:
-        raise ModelError("negative c-vector without an image arc")
-    return (-1, v_arc, dimension_vector(t, v_arc).negate())
+            continue
+        dv = dimension_vector(t, v_arc)
+        d = _support_member(t, dv)
+        if d is not None and sign * cvector_eval(q, d) > 0:
+            return (sign, v_arc, dv if sign > 0 else dv.negate())
+    raise ModelError("neither image arc of u and its exchange partner "
+                     "carries the c-vector; invalid query")
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +300,7 @@ def _complete_greedy(t: Triangulation, arcs: set[Arc]) -> frozenset[Arc]:
     return frozenset(out)
 
 
-def realize_dimension_vector(t: Triangulation, v: Arc, verify: bool = True
+def realize_dimension_vector(t: Triangulation, v: Arc
                              ) -> tuple[Triangulation, Arc]:
     """A pair (U, u) whose c-vector over T equals the dimension vector
     of the diagonal v."""
@@ -330,14 +333,12 @@ def realize_dimension_vector(t: Triangulation, v: Arc, verify: bool = True
     # index(U, t) equals dim(v)(t).  The plain c-vector needs the
     # exchange flip at u0 followed by suspension of the whole pair:
     # c(suspend u0*, suspend U*) = -cbar(u0*, U*) = cbar(u0, U).
-    u_star_tri, u_star = u_tri0.flip(u0)
+    u_star = u_tri0.exchange_partner(u0)
     u_tri = Triangulation.make(
-        z, {suspend(z, d) for d in u_star_tri.core})
+        z, {suspend(z, d) for d in (core - {u0}) | {u_star}})
     u = suspend(z, u_star)
-    if verify:
-        q = CVectorQuery(t, u_tri, u)
-        for d in t.core:
-            if cvector_eval(q, d) != dv.eval(d):
-                raise AssertionError(
-                    f"realization failed verification at {d!r}")
+    q = CVectorQuery(t, u_tri, u)
+    for d in t.core:
+        if cvector_eval(q, d) != dv.eval(d):
+            raise AssertionError(f"realization failed verification at {d!r}")
     return (u_tri, u)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .cvector import CoVector, dimension_vector, support, support_subset
 from .triangulation import (Leapfrog, Triangulation, UnattainedError,
-                            _crossing_runs, _SubFamily)
+                            _crossing_runs, _SubFamily, face_sides)
 from .zmodel import (Arc, ClosurePoint, Limit, ModelError, Vertex,
                      keys_cross, keys_in_closed)
 
@@ -598,36 +598,27 @@ class MaximalityReport(NamedTuple):
 
 def unique_maximal_iff_acyclic_report(t: Triangulation) -> MaximalityReport:
     """Acyclicity of the dual quiver against the number of maximal
-    pairs; with several maximal pairs, exhibits an internal triangle
-    (all three sides diagonals of T) witnessing a quiver cycle.  The
-    triangle is looked for at the core and the tail end members
-    (``window_nodes(0)``): an interior tail member lies only on
-    triangles of its tail, each with an edge side (``validate``)."""
+    pairs.  Every arrow of the quiver lies inside one triangle of T and
+    the triangles form a tree, so the quiver has an oriented cycle iff
+    T has an internal triangle (all three sides diagonals of T).  Only
+    faces of ``face_sides`` can be internal: every other face is a
+    triangle of one tail with an edge side (``validate``).  The report
+    names the first internal triangle met in key order."""
     z = t.z
-    acyclic = t.dual_quiver().is_acyclic()
+    football = triangle = None
+    arc_key = lambda ds: (z.key(ds[0].p), z.key(ds[0].q))
+    for d, side in sorted(face_sides(t), key=arc_key):
+        u, h, w = t.triangle_on_side(d, side)
+        sides = (Arc(u, h), Arc(h, w), Arc(w, u))
+        if all(z.is_diagonal(s) and t.contains(s) for s in sides):
+            football, triangle = sides, t._ccw_triangle(frozenset((u, h, w)))
+            break
+    acyclic = football is None
     pairs = frozenset(maximal_pairs(t))
-    if acyclic and len(pairs) != 1:
+    if acyclic != (len(pairs) == 1):
         raise ModelError(
-            "acyclic dual quiver must have exactly one maximal pair; "
-            f"found {len(pairs)}")
-    football = None
-    triangle = None
-    if len(pairs) >= 2:
-        for d in t.window_nodes(0):
-            for side in (z.succ(d.p), z.succ(d.q)):
-                if side in (d.p, d.q):
-                    continue
-                u, h, w = t.triangle_on_side(d, side)
-                sides = (Arc(u, h), Arc(h, w), Arc(w, u))
-                if all(z.is_diagonal(s) and t.contains(s) for s in sides):
-                    football = sides
-                    triangle = t._ccw_triangle(frozenset((u, h, w)))
-                    break
-            if football:
-                break
-        if football is None:
-            raise ModelError(
-                "several maximal pairs but no internal triangle found")
+            f"{'acyclic' if acyclic else 'cyclic'} dual quiver with "
+            f"{len(pairs)} maximal pairs")
     return MaximalityReport(acyclic, pairs, football, triangle)
 
 

@@ -131,29 +131,26 @@ def zigzag(t: Triangulation, e: Vertex, f: Vertex,
     return ZigZagPath(tuple(path), (e, f), t)
 
 
-def index(t: Triangulation, a: Arc, step_cap: int = DEFAULT_STEP_CAP
-          ) -> KVector:
+def index(t: Triangulation, a: Arc) -> KVector:
     """The index of the arc in the basis of t: the alternating sum of
     consecutive zig-zag pairs; edge steps contribute zero.
 
-    Answers under the default step cap are memoized on t, keyed by arc;
-    every call returns a fresh KVector."""
-    if step_cap != DEFAULT_STEP_CAP:
-        return _zigzag_index(t, a, step_cap)
+    Answers are memoized on t, keyed by arc; every call returns a
+    fresh KVector."""
     memo = t._memo("index")
     coeffs = memo.get(a)
     if coeffs is None:
-        coeffs = memo[a] = _zigzag_index(t, a, step_cap).coeffs
+        coeffs = memo[a] = _zigzag_index(t, a).coeffs
     return KVector(coeffs)
 
 
-def _zigzag_index(t: Triangulation, a: Arc, step_cap: int) -> KVector:
+def _zigzag_index(t: Triangulation, a: Arc) -> KVector:
     if not (isinstance(a.p, Vertex) and isinstance(a.q, Vertex)):
         raise ModelError("index needs vertex endpoints")
     z = t.z
     if z.is_edge(a):
         return KVector.zero()
-    path = zigzag(t, a.p, a.q, step_cap=step_cap).vertices
+    path = zigzag(t, a.p, a.q).vertices
     total = KVector.zero()
     for m in range(len(path) - 1):
         step = Arc(path[m], path[m + 1])

@@ -305,11 +305,11 @@ class Triangulation(Frozen):
         return self.tail_ref_of(a) is not None
 
     def tail_ref_of(self, a: Arc) -> tuple[int, str, int] | None:
-        for sf in self.subfamilies():
-            i = sf.index_of(a)
-            if i is not None:
-                return (sf.gap, sf.sub, i)
-        return None
+        memo = self._memo("tail_ref")
+        if a not in memo:
+            memo[a] = next(((sf.gap, sf.sub, i) for sf in self.subfamilies()
+                            for i in (sf.index_of(a),) if i is not None), None)
+        return memo[a]
 
     def contains_or_edge(self, a: Arc) -> bool:
         return self.z.is_edge(a) or self.contains(a)
@@ -564,15 +564,19 @@ class Triangulation(Frozen):
 
     # -- flip ----------------------------------------------------------
 
-    def flip(self, d: Arc) -> tuple["Triangulation", Arc]:
+    def exchange_partner(self, d: Arc) -> Arc:
+        """The arc that replaces the diagonal d of T in a flip (the other
+        diagonal of d's two triangles); tail members have one too."""
         z = self.z
+        return Arc(self.third_vertex(d, z.succ(d.p)),
+                   self.third_vertex(d, z.succ(d.q)))
+
+    def flip(self, d: Arc) -> tuple["Triangulation", Arc]:
         if d not in self.core:
             raise ModelError("only core diagonals can be flipped")
-        h_a = self.third_vertex(d, z.succ(d.p))
-        h_b = self.third_vertex(d, z.succ(d.q))
-        dstar = Arc(h_a, h_b)
+        dstar = self.exchange_partner(d)
         new_core = (self.core - {d}) | {dstar}
-        return (Triangulation(z, new_core, self.tails), dstar)
+        return (Triangulation(self.z, new_core, self.tails), dstar)
 
     # -- dual quiver ----------------------------------------------------
 
@@ -664,10 +668,9 @@ def validate(t: Triangulation) -> ValidationReport:
     face has an arc of T as a side: T has arcs, and members of a
     fountain accumulate on both sides of its limit chord.  So a face
     that is none of these triangles is a face of a core diagonal, or
-    the face of an end member outside its tail, and only those are
-    checked, the arcs in the order of ``t.window_nodes(0)``.  On an
-    n-gon with a non-empty core every face has a core diagonal as a
-    side; the core is walked in its own order.  An empty core is walked
+    the face of an end member outside its tail, and only those
+    (``face_sides``) are checked.  On an n-gon with a non-empty core
+    every face has a core diagonal as a side.  An empty core is walked
     at the boundary edges, listed lazily from vertex 0, up to the first
     witness without building the n edges."""
     z = t.z
@@ -736,38 +739,46 @@ def validate(t: Triangulation) -> ValidationReport:
                      (fb.gap, fb.sub, j)))
 
     # (iii) the faces that can fail, as the docstring argues
-    def check_faces_of(d: Arc, sides):
-        for side in sides:
-            try:
-                a, h, b = t.triangle_on_side(d, side)
-            except (UnattainedError, ModelError) as exc:
+    def check_face(d: Arc, side: ClosurePoint):
+        try:
+            a, h, b = t.triangle_on_side(d, side)
+        except (UnattainedError, ModelError) as exc:
+            return ValidationReport(False, "non-triangular face",
+                                    (d, str(exc)))
+        for sidearc in (Arc(a, h), Arc(h, b)):
+            if not t.contains_or_edge(sidearc):
                 return ValidationReport(False, "non-triangular face",
-                                        (d, str(exc)))
-            for sidearc in (Arc(a, h), Arc(h, b)):
-                if not t.contains_or_edge(sidearc):
-                    return ValidationReport(False, "non-triangular face",
-                                            (d, sidearc))
+                                        (d, sidearc))
         return None
 
-    # both faces of each core diagonal, and of each end member the face
-    # outside its tail, marked by its moving end one index past the range
-    sides = {d: (z.succ(d.p), z.succ(d.q)) for d in t.core}
-    for sf in subfams:
-        i = sf.near_end(sf.imin, sf.imax)
-        past = i - 1 if sf.imin is not None else i + 1
-        sides.setdefault(sf.member(i), (sf.vertex(1, past),))
-    for d in sides if z.is_finite else sorted(
-            sides, key=lambda a: (z.key(a.p), z.key(a.q))):
-        bad = check_faces_of(d, sides[d])
+    for d, side in face_sides(t):
+        bad = check_face(d, side)
         if bad:
             return bad
     if z.is_finite and not t.core:
         for i in range(z.n):
             u, w = Vertex(0, i), Vertex(0, (i + 1) % z.n)
-            bad = check_faces_of(Arc(u, w), [z.succ(w)])
+            bad = check_face(Arc(u, w), z.succ(w))
             if bad:
                 return bad
     return ValidationReport(True)
+
+
+def face_sides(t: Triangulation) -> list[tuple[Arc, ClosurePoint]]:
+    """The faces that ``validate``'s docstring shows can fail, as pairs
+    (arc, side marker) for ``triangle_on_side``: both faces of each core
+    diagonal, and of each tail end member the face outside its tail,
+    marked by its moving end one index past the range.  Arcs come in
+    key order on Blocks models, in the core's own order on an n-gon."""
+    z = t.z
+    sides = {d: (z.succ(d.p), z.succ(d.q)) for d in t.core}
+    for sf in t.subfamilies():
+        i = sf.near_end(sf.imin, sf.imax)
+        past = i - 1 if sf.imin is not None else i + 1
+        sides.setdefault(sf.member(i), (sf.vertex(1, past),))
+    arcs = sides if z.is_finite else sorted(
+        sides, key=lambda a: (z.key(a.p), z.key(a.q)))
+    return [(d, side) for d in arcs for side in sides[d]]
 
 
 # ---------------------------------------------------------------------------

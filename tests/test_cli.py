@@ -142,6 +142,31 @@ def test_cvector_command(tri_file, capsys):
     assert out["covector"] == {"explicit": [[[0, 3], 1]]}
 
 
+def test_cvector_far_offset(tri_file, capsys):
+    # U: a fountain at vertex 20 with the core diagonal u = {21, 23}
+    far = {"z": {"blocks": 1}, "core": [[[0, 21], [0, 23]]],
+           "tails": [{"limit": 0, "type": "fountain", "base": [0, 20],
+                      "right_from": 23, "left_to": 18}]}
+    code, out = run(capsys, "cvector", "--triangulation", tri_file(FOUNTAIN),
+                    "--second-triangulation", tri_file(far, "u.json"),
+                    "--arc", "21", "23")
+    assert code == 0
+    assert out == {"sign": -1, "arc": [[0, 21], [0, 23]],
+                   "covector": {"explicit": [[[[0, 0], [0, 22]], -1]]}}
+
+
+def test_cvector_of_leapfrog_tail_member(tri_file, capsys):
+    # {3, -3} is a member of U's leapfrog, not a core diagonal
+    code, out = run(capsys, "cvector", "--triangulation", tri_file(FOUNTAIN),
+                    "--second-triangulation",
+                    tri_file(LEAPFROG_CORE, "u.json"), "--arc", "3", "-3")
+    assert code == 0
+    assert out["sign"] == 1 and out["arc"] == [[0, -2], [0, 4]]
+    assert out["covector"] == {"explicit": [], "tails": [
+        {"gap": 0, "sub": "left", "lo": None, "hi": -3, "coeff": 1},
+        {"gap": 0, "sub": "right", "lo": 5, "hi": None, "coeff": 1}]}
+
+
 def test_image_command(tri_file, capsys):
     code, out = run(capsys, "image", "--triangulation",
                     tri_file(PENTAGON), "--arc", "1", "3",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -11,9 +12,10 @@ from infgon.cvector import (CVectorQuery, CoVector, RealizationUnsupported,
                             dimension_vector, image_arc,
                             realize_dimension_vector, support, support_subset)
 from infgon.homindex import KVector, index
-from infgon.triangulation import (Fountain, Triangulation,
-                                  enumerate_triangulations)
+from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
+                                  enumerate_triangulations, validate)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel, suspend
+from test_validate import _filled, _shift
 
 
 def pentagon_fixtures():
@@ -232,3 +234,105 @@ def test_cpos_equals_dimension_vectors_pentagon():
                 dset.add(dv)
         assert cpos == dset
         assert len(cpos) == 3
+
+
+# -- an arc that T holds twice counts once ----------------------------------
+
+
+def _points(z, lo=-3, hi=3):
+    """The vertices lo..hi of every block and every limit point."""
+    return ([Vertex(b, i) for b in range(z.k) for i in range(lo, hi + 1)]
+            + [Limit(g) for g in range(z.k)])
+
+
+def core_and_tail():
+    """The core diagonal {0, 2} is also the fountain's first right member."""
+    z, t = fountain_fixture()
+    return Triangulation(z, frozenset({z.arc(0, 2)}), t.tails)
+
+
+def two_tails():
+    """{(0,0), (1,2)} is a member of the fountain at L(0) and of the
+    leapfrog at L(1)."""
+    return Triangulation.make(ZModel.blocks(2), (),
+                              {0: Fountain(Vertex(1, 2), 0, 0),
+                               1: Leapfrog(2, 0)})
+
+
+def _assert_crossing_indicator(t):
+    z = t.z
+    nodes = t.window_nodes(6)
+    for v in (Arc(p, q) for p, q in combinations(_points(z), 2)):
+        dv = dimension_vector(t, v)
+        assert [dv.eval(d) for d in nodes] == [int(z.crosses(v, d))
+                                              for d in nodes], v
+
+
+def test_arc_held_twice_counts_once():
+    t = core_and_tail()
+    z = t.z
+    assert validate(t).ok and t.tail_ref_of(z.arc(0, 2)) is not None
+    assert dimension_vector(t, z.arc(1, -1)).eval(z.arc(0, 2)) == 1
+    t2 = two_tails()
+    shared = Arc(Vertex(0, 0), Vertex(1, 2))
+    assert validate(t2).ok
+    assert sum(sf.index_of(shared) is not None
+               for sf in t2.subfamilies()) == 2
+    dv = dimension_vector(t2, Arc(Vertex(0, -1), Vertex(1, 1)))
+    assert dv.eval(shared) == 1 and shared not in dv.explicit
+    for t in (core_and_tail(), two_tails()):
+        _assert_crossing_indicator(t)
+
+
+def test_dimension_vector_is_the_crossing_indicator_on_generated():
+    for seed in range(8):
+        for k in (1, 2, 3):
+            _assert_crossing_indicator(_filled(random.Random(seed), k))
+
+
+# -- exact signs: non-reachable pairs and far offsets ------------------------
+
+
+def far_pair(m):
+    """T the fountain at vertex 0; U a fountain at vertex m with the
+    core diagonal u = {m+1, m+3}.  The c-vector is supported at the
+    single member {0, m+2} of T."""
+    z, t = fountain_fixture()
+    u = z.arc(m + 1, m + 3)
+    u_tri = Triangulation.make(z, {u}, {0: Fountain(Vertex(0, m), m + 3,
+                                                     m - 2)})
+    return z, t, u_tri, u
+
+
+@pytest.mark.parametrize("m", [5, 10, 20, 100, 10 ** 6])
+def test_cvector_sign_at_any_offset(m):
+    z, t, u_tri, u = far_pair(m)
+    assert validate(t).ok and validate(u_tri).ok
+    q = CVectorQuery(t, u_tri, u)
+    sign, v, cov = cvector_full(q)
+    assert (sign, v) == (-1, u)
+    assert cov == CoVector(t, {z.arc(0, m + 2): -1})
+    assert cvector_eval(q, z.arc(0, m + 2)) == -1
+
+
+def _independent_pairs():
+    """(T, U) drawn independently over Blocks(1..3), U shifted by 0 or
+    3: generically no finite flip path joins them."""
+    rng = random.Random(7)
+    return [(_filled(rng, k), _shift(_filled(rng, k), m))
+            for k in (1, 2, 3) for m in (0, 3) for _ in range(4)]
+
+
+def test_cvector_full_on_non_reachable_pairs():
+    count = tail_u = 0
+    for t, u_tri in _independent_pairs():
+        nodes = t.window_nodes(4)
+        for u in u_tri.window_nodes(1):
+            q = CVectorQuery(t, u_tri, u)
+            sign, _, cov = cvector_full(q)
+            assert cov.sign_coherent() and (sign > 0) == cov.is_positive()
+            assert ([cov.eval(d) for d in nodes]
+                    == [cvector_eval(q, d) for d in nodes]), (t, u_tri, u)
+            count += 1
+            tail_u += u not in u_tri.core
+    assert count >= 300 and tail_u >= 150

@@ -22,6 +22,7 @@ from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
 
 from test_tail_runs import OFFSETS, blocks2, fountain, leapfrog, points, tails
+from test_validate import _filled, _shift
 
 
 def pentagon_fan():
@@ -347,6 +348,24 @@ def test_report_consistency_exhaustive():
         for t in enumerate_triangulations(z):
             rep = unique_maximal_iff_acyclic_report(t)
             assert rep.acyclic == (len(rep.pairs) == 1)
+
+
+def test_report_acyclic_is_the_dual_quiver_acyclic():
+    """The report reads acyclicity off the internal triangles; the dual
+    quiver over the default window, with Kahn's algorithm, is the
+    reference."""
+    tris = [t for n in range(4, 10)
+            for t in enumerate_triangulations(ZModel.finite(n))]
+    tris += [_shift(_filled(random.Random(seed), k), m)
+             for k in (1, 2, 3) for seed in range(40)
+             for m in (0, 100, 10 ** 6)]
+    tris += [build(m) for build in (fountain, leapfrog, blocks2)
+             for m in (0, 100)]
+    assert len(tris) == 624 + 360 + 6
+    for t in tris:
+        rep = unique_maximal_iff_acyclic_report(t)
+        assert rep.acyclic == t.dual_quiver().is_acyclic(), (t.core, t.tails)
+        assert (rep.internal_triangle is None) == rep.acyclic
 
 
 def test_root_system_labels():

@@ -93,10 +93,9 @@ def test_index_memo_returns_fresh_equal_answers():
     assert again == want and again is not first
     again.coeffs[z.arc(0, 2)] = 7
     assert index(t, a) == want
-    # the memo serves only the default cap; a smaller cap still runs
-    # the zig-zag and stops it
+    # the step cap stops the zig-zag itself, memo or not
     with pytest.raises(StepCapExceeded):
-        index(t, a, step_cap=1)
+        zigzag(t, a.p, a.q, step_cap=1)
     assert index(t, a) == want
 
 
