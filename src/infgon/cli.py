@@ -242,12 +242,6 @@ def _emit_json(args, obj) -> None:
     _emit(args, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _window_arcs(t: Triangulation, lo: int, hi: int):
-    return [a for a in t.window_nodes(2 * (abs(lo) + abs(hi)) + 8)
-            if all(lo <= p.idx <= hi for p in a.endpoints()
-                   if isinstance(p, Vertex))]
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 
@@ -378,9 +372,8 @@ def cmd_duality(args) -> int:
     if t.z.is_finite:
         window_t = window_u = None
     else:
-        lo, hi = args.window
-        window_t = _window_arcs(t, lo, hi)
-        window_u = _window_arcs(u, lo, hi)
+        window_t = t.arcs_within(*args.window)
+        window_u = u.arcs_within(*args.window)
     rep = check_duality(t, u, window_t, window_u)
     _emit_json(args, {"ok": rep.ok,
                       "failures": [repr(fx) for fx in rep.failures]})
@@ -446,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, second_tri=False, arc=False, second_arc=False,
-               zz=False):
+               zz=False, window=False):
         p.add_argument("--triangulation", required=True,
                        help="triangulation JSON file")
         if second_tri:
@@ -461,8 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
         if zz:
             p.add_argument("--zigzag", nargs=2, metavar=("E", "F"))
             p.add_argument("--arc", nargs=2, metavar=("P", "Q"))
-        p.add_argument("--window", nargs=2, type=int, default=[-6, 6],
-                       metavar=("LO", "HI"))
+        if window:
+            p.add_argument("--window", nargs=2, type=int, default=[-6, 6],
+                           metavar=("LO", "HI"))
         p.add_argument("--out", help="output file (default stdout)")
 
     cmds = {
@@ -472,11 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
         "dimvec": (cmd_dimvec, {"arc": True}),
         "image": (cmd_image, {"arc": True, "second_arc": True}),
         "realize": (cmd_realize, {"arc": True}),
-        "decompose": (cmd_decompose, {}),
-        "roots": (cmd_roots, {"arc": True}),
-        "duality": (cmd_duality, {"second_tri": True}),
+        "decompose": (cmd_decompose, {"window": True}),
+        "roots": (cmd_roots, {"arc": True, "window": True}),
+        "duality": (cmd_duality, {"second_tri": True, "window": True}),
         "oracle": (cmd_oracle, {}),
-        "render": (cmd_render, {"zz": True}),
+        "render": (cmd_render, {"zz": True, "window": True}),
     }
     for name, (fn, kwargs) in cmds.items():
         p = sub.add_parser(name)

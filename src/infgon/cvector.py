@@ -138,7 +138,11 @@ def cvector_bar_eval(q: CVectorQuery, t_arc: Arc) -> int:
 def dimension_vector(t: Triangulation, a: Arc) -> CoVector:
     """The 0/1 crossing-indicator functional of the virtual arc a.  An
     arc that T holds twice (in the core and a tail, or in two tails)
-    counts once: explicit arcs that a tail term covers are dropped."""
+    counts once, where ``CoVector.eval`` reads it: in a term of the
+    first subfamily holding it, else explicitly.  So explicit arcs a
+    term covers are dropped, and a term starts past the members an
+    earlier subfamily holds (two subfamilies share finitely many
+    members, at the finite end of both)."""
     z = t.z
     explicit = {d: 1 for d in t.core if z.crosses(a, d)}
     terms: list[TailRange] = []
@@ -147,76 +151,37 @@ def dimension_vector(t: Triangulation, a: Arc) -> CoVector:
             if lo is not None and hi is not None:
                 for i in range(lo, hi + 1):
                     explicit[sf.member(i)] = 1
-            else:
-                terms.append(TailRange(sf.gap, sf.sub, lo, hi, 1))
+                continue
+            while t.tail_ref_of(sf.member(lo if hi is None else hi)
+                                )[:2] != (sf.gap, sf.sub):
+                lo, hi = (lo + 1, hi) if hi is None else (lo, hi - 1)
+            terms.append(TailRange(sf.gap, sf.sub, lo, hi, 1))
     if terms:
         covered = CoVector(t, None, tuple(terms))
         explicit = {d: 1 for d in explicit if not covered.eval(d)}
     return CoVector(t, explicit, tuple(terms))
 
 
-# ---------------------------------------------------------------------------
-# Supports.
-
-
-class SupportDescriptor(NamedTuple):
-    arcs: frozenset[Arc]
-    ranges: tuple[tuple[int, str, int | None, int | None], ...]
-
-
-def support(c: CoVector) -> SupportDescriptor:
-    return SupportDescriptor(
-        frozenset(c.explicit),
-        tuple(sorted(((tr.gap, tr.sub, tr.lo, tr.hi)
-                      for tr in c.tail_terms),
-                     key=lambda r: (r[0], r[1],
-                                    r[2] if r[2] is not None else -10 ** 9,
-                                    r[3] if r[3] is not None else 10 ** 9))))
-
-
 def support_subset(a: CoVector, b: CoVector) -> bool:
-    """Decidable inclusion supp(a) <= supp(b) for covectors over the
-    same triangulation."""
+    """Decidable inclusion supp(a) <= supp(b) for crossing indicators
+    over the same triangulation: dimension vectors or their negatives,
+    which are every CoVector the library builds.  Each of their tail
+    terms is a crossing run unbounded on one side (finite runs are
+    explicit), maximal but for the members at its finite end that an
+    earlier subfamily holds, which count there.  So a term of a lies in
+    supp(b) iff it lies inside one term of b on the same subfamily
+    (interval containment, None unbounded), and an explicit arc of a
+    needs b nonzero there."""
     if a.t != b.t:
         raise ModelError("supports live over different triangulations")
-    for arc in a.explicit:
-        if b.eval(arc) == 0:
-            return False
-    t = a.t
-    fams = {(sf.gap, sf.sub): sf for sf in t.subfamilies()}
-    for tr in a.tail_terms:
-        bmatches = [s for s in b.tail_terms
-                    if (s.gap, s.sub) == (tr.gap, tr.sub)]
-        if not bmatches:
-            return False
-        sf = fams[(tr.gap, tr.sub)]
-        if tr.hi is None:
-            cover = [s for s in bmatches if s.hi is None]
-            if not cover:
-                return False
-            s = min(cover, key=lambda s: s.lo if s.lo is not None else -10 ** 9)
-            lo_a = tr.lo if tr.lo is not None else sf.imin
-            lo_b = s.lo if s.lo is not None else sf.imin
-            if lo_b is not None and lo_a is not None and lo_b > lo_a:
-                for i in range(lo_a, lo_b):
-                    if b.eval(sf.member(i)) == 0:
-                        return False
-            elif lo_a is None and lo_b is not None:
-                return False
-        if tr.lo is None:
-            cover = [s for s in bmatches if s.lo is None]
-            if not cover:
-                return False
-            s = max(cover, key=lambda s: s.hi if s.hi is not None else 10 ** 9)
-            hi_a = tr.hi if tr.hi is not None else sf.imax
-            hi_b = s.hi if s.hi is not None else sf.imax
-            if hi_b is not None and hi_a is not None and hi_b < hi_a:
-                for i in range(hi_b + 1, hi_a + 1):
-                    if b.eval(sf.member(i)) == 0:
-                        return False
-            elif hi_a is None and hi_b is not None:
-                return False
-    return True
+
+    def inside(tr: TailRange, s: TailRange) -> bool:
+        return ((tr.gap, tr.sub) == (s.gap, s.sub)
+                and (s.lo is None or tr.lo is not None and s.lo <= tr.lo)
+                and (s.hi is None or tr.hi is not None and tr.hi <= s.hi))
+    return (all(b.eval(arc) for arc in a.explicit)
+            and all(any(inside(tr, s) for s in b.tail_terms)
+                    for tr in a.tail_terms))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import functools
 from itertools import combinations
 from typing import NamedTuple
 
-from .cvector import CoVector, dimension_vector, support, support_subset
+from .cvector import CoVector, dimension_vector, support_subset
 from .triangulation import (Leapfrog, Triangulation, UnattainedError,
                             _crossing_runs, _SubFamily, face_sides)
 from .zmodel import (Arc, ClosurePoint, Limit, ModelError, Vertex,
@@ -131,10 +131,10 @@ class _Segment:
 
 
 class OrderedCrossingSet:
-    """The diagonals of T crossing the virtual arc {e, f}, totally
-    ordered along the segment from e to f.  Finite members are stored
-    explicitly; infinite tail runs are kept symbolic.  All order
-    queries are answered exactly, on position keys.
+    """The diagonals of T crossing the virtual arc {e, f}, the support
+    of dim({e, f}): its explicit arcs, and its tail terms kept as
+    symbolic runs, totally ordered along the segment from e to f.  All
+    order queries are answered exactly, on position keys.
 
     The order key.  A crosser x has one endpoint p strictly inside the
     counterclockwise interval (e, f) and the other, q, inside (f, e).
@@ -159,20 +159,16 @@ class OrderedCrossingSet:
         self.pair = Arc(self.e, self.f)
         self._ke, self._kf = z.key(self.e), z.key(self.f)
         self._keys: dict[Arc, tuple] = {}  # explicit member -> keys
-        explicit = [d for d in t.core if z.crosses(self.pair, d)]
-        self._runs: list[_RunInfo] = []
-        for sf in t.subfamilies():
-            for lo, hi in _crossing_runs(z, sf, self.pair):
-                if lo is not None and hi is not None:
-                    explicit.extend(sf.member(i) for i in range(lo, hi + 1))
-                else:
-                    self._runs.append(_RunInfo(self, sf, lo, hi))
-        if not explicit and not self._runs:
+        dim = _pair_dimension(t, self.pair)
+        if dim.is_zero():
             raise ModelError(
                 f"{self.pair!r} crosses no diagonal of T (empty Y)")
-        self._keys = {a: self._okey(a) for a in explicit}
+        fams = {(sf.gap, sf.sub): sf for sf in t.subfamilies()}
+        self._runs = [_RunInfo(self, fams[tr.gap, tr.sub], tr.lo, tr.hi)
+                      for tr in dim.tail_terms]
+        self._keys = {a: self._okey(a) for a in dim.explicit}
         self._explicit: tuple[Arc, ...] = tuple(
-            sorted(explicit, key=functools.cmp_to_key(self._cmp)))
+            sorted(dim.explicit, key=functools.cmp_to_key(self._cmp)))
         self._struct = None
 
     # -- the order key --------------------------------------------------
@@ -505,19 +501,23 @@ def _interval_root(y: OrderedCrossingSet, a: Arc, b: Arc) -> Root:
     return Root(pos=b, neg=NEG_INFINITY if p is None else p)
 
 
-def in_X(t: Triangulation, e: ClosurePoint, f: ClosurePoint,
-         c: CoVector) -> bool:
-    """Membership of a positive c-vector in X_{e,f}: support inclusion
-    into the support of dim({e, f}), which is memoized on t per arc
-    {e, f}."""
-    if c.is_zero():
-        raise ModelError("the zero vector is not a c-vector")
-    pair = t.z.arc(e, f)
-    dims = t._memo("in_X")
+def _pair_dimension(t: Triangulation, pair: Arc) -> CoVector:
+    """dim({e, f}) for an arc of coerced points, memoized on t per arc:
+    the one crossing set of the pair, read by Y, in_X and maximal_pairs."""
+    dims = t._memo("pair_dimension")
     dim = dims.get(pair)
     if dim is None:
         dim = dims[pair] = dimension_vector(t, pair)
-    return support_subset(c, dim)
+    return dim
+
+
+def in_X(t: Triangulation, e: ClosurePoint, f: ClosurePoint,
+         c: CoVector) -> bool:
+    """Membership of a positive c-vector in X_{e,f}: support inclusion
+    into the support of dim({e, f})."""
+    if c.is_zero():
+        raise ModelError("the zero vector is not a c-vector")
+    return support_subset(c, _pair_dimension(t, t.z.arc(e, f)))
 
 
 def decompose_row(t: Triangulation, e: ClosurePoint, f: ClosurePoint,
@@ -584,7 +584,7 @@ def maximal_pairs(t: Triangulation) -> set[frozenset]:
             pts.add(Limit(g))
     out: set[frozenset] = set()
     for e, f in combinations(sorted(pts, key=t.z.key), 2):
-        if not dimension_vector(t, Arc(e, f)).is_zero():
+        if not _pair_dimension(t, Arc(e, f)).is_zero():
             out.add(frozenset({e, f}))
     return out
 
@@ -626,6 +626,6 @@ __all__ = [
     "NEG_INFINITY", "NegInf", "OrderDescriptor", "OrderedCrossingSet",
     "Root", "YExt", "MaximalityReport", "add_vectors", "crossing_order",
     "decompose_row", "delta_plus", "in_X", "maximal_pairs", "psi",
-    "root_of_arc", "root_system_label", "support", "support_subset",
+    "root_of_arc", "root_system_label", "support_subset",
     "unique_maximal_iff_acyclic_report",
 ]

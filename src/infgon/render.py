@@ -65,27 +65,6 @@ def _window_vertices(z: ZModel, window: tuple[int, int]) -> list[Vertex]:
     return [Vertex(b, i) for b in range(z.k) for i in range(lo, hi + 1)]
 
 
-def _in_window(z: ZModel, a: Arc, window: tuple[int, int]) -> bool:
-    lo, hi = window
-    for p in a.endpoints():
-        if isinstance(p, Vertex) and not z.is_finite:
-            if not (lo <= p.idx <= hi):
-                return False
-    return True
-
-
-def _tri_arcs(t: Triangulation, window: tuple[int, int]) -> list[Arc]:
-    z = t.z
-    if z.is_finite:
-        arcs = list(t.core)
-    else:
-        span = max(abs(window[0]), abs(window[1])) + 2
-        arcs = [a for a in t.window_nodes(2 * span)
-                if _in_window(z, a, window)]
-    key = lambda a: (z.key(a.p), z.key(a.q))
-    return sorted(set(arcs), key=key)
-
-
 def render_svg(spec: RenderSpec) -> str:
     """The SVG document for a render spec; byte-identical for equal
     inputs."""
@@ -108,10 +87,13 @@ def render_svg(spec: RenderSpec) -> str:
         f'r="{_fmt(_R)}"/>',
     ]
 
-    if spec.triangulation is not None:
-        if spec.triangulation.z != z:
+    t = spec.triangulation
+    if t is not None:
+        if t.z != z:
             raise ModelError("triangulation drawn over a different model")
-        for a in _tri_arcs(spec.triangulation, spec.window):
+        arcs = (sorted(t.core, key=lambda a: (z.key(a.p), z.key(a.q)))
+                if z.is_finite else t.arcs_within(*spec.window))
+        for a in arcs:
             (x1, y1), (x2, y2) = _xy(z, a.p), _xy(z, a.q)
             lines.append(
                 f'<line class="triangulation" x1="{_fmt(x1)}" '

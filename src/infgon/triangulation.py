@@ -595,6 +595,27 @@ class Triangulation(Frozen):
         return list(dict.fromkeys(sorted(
             nodes, key=lambda a: (self.z.key(a.p), self.z.key(a.q)))))
 
+    def arcs_within(self, lo: int, hi: int) -> list[Arc]:
+        """The arcs of T whose vertex endpoints all have indices in
+        [lo, hi], in key order.  A subfamily's members there form one
+        index interval: an endpoint o + s*i with s = +-1 lies in [lo, hi]
+        for one interval of i, and a constant one for every i or none."""
+        z = self.z
+        arcs = [a for a in self.core if all(
+            lo <= p.idx <= hi for p in a.endpoints() if isinstance(p, Vertex))]
+        for sf in self.subfamilies():
+            ends = [(sf.imin, sf.imax)]
+            for _, o, s in (sf.e1, sf.e2):
+                if s:
+                    ends.append((lo - o, hi - o) if s > 0 else (o - hi, o - lo))
+                elif not lo <= o <= hi:
+                    ends.append((1, 0))  # no index
+            arcs.extend(sf.member(i) for i in range(
+                max(a for a, _ in ends if a is not None),
+                min(b for _, b in ends if b is not None) + 1))
+        return list(dict.fromkeys(sorted(
+            arcs, key=lambda a: (z.key(a.p), z.key(a.q)))))
+
     def _ccw_triangle(self, verts: frozenset[Vertex]
                       ) -> tuple[Vertex, Vertex, Vertex]:
         a, b, c = sorted(verts, key=self.z.key)

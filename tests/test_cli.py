@@ -45,6 +45,16 @@ TAIL_CROSSING = {"z": {"blocks": 1}, "core": [[[0, -1], [0, 1]],
                                               [[0, 1], [0, 3]]],
                  "tails": [{"limit": 0, "type": "fountain", "base": [0, 0],
                             "right_from": 2, "left_to": -2}]}
+# the core diagonals {0, 2} and {0, 3} are also fountain members
+TWICE = {"z": {"blocks": 1}, "core": [[[0, 0], [0, 2]], [[0, 0], [0, 3]]],
+         "tails": [{"limit": 0, "type": "fountain", "base": [0, 0],
+                    "right_from": 2, "left_to": -2}]}
+# 25 arcs inside [-6, 6], all far from the tails' finite ends
+FAR = {"z": {"blocks": 2}, "core": [],
+       "tails": [{"limit": 0, "type": "leapfrog", "right_from": -100,
+                  "left_to": 100},
+                 {"limit": 1, "type": "fountain", "base": [0, -100],
+                  "right_from": 101, "left_to": -102}]}
 BLOCKS2 = {"z": {"blocks": 2}, "core": [[[0, 0], [1, 0]]],
            "tails": [{"limit": 0, "type": "fountain", "base": [0, 0],
                       "right_from": 2, "left_to": -1},
@@ -235,6 +245,23 @@ def test_roots_on_blocks2_pair(tri_file, capsys):
     code, out = run(capsys, "roots", "--triangulation", tri_file(BLOCKS2),
                     "--arc", "0:1", "1:1", "--window", "-3", "3")
     assert code == 0 and out["neg_inf_adjoined"] is True and out["roots"]
+
+
+def test_roots_count_an_arc_held_twice_once(tri_file, capsys):
+    code, out = run(capsys, "roots", "--triangulation", tri_file(TWICE),
+                    "--arc", "1", "5")
+    assert code == 0
+    assert (out["descriptor"], out["label"], len(out["roots"])) == (
+        "Finite(3)", "sl_4 positive roots", 6)
+
+
+def test_window_commands_see_every_arc_in_the_window(tri_file, capsys):
+    code, out = run(capsys, "render", "--triangulation", tri_file(FAR))
+    assert code == 0 and out.count('class="triangulation"') == 25
+    code, out = run(capsys, "duality", "--triangulation", tri_file(FAR),
+                    "--second-triangulation", tri_file(FAR, "u.json"),
+                    "--window", "-6", "6")
+    assert code == 0 and out["ok"] is True
 
 
 def test_duality_command(tri_file, capsys):
@@ -533,6 +560,25 @@ def test_format_flag_is_gone(tri_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["index", "--triangulation", tri_file(PENTAGON),
               "--arc", "1", "3", "--format", "json"])
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["index", "--arc", "1", "4"], ["dimvec", "--arc", "1", "4"],
+    ["cvector", "--second-triangulation", "U", "--arc", "1", "3"],
+    ["image", "--arc", "1", "3", "--second-arc", "2", "4"],
+    ["realize", "--arc", "1", "4"], ["oracle", "--paths", "1"]],
+    ids=lambda argv: argv[0])
+def test_window_only_where_it_is_read(tri_file, capsys, argv):
+    """Only decompose, roots, duality and render read --window; the
+    other commands refuse it as an unknown argument (exit 2)."""
+    u = tri_file(PENTAGON2, "u.json")
+    argv = [argv[0], "--triangulation", tri_file(PENTAGON)] + [
+        u if a == "U" else a for a in argv[1:]]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--window", "-1", "1"])
     capsys.readouterr()
     assert exc.value.code == 2
 

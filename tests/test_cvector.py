@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -10,8 +11,8 @@ import pytest
 from infgon.cvector import (CVectorQuery, CoVector, RealizationUnsupported,
                             cvector_bar_eval, cvector_eval, cvector_full,
                             dimension_vector, image_arc,
-                            realize_dimension_vector, support, support_subset)
-from infgon.homindex import KVector, index
+                            realize_dimension_vector, support_subset)
+from infgon.homindex import KVector, check_duality, index
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   enumerate_triangulations, validate)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel, suspend
@@ -107,7 +108,7 @@ def test_support_inclusion():
     b = dimension_vector(t, z.arc(1, 4))
     assert support_subset(a, b)
     assert not support_subset(b, a)
-    assert support(a).arcs == frozenset({z.arc(0, 2)})
+    assert a.explicit == {z.arc(0, 2): 1} and not a.tail_terms
 
 
 def test_support_inclusion_tails():
@@ -117,6 +118,87 @@ def test_support_inclusion_tails():
     assert support_subset(inner, outer)
     assert not support_subset(outer, inner)
     assert support_subset(outer, outer)
+
+
+def _support_subset_reference(a, b):
+    """The earlier ``support_subset``, kept as a reference: it takes the
+    covering term of b with the furthest finite end and checks the
+    members between the two finite ends one by one."""
+    if a.t != b.t:
+        raise ModelError("supports live over different triangulations")
+    for arc in a.explicit:
+        if b.eval(arc) == 0:
+            return False
+    fams = {(sf.gap, sf.sub): sf for sf in a.t.subfamilies()}
+    for tr in a.tail_terms:
+        bmatches = [s for s in b.tail_terms
+                    if (s.gap, s.sub) == (tr.gap, tr.sub)]
+        if not bmatches:
+            return False
+        sf = fams[(tr.gap, tr.sub)]
+        if tr.hi is None:
+            cover = [s for s in bmatches if s.hi is None]
+            if not cover:
+                return False
+            s = min(cover, key=lambda s: s.lo if s.lo is not None else -10 ** 9)
+            lo_a = tr.lo if tr.lo is not None else sf.imin
+            lo_b = s.lo if s.lo is not None else sf.imin
+            if lo_b is not None and lo_a is not None and lo_b > lo_a:
+                for i in range(lo_a, lo_b):
+                    if b.eval(sf.member(i)) == 0:
+                        return False
+            elif lo_a is None and lo_b is not None:
+                return False
+        if tr.lo is None:
+            cover = [s for s in bmatches if s.lo is None]
+            if not cover:
+                return False
+            s = max(cover, key=lambda s: s.hi if s.hi is not None else 10 ** 9)
+            hi_a = tr.hi if tr.hi is not None else sf.imax
+            hi_b = s.hi if s.hi is not None else sf.imax
+            if hi_b is not None and hi_a is not None and hi_b < hi_a:
+                for i in range(hi_b + 1, hi_a + 1):
+                    if b.eval(sf.member(i)) == 0:
+                        return False
+            elif hi_a is None and hi_b is not None:
+                return False
+    return True
+
+
+def _assert_support_subset_is_the_reference(t, arcs):
+    """On every ordered pair of distinct nonzero dimension vectors of
+    ``arcs``, and of such a vector and the negative of another."""
+    dims = list(dict.fromkeys(dv for dv in map(
+        partial(dimension_vector, t), arcs) if not dv.is_zero()))
+    for a in dims:
+        for b in dims:
+            assert support_subset(a, b) == _support_subset_reference(a, b)
+        assert support_subset(a.negate(), a) and support_subset(a, a.negate())
+    return len(dims) ** 2
+
+
+def test_support_subset_is_the_reference_on_polygons():
+    pairs = 0
+    for n in (5, 6, 7):
+        z = ZModel.finite(n)
+        for t in enumerate_triangulations(z):
+            pairs += _assert_support_subset_is_the_reference(
+                t, all_diagonals(z))
+    assert pairs == 4749
+
+
+def test_support_subset_is_the_reference_on_generated():
+    rng = random.Random(11)
+    pairs = 0
+    for k in (1, 2, 3):
+        for _ in range(3):
+            t = _filled(rng, k)
+            for m in (0, 7):
+                tm = _shift(t, m)
+                pts = _points(tm.z, m - 2, m + 2)
+                pairs += _assert_support_subset_is_the_reference(
+                    tm, [Arc(p, q) for p, q in combinations(pts, 2)])
+    assert pairs > 100_000
 
 
 def test_image_arc_pentagon():
@@ -336,3 +418,39 @@ def test_cvector_full_on_non_reachable_pairs():
             count += 1
             tail_u += u not in u_tri.core
     assert count >= 300 and tail_u >= 150
+
+
+def test_duality_on_non_reachable_pairs():
+    """Nakanishi-Zelevinsky duality, in its categorical form, on pairs
+    that no finite flip path joins."""
+    for t, u_tri in _independent_pairs()[::2]:
+        rep = check_duality(t, u_tri, t.window_nodes(3), u_tri.window_nodes(3))
+        assert rep.ok, (t, u_tri, rep.failures)
+
+
+def _shift_arc(a, m):
+    return Arc(*(Vertex(p.block, p.idx + m) for p in (a.p, a.q)))
+
+
+@pytest.mark.parametrize("m", [5, 10 ** 6])
+def test_cvector_full_shifts_with_its_pair(m):
+    """Shifting T, U and u by m shifts the c-vector by m: the same sign,
+    the shifted arc and explicit arcs, and fountain tail terms moved by
+    m (leapfrog members are numbered from the tail's start, so a
+    leapfrog term would stay)."""
+    count = 0
+    for t, u_tri in _independent_pairs()[1::2]:
+        tm, um = _shift(t, m), _shift(u_tri, m)
+        moves = {g: m if isinstance(tl, Fountain) else 0 for g, tl in t.tails}
+        for u in u_tri.window_nodes(1):
+            sign, v, cov = cvector_full(CVectorQuery(t, u_tri, u))
+            got = cvector_full(CVectorQuery(tm, um, _shift_arc(u, m)))
+            terms = tuple(tr._replace(
+                lo=None if tr.lo is None else tr.lo + moves[tr.gap],
+                hi=None if tr.hi is None else tr.hi + moves[tr.gap])
+                for tr in cov.tail_terms)
+            assert got == (sign, _shift_arc(v, m), CoVector(
+                tm, {_shift_arc(a, m): c for a, c in cov.explicit.items()},
+                terms)), (t, u_tri, u)
+            count += 1
+    assert count >= 100

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +18,10 @@ from infgon.decomposition import (NEG_INFINITY, MaximalityReport,
                                   root_system_label,
                                   unique_maximal_iff_acyclic_report)
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
-                                  enumerate_triangulations)
+                                  enumerate_triangulations, validate)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
 
+from test_cvector import _points, core_and_tail, two_tails
 from test_tail_runs import OFFSETS, blocks2, fountain, leapfrog, points, tails
 from test_validate import _filled, _shift
 
@@ -255,17 +256,26 @@ def _nonzero_dims(z, t):
 
 
 def test_x_size_and_bijection_finite():
-    for z, t in (pentagon_fan(), hexagon_cyclic()):
-        for pair in maximal_pairs(t):
-            e, f = sorted(pair, key=z.key)
-            y = crossing_order(t, e, f)
-            x_members = [(dv, v) for dv, v in _nonzero_dims(z, t).items()
-                         if in_X(t, e, f, dv)]
-            m = len(y)
-            assert len(x_members) == m * (m + 1) // 2
-            roots = {root_of_arc(t, e, f, v) for _, v in x_members}
-            assert len(roots) == len(x_members)
-            assert roots == set(delta_plus(YExt(y)))
+    """On every triangulation of the n-gon, n = 5..9, each maximal
+    X_{e,f} has m(m+1)/2 members for |Y| = m, and root_of_arc maps it
+    one to one onto Delta^+(Y_ext), the positive roots of sl_(m+1)."""
+    count = 0
+    for n in range(5, 10):
+        z = ZModel.finite(n)
+        for t in enumerate_triangulations(z):
+            dims = _nonzero_dims(z, t)
+            for pair in maximal_pairs(t):
+                count += 1
+                e, f = sorted(pair, key=z.key)
+                y = crossing_order(t, e, f)
+                x_members = [v for dv, v in dims.items()
+                             if in_X(t, e, f, dv)]
+                m = len(y)
+                assert len(x_members) == m * (m + 1) // 2
+                roots = {root_of_arc(t, e, f, v) for v in x_members}
+                assert len(roots) == len(x_members)
+                assert roots == set(delta_plus(YExt(y)))
+    assert count == 1507
 
 
 def test_x_downward_closed_and_union():
@@ -286,6 +296,39 @@ def test_x_downward_closed_and_union():
         # every nonzero dimension vector lies in some maximal X
         for dv in dims:
             assert any(dv in xs for xs in xsets.values())
+
+
+def twice_core():
+    """The core diagonals {0, 2} and {0, 3} are also the fountain's first
+    two right members."""
+    z, t = fountain_fixture()
+    return Triangulation(z, frozenset({z.arc(0, 2), z.arc(0, 3)}), t.tails)
+
+
+@pytest.mark.parametrize("build", [twice_core, core_and_tail, two_tails])
+def test_y_lists_an_arc_held_twice_once(build):
+    """Y is the support of dim({e, f}): no member repeats in its members
+    or at its ends, and a finite Y is the explicit support."""
+    t = build()
+    z = t.z
+    assert validate(t).ok
+    seen = 0
+    for e, f in permutations(_points(z), 2):
+        dim = dimension_vector(t, Arc(e, f))
+        if dim.is_zero():
+            continue
+        y = crossing_order(t, e, f)
+        if y.is_finite:
+            assert sorted(y.members, key=str) == sorted(dim.explicit, key=str)
+        for end in ((y.first(8) if y.has_least else []),
+                    (y.last(8) if y.has_greatest else [])):
+            assert len(set(end)) == len(end), (e, f)
+        seen += 1
+    assert seen >= 30
+    if build is twice_core:
+        y = crossing_order(t, 1, 5)
+        assert str(y.descriptor()) == "Finite(3)"
+        assert len(delta_plus(YExt(y))) == 6
 
 
 # -- maximal pairs ----------------------------------------------------------

@@ -10,7 +10,7 @@ import pickle
 
 import pytest
 
-from infgon.cvector import CVectorQuery, SupportDescriptor, TailRange
+from infgon.cvector import CVectorQuery, TailRange
 from infgon.decomposition import (NEG_INFINITY, MaximalityReport,
                                   OrderDescriptor, Root)
 from infgon.homindex import DualityReport, ZigZagPath
@@ -58,9 +58,6 @@ RECORDS = [
     (TailRange(0, "right", 2, None, 1),
      "TailRange(gap=0, sub='right', lo=2, hi=None, coeff=1)",
      ("gap", "sub", "lo", "hi", "coeff")),
-    (SupportDescriptor(frozenset({A}), ()),
-     "SupportDescriptor(arcs=frozenset({Arc(V(0,0),V(0,2))}), ranges=())",
-     ("arcs", "ranges")),
     (NEG_INFINITY, "-inf", ()),
     (OrderDescriptor(head=True),
      "OrderDescriptor(finite_size=None, head=True, z_blocks=0, tail=False)",

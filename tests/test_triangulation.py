@@ -3,6 +3,7 @@ hand-frozen infinite fixtures."""
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,8 @@ from infgon.triangulation import (DualQuiver, Fountain, Leapfrog,
                                   Triangulation, enumerate_triangulations,
                                   validate)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
+
+from test_validate import _filled, _shift
 
 
 def pentagon_fan():
@@ -432,3 +435,35 @@ def test_dual_quiver_no_loops_or_2cycles():
             for s, d in pairs:
                 assert s != d
                 assert (d, s) not in pairs
+
+
+# -- arcs within an index window ---------------------------------------------
+
+
+# 25 arcs inside [-6, 6], all far from the tails' finite ends
+FAR = Triangulation.make(ZModel.blocks(2), (), {
+    0: Leapfrog(-100, 100), 1: Fountain(Vertex(0, -100), 101, -102)})
+
+
+def _brute_arcs_within(t, lo, hi):
+    z = t.z
+    verts = [Vertex(b, i) for b in range(z.k) for i in range(lo, hi + 1)]
+    return {a for a in (Arc(p, q) for p, q in combinations(verts, 2))
+            if z.is_diagonal(a) and t.contains(a)}
+
+
+def test_arcs_within_is_brute_force():
+    """Every arc of T with both ends in [lo, hi], each once, in key
+    order, however far the window lies from the tails' finite ends."""
+    assert validate(FAR).ok and len(FAR.arcs_within(-6, 6)) == 25
+    rng = random.Random(3)
+    cases = [(FAR, 0)] + [(_filled(rng, k), m) for k in (1, 2, 3)
+                          for _ in range(3) for m in (0, 40)]
+    for t, m in cases:
+        t = _shift(t, m)
+        z = t.z
+        for lo, hi in ((-6, 6), (-2, 9), (3, 3), (5, -5), (-30, -20)):
+            got = t.arcs_within(lo + m, hi + m)
+            assert len(set(got)) == len(got)
+            assert set(got) == _brute_arcs_within(t, lo + m, hi + m)
+            assert got == sorted(got, key=lambda a: (z.key(a.p), z.key(a.q)))
