@@ -486,6 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        lo, hi = getattr(args, "window", (0, 0))
+        if lo > hi:
+            raise ParseError("--window", f"LO {lo} exceeds HI {hi}")
         return args.fn(args)
     except StepCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

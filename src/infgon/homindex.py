@@ -151,7 +151,7 @@ def _zigzag_index(t: Triangulation, a: Arc) -> KVector:
     if z.is_edge(a):
         return KVector.zero()
     path = zigzag(t, a.p, a.q).vertices
-    total = KVector.zero()
+    total: dict[Arc, int] = {}
     for m in range(len(path) - 1):
         step = Arc(path[m], path[m + 1])
         if z.is_edge(step):
@@ -160,8 +160,8 @@ def _zigzag_index(t: Triangulation, a: Arc) -> KVector:
             raise ModelError(
                 f"zig-zag step {step!r} is a diagonal outside T "
                 "(invalid triangulation)")
-        total = total + (-1) ** m * KVector.basis(step)
-    return total
+        total[step] = total.get(step, 0) + (-1) ** m
+    return KVector(total)
 
 
 def index_of_kvector(t: Triangulation, kv: KVector) -> KVector:

@@ -16,7 +16,9 @@ change only within one index of a breakpoint: where a moving endpoint
 meets a given vertex of its block or the other endpoint, or at an end
 of the range.  ``_SubFamily.runs`` evaluates every index within 2 of a
 breakpoint plus one sentinel beyond them all, a complete decision
-procedure, not a sample (its docstring gives the argument).
+procedure, not a sample (its docstring gives the argument).  Queries
+at one vertex x run it only on a constant endpoint at x; a moving one
+meets x at one index, ``_SubFamily._match`` (``_extremal_connected``).
 
 No breakpoint or window is placed at vertex 0, where the position keys
 start: every cyclic test rotates the keys to start at its own low end.
@@ -342,17 +344,18 @@ class Triangulation(Frozen):
                      default=0)
         return spread + _MARGIN
 
-    def neighbours(self) -> dict[ClosurePoint, tuple[ClosurePoint, ...]]:
-        """Each endpoint of a core diagonal mapped to the other endpoints
-        of the core diagonals at it.  Built once, checking every endpoint
-        against the model; do not mutate."""
+    def neighbours(self) -> dict[ClosurePoint, tuple[tuple, ...]]:
+        """Each endpoint of a core diagonal mapped to the pairs (q, key
+        of q) for the vertices q joined to it by a core diagonal.  Built
+        once, checking every endpoint against the model; do not mutate."""
         cached = self.__dict__.get("_nbr_cache")
         if cached is None:
-            acc: dict[ClosurePoint, list[ClosurePoint]] = {}
+            acc: dict[ClosurePoint, list[tuple[Vertex, tuple]]] = {}
             for arc in self.core:
                 for (p, q) in ((arc.p, arc.q), (arc.q, arc.p)):
-                    self.z.key(p)  # raises ModelError outside the model
-                    acc.setdefault(p, []).append(q)
+                    kq = self.z.key(q)  # raises ModelError outside the model
+                    if q.__class__ is Vertex:  # a limit point joins nothing
+                        acc.setdefault(p, []).append((q, kq))
             cached = {p: tuple(qs) for p, qs in acc.items()}
             object.__setattr__(self, "_nbr_cache", cached)
         return cached
@@ -365,45 +368,56 @@ class Triangulation(Frozen):
                             edges_allowed: bool) -> Vertex | None:
         """inf (or sup) over A = [a_lo, a_hi] of vertices joined to some
         vertex of B = [b_lo, b_hi] by a diagonal of T, or an edge when
-        edges_allowed.  Ordering is position along A from a_lo."""
+        edges_allowed.  Ordering is position along A from a_lo: the key
+        k rotated to start there, (k < key(a_lo), k).
+
+        Why one index decides a tail when B is one vertex x.  Member(i)
+        joins x exactly when one of its endpoints (b, o + s*i) is x.
+        With s != 0 that endpoint moves one vertex per index inside
+        block b, so it is x at the one index (x.idx - o)*s, or at none
+        if x lies in another block (``_SubFamily._match``).  With s == 0
+        it is x at every index or at none; at every index, the members
+        whose other endpoint lies in A form the runs of
+        ``_SubFamily.runs``, with their limit points.  A circle
+        neighbour of x in A is an end of A, as A excludes x."""
         z = self.z
         key = z.key
         k_alo, k_ahi = key(a_lo), key(a_hi)
-        k_blo, k_bhi = key(b_lo), key(b_hi)
-        feas: dict[Vertex, tuple] = {}
+        k_blo = key(b_lo)
+        k_bhi = k_blo if b_hi is b_lo else key(b_hi)
+        top = (k_ahi < k_alo, k_ahi)  # A's far end, rotated
+        point = k_blo == k_bhi and b_lo.__class__ is Vertex
+        feas: dict[Vertex, tuple] = {}  # candidate -> its rotated key
         limits: list[tuple] = []  # limits approached on the wanted side
 
-        def in_a(p):
-            return (isinstance(p, Vertex)
-                    and keys_in_closed(k_alo, key(p), k_ahi))
+        def add(v: Vertex, kv: tuple):
+            if (kv < k_alo, kv) <= top:
+                feas[v] = (kv < k_alo, kv)
 
         def in_b(p):
             return keys_in_closed(k_blo, key(p), k_bhi)
 
-        def add(v: Vertex):
-            feas.setdefault(v, z.rel(v, a_lo))
-
-        if k_blo == k_bhi:
-            # B is the single point b_lo: only its neighbours join it.
-            for u in self.neighbours().get(b_lo, ()):
-                if in_a(u):
-                    add(u)
-        else:
-            for arc in self.core:
-                for (u, w) in ((arc.p, arc.q), (arc.q, arc.p)):
-                    if in_a(u) and in_b(w):
-                        add(u)
+        nbrs = self.neighbours()
+        for u, ku in (nbrs.get(b_lo, ()) if point else
+                      [uk for w, ws in nbrs.items() if in_b(w) for uk in ws]):
+            add(u, ku)
 
         if edges_allowed:
-            for u in {a_lo, a_hi}:
-                for w in (z.succ(u), z.pred(u)):
-                    if in_b(w):
-                        add(u)
+            for u, ku in ((a_lo, k_alo), (a_hi, k_ahi)):
+                if (z.are_neighbours(u, b_lo) if point
+                        else in_b(z.succ(u)) or in_b(z.pred(u))):
+                    add(u, ku)
 
-        bounds = (a_lo, a_hi, b_lo, b_hi)
         for sf in self.subfamilies():
             for wa in (0, 1):
-                blk, off, slope = sf.e2 if wa else sf.e1
+                i = sf._match(sf.e1 if wa else sf.e2, b_lo) if point else "any"
+                if i is None or (i != "any" and not sf.in_range(i)):
+                    continue
+                if i != "any":
+                    if (ka := sf.key(z, wa, i)) != k_blo:
+                        add(sf.vertex(wa, i), ka)
+                    continue
+                blk, _, slope = sf.e2 if wa else sf.e1
 
                 def feasible(i, sf=sf, wa=wa):
                     ka = sf.key(z, wa, i)
@@ -412,12 +426,13 @@ class Triangulation(Frozen):
                     kb = sf.key(z, 1 - wa, i)
                     return ka != kb and keys_in_closed(k_blo, kb, k_bhi)
 
-                for lo, hi in sf.runs(bounds, feasible):
+                for lo, hi in sf.runs((a_lo, a_hi, b_lo, b_hi), feasible):
                     # along a run va moves monotonically inside A, so
                     # its extremes sit at the run's ends
                     for end, up in ((lo, False), (hi, True)):
                         if end is not None or slope == 0:
-                            add(Vertex(blk, off + slope * (end or 0)))
+                            add(sf.vertex(wa, end or 0),
+                                sf.key(z, wa, end or 0))
                         elif ((slope > 0) == up) != want_min:
                             lim = blk - 1 if want_min else blk
                             limits.append(z.rel(Limit(lim % z.k), a_lo))
@@ -441,23 +456,25 @@ class Triangulation(Frozen):
 
     # -- public interval queries --------------------------------------
 
-    def _check_interval_excludes(self, lo: Vertex, hi: Vertex, x: Vertex):
-        if self.z.in_closed(lo, x, hi):
+    def _one_point(self, want_min: bool, x: Vertex, lo: Vertex, hi: Vertex,
+                   diagonals_only: bool) -> Vertex | None:
+        """inf_connected (want_min) or sup_connected: a Vertex argument
+        is checked by its key, anything else coerced by ``z.v``."""
+        z = self.z
+        if not x.__class__ is lo.__class__ is hi.__class__ is Vertex:
+            x, lo, hi = z.v(x), z.v(lo), z.v(hi)
+        if z.in_closed(lo, x, hi):
             raise ModelError("interval [lo, hi] must not contain x")
+        return self._extremal_connected(want_min, lo, hi, x, x,
+                                        not diagonals_only)
 
     def sup_connected(self, x: Vertex, lo: Vertex, hi: Vertex,
                       diagonals_only: bool = False) -> Vertex | None:
-        x, lo, hi = self.z.v(x), self.z.v(lo), self.z.v(hi)
-        self._check_interval_excludes(lo, hi, x)
-        return self._extremal_connected(False, lo, hi, x, x,
-                                        not diagonals_only)
+        return self._one_point(False, x, lo, hi, diagonals_only)
 
     def inf_connected(self, x: Vertex, lo: Vertex, hi: Vertex,
                       diagonals_only: bool = False) -> Vertex | None:
-        x, lo, hi = self.z.v(x), self.z.v(lo), self.z.v(hi)
-        self._check_interval_excludes(lo, hi, x)
-        return self._extremal_connected(True, lo, hi, x, x,
-                                        not diagonals_only)
+        return self._one_point(True, x, lo, hi, diagonals_only)
 
     # -- adjacent triangles -------------------------------------------
 
@@ -468,9 +485,10 @@ class Triangulation(Frozen):
         u, w = d.p, d.q
         if not (isinstance(u, Vertex) and isinstance(w, Vertex)):
             raise ModelError("third_vertex needs vertex endpoints")
-        if not z.strictly_between(u, side, w):
-            if not z.strictly_between(w, side, u):
-                raise ModelError("side marker must not be an endpoint of d")
+        ku, ks, kw = z.key(u), z.key(side), z.key(w)
+        if ks == ku or ks == kw:
+            raise ModelError("side marker must not be an endpoint of d")
+        if not keys_in_closed(ku, ks, kw):
             u, w = w, u
         # region is [u, w] counterclockwise
         if z.succ(u) == w:
@@ -500,7 +518,8 @@ class Triangulation(Frozen):
         {i0, h1, s1} triangles of T, or None when no diagonal of T
         connects the two intervals."""
         z = self.z
-        a0, b0, a1, b1 = (z.v(p) for p in (a0, b0, a1, b1))
+        a0, b0, a1, b1 = (p if p.__class__ is Vertex else z.v(p)
+                          for p in (a0, b0, a1, b1))  # keys check a Vertex
         r = lambda p: z.rel(p, a0)
         if not (r(a0) <= r(b0) < r(a1) <= r(b1)):
             raise ModelError("need a0 <= b0 < a1 <= b1 < a0 cyclically")

@@ -141,6 +141,9 @@ class ZModel(Frozen):
         raise ModelError(f"cannot interpret {a!r} as a vertex")
 
     def check_vertex(self, v: Vertex) -> Vertex:
+        """v if it is a Vertex of this model, else ModelError."""
+        if v.__class__ is not Vertex:
+            raise ModelError(f"cannot interpret {v!r} as a vertex")
         n = self.n
         if n is not None:
             if v.block != 0 or not (0 <= v.idx < n):
@@ -163,13 +166,13 @@ class ZModel(Frozen):
     # -- successor / predecessor -------------------------------------
 
     def succ(self, v: Vertex) -> Vertex:
-        block, idx = self.v(v)
+        block, idx = self.check_vertex(v)
         if self.n is not None:
             return Vertex(0, (idx + 1) % self.n)
         return Vertex(block, idx + 1)
 
     def pred(self, v: Vertex) -> Vertex:
-        block, idx = self.v(v)
+        block, idx = self.check_vertex(v)
         if self.n is not None:
             return Vertex(0, (idx - 1) % self.n)
         return Vertex(block, idx - 1)
@@ -245,7 +248,7 @@ class ZModel(Frozen):
         return self.v(p)
 
     def are_neighbours(self, u: Vertex, v: Vertex) -> bool:
-        (bu, iu), (bv, iv) = self.v(u), self.v(v)
+        (bu, iu), (bv, iv) = self.check_vertex(u), self.check_vertex(v)
         if self.n is not None:
             return (iu - iv) % self.n in (1, self.n - 1)
         return bu == bv and abs(iu - iv) == 1

@@ -583,6 +583,23 @@ def test_window_only_where_it_is_read(tri_file, capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose"], ["roots", "--arc", "1", "-1"],
+    ["duality", "--second-triangulation", "U"], ["render"]],
+    ids=lambda argv: argv[0])
+def test_exit_2_on_window_with_lo_above_hi(tri_file, capsys, argv):
+    """A window LO > HI holds no index: the four window commands exit 2
+    naming --window instead of answering emptily, and a window of one
+    index is still read."""
+    u = tri_file(FOUNTAIN2, "u.json")
+    argv = [argv[0], "--triangulation", tri_file(FOUNTAIN)] + [
+        u if a == "U" else a for a in argv[1:]]
+    assert main(argv + ["--window", "5", "-5"]) == 2
+    assert "error: --window: LO 5 exceeds HI -5" in capsys.readouterr().err
+    assert main(argv + ["--window", "3", "3"]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 def test_out_flag_writes_file(tri_file, tmp_path, capsys):
     dest = tmp_path / "report.json"
     code = main(["validate", "--triangulation", tri_file(PENTAGON),

@@ -9,11 +9,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infgon.cvector import dimension_vector
+from infgon.cvector import (CVectorQuery, cvector_full, dimension_vector,
+                            realize_dimension_vector)
 from infgon.decomposition import maximal_pairs
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   _crossing_runs, _SubFamily,
-                                  _subfamilies_of_tail, validate)
+                                  _subfamilies_of_tail,
+                                  enumerate_triangulations, validate)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
 
 OFFSETS = (0, 100, 1000)
@@ -241,22 +243,75 @@ def test_invalid_fixture_rejected_with_translated_witness(build):
     assert rep.witness == _shift_witness(rep0.witness, 1000)
 
 
+def _count_calls(monkeypatch, *targets) -> dict[str, int]:
+    """Counts the calls of each (class, method name) in targets."""
+    calls = {}
+    for cls, name in targets:
+        calls[name] = 0
+
+        def counted(self, *args, inner=getattr(cls, name), name=name):
+            calls[name] += 1
+            return inner(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 def test_validate_work_does_not_grow_with_offset(monkeypatch):
-    calls = {"n": 0}
-    inner = Triangulation._extremal_connected
-
-    def counted(self, *args):
-        calls["n"] += 1
-        return inner(self, *args)
-
-    monkeypatch.setattr(Triangulation, "_extremal_connected", counted)
+    """The engine queries and the breakpoint runs of one ``validate``
+    do not grow with the offset m."""
+    calls = _count_calls(monkeypatch, (Triangulation, "_extremal_connected"),
+                         (_SubFamily, "runs"))
     for build, _ in FIXTURES:
         per_m = []
-        for m in (0, 1000):
-            calls["n"] = 0
+        for m in (0, 1000, 10 ** 6):
+            calls.update(dict.fromkeys(calls, 0))
             assert validate(build(m)).ok
-            per_m.append(calls["n"])
-        assert per_m[1] <= per_m[0], build.__name__
+            per_m.append(dict(calls))
+        assert all(c["_extremal_connected"] <= per_m[0]["_extremal_connected"]
+                   for c in per_m), build.__name__
+        assert all(c["runs"] == per_m[0]["runs"] for c in per_m), per_m
+
+
+def test_one_point_queries_run_only_a_constant_endpoint_at_the_point(
+        monkeypatch):
+    """A one-point query evaluates breakpoint runs only on a subfamily
+    whose constant endpoint is the point: elsewhere one index decides."""
+    seen = []
+    inner = _SubFamily.runs
+
+    def runs(self, bounds, pred):
+        seen.append((self, bounds))
+        return inner(self, bounds, pred)
+
+    monkeypatch.setattr(_SubFamily, "runs", runs)
+    for build, _ in FIXTURES:
+        t = build(1000)
+        for x in (Vertex(b, 1000 + i) for b in range(t.z.k)
+                  for i in range(-6, 7)):
+            for lo, hi in ((3, 9), (-9, -3), (3, -3)):
+                t.sup_connected(x, Vertex(x.block, x.idx + lo),
+                                Vertex(x.block, x.idx + hi))
+    assert seen
+    for sf, (_, _, x, y) in seen:
+        assert x == y and x in [Vertex(b, o) for b, o, s in (sf.e1, sf.e2)
+                                if s == 0]
+
+
+def test_octagon_round_trips_call_no_runs(monkeypatch):
+    """A finite polygon has no tail, so no (T, v) realization round
+    trip on the octagon evaluates breakpoint runs."""
+    calls = _count_calls(monkeypatch, (_SubFamily, "runs"))
+    z = ZModel.finite(8)
+    for t in enumerate_triangulations(z):
+        for v in (a for a in (z.arc(i, j) for i in range(8)
+                              for j in range(i + 2, 8)) if z.is_diagonal(a)):
+            if v in t.core:
+                continue
+            dimension_vector(t, v)
+            u_tri, u = realize_dimension_vector(t, v)
+            cvector_full(CVectorQuery(t, u_tri, u))
+    assert calls == {"runs": 0}
 
 
 def test_structure_check_names_the_degenerate_member():

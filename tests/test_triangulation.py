@@ -13,7 +13,7 @@ from infgon.triangulation import (DualQuiver, Fountain, Leapfrog,
                                   validate)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
 
-from test_validate import _filled, _shift
+from test_validate import _filled, _flipped, _shift
 
 
 def pentagon_fan():
@@ -467,3 +467,103 @@ def test_arcs_within_is_brute_force():
             assert len(set(got)) == len(got)
             assert set(got) == _brute_arcs_within(t, lo + m, hi + m)
             assert got == sorted(got, key=lambda a: (z.key(a.p), z.key(a.q)))
+
+
+# -- one-point queries against explicit enumeration ---------------------------
+
+# Queries use vertices within SPAN of the offset m, near the data of the
+# generated triangulations (within 5 of m).  The enumeration lists every
+# tail member within REACH indices of its subfamily's finite end: every
+# member with an endpoint within SPAN of m, and for a constant endpoint
+# every member whose other endpoint is.
+SPAN, REACH = 7, 40
+
+
+def _joined(t: Triangulation) -> dict[Vertex, set[Vertex]]:
+    """Each vertex mapped to the vertices joined to it by the core or by
+    a tail member listed one by one."""
+    arcs = list(t.core)
+    for sf in t.subfamilies():
+        end = sf.imin if sf.imin is not None else sf.imax
+        arcs += [sf.member(i) for i in range(end - REACH, end + REACH + 1)
+                 if sf.in_range(i)]
+    out: dict[Vertex, set[Vertex]] = {}
+    for a in arcs:
+        out.setdefault(a.p, set()).add(a.q)
+        out.setdefault(a.q, set()).add(a.p)
+    return out
+
+
+def _brute_one_point(joined, x, verts, edges, want_min):
+    """The first (want_min) or last of verts, listed counterclockwise,
+    joined to x by a listed arc or, when edges, by an edge."""
+    hits = [v for v in verts if v in joined.get(x, ()) or (
+        edges and v.block == x.block and abs(v.idx - x.idx) == 1)]
+    return (hits[0] if want_min else hits[-1]) if hits else None
+
+
+@pytest.mark.parametrize("m", [0, 10 ** 6])
+def test_one_point_queries_match_enumeration_on_generated_blocks(m):
+    """sup_connected, inf_connected and third_vertex on generated valid
+    Blocks(1..3) triangulations, over intervals inside one block (they
+    stop short of every limit point), against the enumerated core, edge
+    and tail members."""
+    rng = random.Random(12)
+    queries = 0
+    for k in (1, 2, 3):
+        for _ in range(4):
+            t = _shift(_flipped(rng, k), m)
+            assert validate(t).ok
+            joined = _joined(t)
+            verts = [Vertex(b, i) for b in range(k)
+                     for i in range(m - SPAN, m + SPAN + 1)]
+            for _ in range(200):
+                x, b = rng.choice(verts), rng.randrange(k)
+                i, j = sorted(rng.randint(m - SPAN, m + SPAN) for _ in "ij")
+                if x.block == b and i <= x.idx <= j:
+                    continue
+                lo, hi = Vertex(b, i), Vertex(b, j)
+                span = [Vertex(b, h) for h in range(i, j + 1)]
+                for diagonals_only in (False, True):
+                    for want_min, query in ((False, t.sup_connected),
+                                            (True, t.inf_connected)):
+                        assert query(x, lo, hi, diagonals_only) == \
+                            _brute_one_point(joined, x, span,
+                                             not diagonals_only, want_min)
+                        queries += 1
+            for b in range(k):
+                for i, j in combinations(range(m - SPAN, m + SPAN + 1), 2):
+                    if j - i < 2:
+                        continue
+                    u, w = Vertex(b, i), Vertex(b, j)
+                    inner = [Vertex(b, h) for h in range(i + 1, j)]
+                    assert t.third_vertex(Arc(u, w), inner[0]) == \
+                        _brute_one_point(joined, w, inner, True, True)
+                    queries += 1
+    assert queries > 8_000
+
+
+@pytest.mark.parametrize("m", [0, 10 ** 6])
+def test_one_point_queries_on_the_fountain_through_its_limit(m):
+    """On the fountain fixture, over every interval of a window, those
+    through L(0) included: each answer is the enumerated one, and none
+    is an UnattainedError, as before the one-point kernel.  A fountain's
+    members accumulate at L(0) from both sides, so an interval through
+    L(0) holds them on both sides, and its first and last ones near its
+    ends are attained."""
+    t = _shift(fountain_fixture()[1], m)
+    joined = _joined(t)
+    window = range(m - SPAN, m + SPAN + 1)
+    for x, i, j in ((x, i, j) for x in window for i in window for j in window):
+        if (i <= x <= j) if i <= j else (x >= i or x <= j):
+            continue
+        span = ([Vertex(0, h) for h in range(i, j + 1)] if i <= j else
+                [Vertex(0, h) for h in range(i, m + REACH - 8)]
+                + [Vertex(0, h) for h in range(m - REACH + 8, j + 1)])
+        for diagonals_only in (False, True):
+            for want_min, query in ((False, t.sup_connected),
+                                    (True, t.inf_connected)):
+                got = query(Vertex(0, x), Vertex(0, i), Vertex(0, j),
+                            diagonals_only)
+                assert got == _brute_one_point(
+                    joined, Vertex(0, x), span, not diagonals_only, want_min)

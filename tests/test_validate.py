@@ -131,6 +131,19 @@ def _filled(rng: random.Random, k: int) -> Triangulation:
     return Triangulation(z, frozenset(core), t.tails)
 
 
+def _flipped(rng: random.Random, k: int) -> Triangulation:
+    """``_filled``, then three flips of core diagonals drawn at random:
+    still a triangulation, with cores the greedy fill does not reach (a
+    flipped-in diagonal may join two blocks' data)."""
+    t = _filled(rng, k)
+    z = t.z
+    for _ in range(3):
+        if t.core:
+            core = sorted(t.core, key=lambda a: (z.key(a.p), z.key(a.q)))
+            t, _ = t.flip(rng.choice(core))
+    return t
+
+
 def _perturbed(rng: random.Random, t: Triangulation) -> Triangulation:
     """t with one core diagonal dropped or one tail bound moved by +-1."""
     z = t.z
