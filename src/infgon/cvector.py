@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 from .homindex import index, index_bar
 from .triangulation import Triangulation, _crossing_runs
-from .zmodel import Arc, Frozen, ModelError, RealizationUnsupported, suspend
+from .zmodel import (Arc, Frozen, ModelError, RealizationUnsupported,
+                     keys_cross, suspend)
 
 
 class TailRange(NamedTuple):
@@ -44,7 +45,10 @@ class CoVector:
     def __init__(self, t: Triangulation, explicit: dict[Arc, int] | None = None,
                  tail_terms: tuple[TailRange, ...] = ()):
         self.t = t
-        self.explicit = {a: c for a, c in (explicit or {}).items() if c != 0}
+        explicit = dict(explicit or {})  # a copy reuses the stored hashes
+        if 0 in explicit.values():
+            explicit = {a: c for a, c in explicit.items() if c != 0}
+        self.explicit = explicit
         self.tail_terms = tuple(tr for tr in tail_terms if tr.coeff != 0)
 
     def eval(self, d: Arc) -> int:
@@ -144,7 +148,14 @@ def dimension_vector(t: Triangulation, a: Arc) -> CoVector:
     earlier subfamily holds (two subfamilies share finitely many
     members, at the finite end of both)."""
     z = t.z
-    explicit = {d: 1 for d in t.core if z.crosses(a, d)}
+    explicit = {}
+    if pairs := t.core_keys():
+        ka, kb = z.key(a.p), z.key(a.q)
+        for d, kd in pairs.items():
+            if kd is None:
+                raise ModelError(f"{d!r} is not a diagonal")
+            if keys_cross(ka, kb, *kd):
+                explicit[d] = 1
     terms: list[TailRange] = []
     for sf in t.subfamilies():
         for lo, hi in _crossing_runs(z, sf, a):
@@ -268,7 +279,26 @@ def _complete_greedy(t: Triangulation, arcs: set[Arc]) -> frozenset[Arc]:
 def realize_dimension_vector(t: Triangulation, v: Arc
                              ) -> tuple[Triangulation, Arc]:
     """A pair (U, u) whose c-vector over T equals the dimension vector
-    of the diagonal v."""
+    of the diagonal v.
+
+    With (i0, s0, i1, s1) the crossing quadruple of v = {v0, v1}, U0 is
+    the greedy completion of the diagonals of T that v does not cross,
+    together with u0 = {i0, i1}, {i0, v0} and {i1, v1} where they are
+    diagonals.  U0 satisfies the bar-variant: the coefficient of [u0]
+    in index(U0, t) is dim(v)(t).  The plain c-vector needs the
+    exchange flip at u0 followed by suspension of the whole pair:
+    c(suspend u0*, suspend U0*) = -cbar(u0*, U0*) = cbar(u0, U0).
+
+    The exchange partner u0* is v = {v0, v1} itself, so U0 is never
+    built: U is the suspension of (U0 - {u0}) | {v} and u = suspend(v).
+    {v0, i1} and {v1, i0} are sides of the triangles {i1, v0, s0} and
+    {i0, v1, s1} of T, so each is an edge or a diagonal of T that v
+    does not cross (they share an endpoint), kept in U0; {i0, v0} and
+    {i1, v1} are edges or added.  With u0 these four arcs bound the two
+    triangles {i0, v0, i1} and {i1, v1, i0}, faces of U0 as they meet
+    the circle only at their corners, so the flip at u0 gives {v0, v1}.
+    The loop below still checks the c-vector against dim(v) at every
+    diagonal of T."""
     z = t.z
     if not z.is_diagonal(v):
         raise ModelError(f"{v!r} is not a diagonal")
@@ -285,23 +315,17 @@ def realize_dimension_vector(t: Triangulation, v: Arc
             "is not needed and not supported")
     quad = t.crossing_quadruple(v)
     assert quad is not None
-    i0, s0, i1, s1 = quad
+    i0, _, i1, _ = quad
     v0, v1 = v.p, v.q
-    keep = {d for d in t.core if not z.crosses(v, d)}
+    keep = {d for d in t.core if d not in dv.explicit}  # v crosses none
     u0 = Arc(i0, i1)
     for extra in (u0, Arc(i0, v0), Arc(i1, v1)):
         if z.is_diagonal(extra):
             keep.add(extra)
     core = _complete_greedy(t, keep)
-    u_tri0 = Triangulation.make(z, core)
-    # This U satisfies the bar-variant: coefficient of [u0] in
-    # index(U, t) equals dim(v)(t).  The plain c-vector needs the
-    # exchange flip at u0 followed by suspension of the whole pair:
-    # c(suspend u0*, suspend U*) = -cbar(u0*, U*) = cbar(u0, U).
-    u_star = u_tri0.exchange_partner(u0)
+    u = suspend(z, v)
     u_tri = Triangulation.make(
-        z, {suspend(z, d) for d in (core - {u0}) | {u_star}})
-    u = suspend(z, u_star)
+        z, [suspend(z, d) for d in core if d != u0] + [u])
     q = CVectorQuery(t, u_tri, u)
     for d in t.core:
         if cvector_eval(q, d) != dv.eval(d):

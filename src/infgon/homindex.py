@@ -20,7 +20,10 @@ class KVector:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[Arc, int] | None = None):
-        self.coeffs = {a: c for a, c in (coeffs or {}).items() if c != 0}
+        coeffs = dict(coeffs or {})  # a copy reuses the stored hashes
+        if 0 in coeffs.values():
+            coeffs = {a: c for a, c in coeffs.items() if c != 0}
+        self.coeffs = coeffs
 
     @staticmethod
     def basis(a: Arc) -> "KVector":
@@ -164,11 +167,18 @@ def _zigzag_index(t: Triangulation, a: Arc) -> KVector:
     return KVector(total)
 
 
+def _index_sum(t: Triangulation, terms) -> KVector:
+    """The sum of c * index(t, a) over the pairs (a, c) of terms,
+    accumulated into one dict."""
+    total: dict[Arc, int] = {}
+    for a, c in terms:
+        for b, d in index(t, a).coeffs.items():
+            total[b] = total.get(b, 0) + c * d
+    return KVector(total)
+
+
 def index_of_kvector(t: Triangulation, kv: KVector) -> KVector:
-    out = KVector.zero()
-    for a, c in kv.coeffs.items():
-        out = out + c * index(t, a)
-    return out
+    return _index_sum(t, kv.coeffs.items())
 
 
 def index_bar(t: Triangulation, a: Arc) -> KVector:
@@ -176,10 +186,8 @@ def index_bar(t: Triangulation, a: Arc) -> KVector:
 
 
 def index_bar_of_kvector(t: Triangulation, kv: KVector) -> KVector:
-    out = KVector.zero()
-    for a, c in kv.coeffs.items():
-        out = out + c * index_bar(t, a)
-    return out
+    z = t.z
+    return _index_sum(t, ((suspend(z, a), -c) for a, c in kv.coeffs.items()))
 
 
 class DualityReport(NamedTuple):

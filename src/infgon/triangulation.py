@@ -18,7 +18,9 @@ of the range.  ``_SubFamily.runs`` evaluates every index within 2 of a
 breakpoint plus one sentinel beyond them all, a complete decision
 procedure, not a sample (its docstring gives the argument).  Queries
 at one vertex x run it only on a constant endpoint at x; a moving one
-meets x at one index, ``_SubFamily._match`` (``_extremal_connected``).
+meets x at one index, ``_SubFamily._match``, and the core diagonals at
+x are found by bisecting x's neighbours, kept sorted by key
+(``neighbours``, ``_extremal_connected``).
 
 No breakpoint or window is placed at vertex 0, where the position keys
 start: every cyclic test rotates the keys to start at its own low end.
@@ -344,21 +346,35 @@ class Triangulation(Frozen):
                      default=0)
         return spread + _MARGIN
 
-    def neighbours(self) -> dict[ClosurePoint, tuple[tuple, ...]]:
-        """Each endpoint of a core diagonal mapped to the pairs (q, key
-        of q) for the vertices q joined to it by a core diagonal.  Built
-        once, checking every endpoint against the model; do not mutate."""
+    def neighbours(self) -> dict[ClosurePoint, tuple[tuple, tuple]]:
+        """Each endpoint of a core diagonal mapped to (keys, vertices):
+        the vertices q joined to it by a core diagonal and their keys,
+        both sorted by key.  The same build stores each core arc's
+        endpoint keys, checked once as a diagonal (``core_keys``).
+        Built once, checking every endpoint against the model; do not
+        mutate."""
         cached = self.__dict__.get("_nbr_cache")
         if cached is None:
-            acc: dict[ClosurePoint, list[tuple[Vertex, tuple]]] = {}
+            z = self.z
+            acc: dict[ClosurePoint, list[tuple[tuple, Vertex]]] = {}
+            pairs: dict[Arc, tuple | None] = {}
             for arc in self.core:
-                for (p, q) in ((arc.p, arc.q), (arc.q, arc.p)):
-                    kq = self.z.key(q)  # raises ModelError outside the model
+                kp, kq = z.key(arc.p), z.key(arc.q)  # ModelError outside z
+                pairs[arc] = (kp, kq) if z.is_diagonal(arc) else None
+                for (p, q, k) in ((arc.p, arc.q, kq), (arc.q, arc.p, kp)):
                     if q.__class__ is Vertex:  # a limit point joins nothing
-                        acc.setdefault(p, []).append((q, kq))
-            cached = {p: tuple(qs) for p, qs in acc.items()}
+                        acc.setdefault(p, []).append((k, q))
+            cached = {p: tuple(zip(*sorted(qs))) for p, qs in acc.items()}
             object.__setattr__(self, "_nbr_cache", cached)
+            object.__setattr__(self, "_core_keys_cache", pairs)
         return cached
+
+    def core_keys(self) -> dict[Arc, tuple | None]:
+        """Each core arc mapped to its endpoint keys (key(p), key(q)),
+        or to None when it is not a diagonal; built by ``neighbours``."""
+        if "_core_keys_cache" not in self.__dict__:
+            self.neighbours()
+        return self.__dict__["_core_keys_cache"]
 
     # -- the exact extremal engine ------------------------------------
 
@@ -378,8 +394,10 @@ class Triangulation(Frozen):
         if x lies in another block (``_SubFamily._match``).  With s == 0
         it is x at every index or at none; at every index, the members
         whose other endpoint lies in A form the runs of
-        ``_SubFamily.runs``, with their limit points.  A circle
-        neighbour of x in A is an end of A, as A excludes x."""
+        ``_SubFamily.runs``, with their limit points.  A must not
+        contain x (ModelError).  A circle neighbour of x in A is an end
+        of A, as A excludes x, and the core diagonals at x come from
+        bisecting ``neighbours()``."""
         z = self.z
         key = z.key
         k_alo, k_ahi = key(a_lo), key(a_hi)
@@ -394,19 +412,36 @@ class Triangulation(Frozen):
             if (kv < k_alo, kv) <= top:
                 feas[v] = (kv < k_alo, kv)
 
-        def in_b(p):
-            return keys_in_closed(k_blo, key(p), k_bhi)
+        if point:
+            if keys_in_closed(k_alo, k_blo, k_ahi):
+                raise ModelError("interval [lo, hi] must not contain x")
+            keys, verts = self.neighbours().get(b_lo, ((), ()))
+            if keys:
+                # A is a prefix of the sorted keys rotated to start at
+                # key(a_lo): its first member is the first key from
+                # there, its last the last key up to key(a_hi)
+                i = (bisect.bisect_left(keys, k_alo) % len(keys) if want_min
+                     else bisect.bisect_right(keys, k_ahi) - 1)
+                if keys_in_closed(k_alo, keys[i], k_ahi):
+                    feas[verts[i]] = (keys[i] < k_alo, keys[i])
+            if edges_allowed:
+                # succ(x) in A is a_lo, and pred(x) in A is a_hi
+                if a_lo == z.succ(b_lo):
+                    feas[a_lo] = (False, k_alo)
+                if a_hi == z.pred(b_lo):
+                    feas[a_hi] = top
+        else:
+            def in_b(p):
+                return keys_in_closed(k_blo, key(p), k_bhi)
 
-        nbrs = self.neighbours()
-        for u, ku in (nbrs.get(b_lo, ()) if point else
-                      [uk for w, ws in nbrs.items() if in_b(w) for uk in ws]):
-            add(u, ku)
-
-        if edges_allowed:
-            for u, ku in ((a_lo, k_alo), (a_hi, k_ahi)):
-                if (z.are_neighbours(u, b_lo) if point
-                        else in_b(z.succ(u)) or in_b(z.pred(u))):
-                    add(u, ku)
+            for w, (keys, verts) in self.neighbours().items():
+                if in_b(w):
+                    for u, ku in zip(verts, keys):
+                        add(u, ku)
+            if edges_allowed:
+                for u, ku in ((a_lo, k_alo), (a_hi, k_ahi)):
+                    if in_b(z.succ(u)) or in_b(z.pred(u)):
+                        add(u, ku)
 
         for sf in self.subfamilies():
             for wa in (0, 1):
@@ -460,11 +495,9 @@ class Triangulation(Frozen):
                    diagonals_only: bool) -> Vertex | None:
         """inf_connected (want_min) or sup_connected: a Vertex argument
         is checked by its key, anything else coerced by ``z.v``."""
-        z = self.z
         if not x.__class__ is lo.__class__ is hi.__class__ is Vertex:
+            z = self.z
             x, lo, hi = z.v(x), z.v(lo), z.v(hi)
-        if z.in_closed(lo, x, hi):
-            raise ModelError("interval [lo, hi] must not contain x")
         return self._extremal_connected(want_min, lo, hi, x, x,
                                         not diagonals_only)
 
@@ -519,9 +552,10 @@ class Triangulation(Frozen):
         connects the two intervals."""
         z = self.z
         a0, b0, a1, b1 = (p if p.__class__ is Vertex else z.v(p)
-                          for p in (a0, b0, a1, b1))  # keys check a Vertex
-        r = lambda p: z.rel(p, a0)
-        if not (r(a0) <= r(b0) < r(a1) <= r(b1)):
+                          for p in (a0, b0, a1, b1))
+        k0, *ks = map(z.key, (a0, b0, a1, b1))  # keys check a Vertex
+        rb0, ra1, rb1 = ((k < k0, k) for k in ks)  # rotated to start at a0
+        if not rb0 < ra1 <= rb1:
             raise ModelError("need a0 <= b0 < a1 <= b1 < a0 cyclically")
         if z.succ(b0) == a1 or z.succ(b1) == a0:
             raise ModelError("intervals must be separated by a vertex "

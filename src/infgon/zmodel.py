@@ -144,11 +144,12 @@ class ZModel(Frozen):
         """v if it is a Vertex of this model, else ModelError."""
         if v.__class__ is not Vertex:
             raise ModelError(f"cannot interpret {v!r} as a vertex")
+        block, idx = v
         n = self.n
         if n is not None:
-            if v.block != 0 or not (0 <= v.idx < n):
+            if block != 0 or not (0 <= idx < n):
                 raise ModelError(f"{v!r} is not a vertex of Finite({n})")
-        elif not (0 <= v.block < self.k):
+        elif not (0 <= block < self.k):
             raise ModelError(f"{v!r} is not a vertex of Blocks({self.k})")
         return v
 
@@ -188,20 +189,20 @@ class ZModel(Frozen):
         ModelError for a point outside the model.
         """
         n, k = self.n, self.k
-        if isinstance(p, Limit):
-            if n is not None or not (0 <= p.gap < k):
-                raise ModelError(f"{p!r} is not a limit point of this model")
-            return (p.gap, 1, 0)
-        block, idx = p
-        if n is not None:
-            if block != 0 or not (0 <= idx < n):
-                raise ModelError(f"{p!r} is not a vertex of Finite({n})")
-            return (0, 0, idx)
-        if not (0 <= block < k):
-            raise ModelError(f"{p!r} is not a vertex of Blocks({k})")
-        if block == 0 and idx < 0:
-            return (k, 0, idx)
-        return (block, 0, idx)
+        if p.__class__ is Vertex or not isinstance(p, Limit):
+            block, idx = p
+            if n is not None:
+                if block != 0 or not (0 <= idx < n):
+                    raise ModelError(f"{p!r} is not a vertex of Finite({n})")
+                return (0, 0, idx)
+            if not (0 <= block < k):
+                raise ModelError(f"{p!r} is not a vertex of Blocks({k})")
+            if block == 0 and idx < 0:
+                return (k, 0, idx)
+            return (block, 0, idx)
+        if n is not None or not (0 <= p.gap < k):
+            raise ModelError(f"{p!r} is not a limit point of this model")
+        return (p.gap, 1, 0)
 
     def rel(self, p: ClosurePoint, start: ClosurePoint):
         """Position of ``p`` in the rotation of the linearization that
@@ -309,7 +310,10 @@ class Arc(Frozen):
     def __init__(self, p: ClosurePoint, q: ClosurePoint) -> None:
         if p == q:
             raise ModelError("arc endpoints must be distinct")
-        if _point_sort_key(p) > _point_sort_key(q):
+        if p.__class__ is Vertex is q.__class__:
+            if p > q:  # as _point_sort_key orders two vertices
+                p, q = q, p
+        elif _point_sort_key(p) > _point_sort_key(q):
             p, q = q, p
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)

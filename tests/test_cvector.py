@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from infgon.cvector import (CVectorQuery, CoVector, RealizationUnsupported,
-                            cvector_bar_eval, cvector_eval, cvector_full,
+                            _complete_greedy, cvector_bar_eval, cvector_eval, cvector_full,
                             dimension_vector, image_arc,
                             realize_dimension_vector, support_subset)
 from infgon.homindex import KVector, check_duality, index
@@ -274,6 +274,53 @@ def test_realize_hexagon_cyclic():
     assert dv.eval(z.arc(2, 4)) == 0
     q = CVectorQuery(t, u_tri, u)
     assert all(cvector_eval(q, d) == dv.eval(d) for d in t.core)
+
+
+def _realize_through_u0(t, v):
+    """(U, u) built the long way: the triangulation U0 of
+    ``realize_dimension_vector``'s docstring, the flip at u0 there,
+    then the suspension of the pair."""
+    z = t.z
+    i0, _, i1, _ = t.crossing_quadruple(v)
+    keep = {d for d in t.core if not z.crosses(v, d)}
+    u0 = Arc(i0, i1)
+    for extra in (u0, Arc(i0, v.p), Arc(i1, v.q)):
+        if z.is_diagonal(extra):
+            keep.add(extra)
+    core = _complete_greedy(t, keep)
+    u_star = Triangulation.make(z, core).exchange_partner(u0)
+    u_tri = Triangulation.make(
+        z, {suspend(z, d) for d in (core - {u0}) | {u_star}})
+    return (u_tri, suspend(z, u_star))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_realize_is_the_flip_at_u0(n):
+    """The direct (U, u) is the one built through U0 and its flip, for
+    every triangulation T of the n-gon and every diagonal v crossing T."""
+    z = ZModel.finite(n)
+    pairs = 0
+    for t in enumerate_triangulations(z):
+        for v in all_diagonals(z):
+            if v in t.core:
+                continue
+            assert realize_dimension_vector(t, v) == _realize_through_u0(t, v)
+            pairs += 1
+    assert pairs == {5: 15, 6: 84, 7: 420, 8: 1980}[n]
+
+
+def test_dimension_vector_rejects_a_core_arc_that_is_no_diagonal():
+    """A core holding an edge, or an arc to a limit point, is refused
+    with ModelError, as ``validate`` would refuse it."""
+    z = ZModel.finite(5)
+    t = Triangulation.make(z, {z.arc(0, 2), z.arc(2, 3)})
+    with pytest.raises(ModelError, match="is not a diagonal"):
+        dimension_vector(t, z.arc(1, 3))
+    zb, tb = fountain_fixture()
+    tb = Triangulation.make(zb, {Arc(Vertex(0, 0), Limit(0))},
+                            {0: Fountain(Vertex(0, 0), 2, -2)})
+    with pytest.raises(ModelError, match="is not a diagonal"):
+        dimension_vector(tb, zb.arc(-1, 1))
 
 
 def test_realize_rejects_zero():

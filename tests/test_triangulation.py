@@ -179,21 +179,27 @@ def test_sup_fountain_symbolic():
     assert got == Vertex(0, -2)
 
 
-def brute_extremal(t, n, x, lo, hi, edges, want_sup):
+def brute_extremal(pairs, n, x, lo, hi, edges, want_sup):
     """The last (sup) or first (inf) vertex of [lo, hi], read
     counterclockwise from lo, joined to x by a diagonal of t or, when
-    edges are allowed, by an edge of the n-gon."""
+    edges are allowed, by an edge of the n-gon: x + 1 or x - 1 mod n."""
     joined = [lo + j for j in range((hi - lo) % n + 1)
-              if frozenset({(lo + j) % n, x}) in t
+              if frozenset({(lo + j) % n, x}) in pairs
               or (edges and (lo + j - x) % n in (1, n - 1))]
     if not joined:
         return None
     return (joined[-1] if want_sup else joined[0]) % n
 
 
-def test_sup_inf_match_brute_force_heptagon():
-    n = 7
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_one_point_queries_match_enumeration_on_polygons(n):
+    """sup_connected and inf_connected on every triangulation of the
+    n-gon, at every x and over every interval [lo, hi] that does not
+    contain x, with and without edges, against enumeration.  Intervals
+    that wrap past vertex 0 (lo > hi) are included: there the keys of
+    A are not one sorted range, the second branch of the bisection."""
     z = ZModel.finite(n)
+    wrapped = 0
     for t in enumerate_triangulations(z):
         pairs = {frozenset({a.p.idx, a.q.idx}) for a in t.core}
         for x in range(n):
@@ -201,6 +207,7 @@ def test_sup_inf_match_brute_force_heptagon():
                 for hi in range(n):
                     if (x - lo) % n <= (hi - lo) % n:
                         continue  # [lo, hi] contains x
+                    wrapped += lo > hi
                     for diagonals_only in (False, True):
                         for want_sup, query in ((True, t.sup_connected),
                                                 (False, t.inf_connected)):
@@ -211,6 +218,7 @@ def test_sup_inf_match_brute_force_heptagon():
                                                   want_sup)
                             assert (None if got is None else got.idx) \
                                 == want, (t.core, x, lo, hi, diagonals_only)
+    assert wrapped > 0
 
 
 def test_inf_connected_none():
@@ -219,9 +227,21 @@ def test_inf_connected_none():
 
 
 def test_interval_precondition():
+    """An interval [lo, hi] holding x is refused with one message, by
+    both queries, for vertices and for coerced arguments, on an n-gon
+    and on a Blocks model."""
     z, t = pentagon_fan()
-    with pytest.raises(ModelError):
-        t.sup_connected(z.v(3), z.v(2), z.v(4))
+    zf, tf = fountain_fixture()
+    cases = [(t, z.v(3), z.v(2), z.v(4)), (t, z.v(0), z.v(4), z.v(1)),
+             (t, z.v(2), z.v(2), z.v(2)), (t, 3, 2, 4),
+             (tf, zf.v(0), zf.v(-1), zf.v(1)), (tf, (0, 5), (0, 5), (0, 9))]
+    for tri, x, lo, hi in cases:
+        for query in (tri.sup_connected, tri.inf_connected):
+            for diagonals_only in (False, True):
+                with pytest.raises(
+                        ModelError,
+                        match=r"^interval \[lo, hi\] must not contain x$"):
+                    query(x, lo, hi, diagonals_only)
 
 
 # -- third_vertex ---------------------------------------------------------
