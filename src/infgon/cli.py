@@ -386,6 +386,9 @@ def cmd_oracle(args) -> int:
     from .cvector import CVectorQuery, cvector_eval
     from .fzoracle import identity, run_flip_path
     from .homindex import index
+    for flag, count in (("--paths", args.paths), ("--max-len", args.max_len)):
+        if count < 0:
+            raise ParseError(flag, f"expected a count >= 0, got {count}")
     t = _load_tri(args.triangulation)
     z = t.z
     if not z.is_finite:

@@ -13,7 +13,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
-from .homindex import index, index_bar
+from .homindex import index_coeffs
 from .triangulation import Triangulation, _crossing_runs
 from .zmodel import (Arc, Frozen, ModelError, RealizationUnsupported,
                      keys_cross, suspend)
@@ -125,14 +125,14 @@ def cvector_eval(q: CVectorQuery, t_arc: Arc) -> int:
     a diagonal of T."""
     if not q.t.contains(t_arc):
         raise ModelError(f"{t_arc!r} is not a diagonal of T")
-    return index_bar(q.u_tri, t_arc).get(q.u)
+    return -index_coeffs(q.u_tri, suspend(q.u_tri.z, t_arc)).get(q.u, 0)
 
 
 def cvector_bar_eval(q: CVectorQuery, t_arc: Arc) -> int:
     """Coefficient of [u] in index(U, t_arc)."""
     if not q.t.contains(t_arc):
         raise ModelError(f"{t_arc!r} is not a diagonal of T")
-    return index(q.u_tri, t_arc).get(q.u)
+    return index_coeffs(q.u_tri, t_arc).get(q.u, 0)
 
 
 # ---------------------------------------------------------------------------

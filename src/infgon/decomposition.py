@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .cvector import CoVector, dimension_vector, support_subset
 from .triangulation import (Leapfrog, Triangulation, UnattainedError,
-                            _crossing_runs, _SubFamily, face_sides)
+                            _SubFamily, face_sides)
 from .zmodel import (Arc, ClosurePoint, Limit, ModelError, Vertex,
                      keys_cross, keys_in_closed)
 
@@ -167,6 +167,7 @@ class OrderedCrossingSet:
         self._runs = [_RunInfo(self, fams[tr.gap, tr.sub], tr.lo, tr.hi)
                       for tr in dim.tail_terms]
         self._keys = {a: self._okey(a) for a in dim.explicit}
+        self._near: dict[tuple[Arc, bool], Arc | None] = {}
         self._explicit: tuple[Arc, ...] = tuple(
             sorted(dim.explicit, key=functools.cmp_to_key(self._cmp)))
         self._struct = None
@@ -379,18 +380,22 @@ class OrderedCrossingSet:
 
     def _neighbor(self, a: Arc, below: bool, check=True) -> Arc | None:
         """Greatest member < a (below) or least member > a, or None;
-        checks that a is a member of Y unless ``check`` is false."""
+        checks that a is a member of Y unless ``check`` is false.  Y is
+        read-only, so answers are kept per (a, below); the check runs,
+        and a failure is raised, on every call."""
         if check and not self.contains(a):
             raise ModelError(f"{a!r} is not a member of Y")
+        if (a, below) in self._near:
+            return self._near[a, below]
         want = -1 if below else 1
         ka = self._okey(a)
         cands = [m for m in self._explicit if m != a and self._cmp_keys(
             self._keys[m], ka, lambda m=m: (m, a)) == want]
         runs = [(r, lo, hi) for r in self._runs
                 for lo, hi in self._side_runs(r, a, want)]
-        return self._select(cands, runs, not below,
-                            "immediate neighbor approaches a limit point "
-                            "(non-sequential crossing order)")
+        return self._near.setdefault((a, below), self._select(
+            cands, runs, not below, "immediate neighbor approaches a limit "
+            "point (non-sequential crossing order)"))
 
     def pred_in(self, a: Arc) -> Arc | None:
         return self._neighbor(a, below=True)
@@ -400,15 +405,28 @@ class OrderedCrossingSet:
 
     # -- extreme crossers of another arc ---------------------------------
 
-    def crossing_interval_of(self, v: Arc) -> tuple[Arc, Arc]:
-        """Least and greatest member of Y crossing v; v's crossing runs
-        are found once, for both ends."""
-        z = self.t.z
-        kv = (z.key(v.p), z.key(v.q))
-        cands = [m for m in self._explicit
-                 if keys_cross(*kv, *self._keys[m][1:])]
-        runs = [(r, lo, hi) for r in self._runs
-                for lo, hi in _crossing_runs(z, r.sf, v)]
+    def crossing_interval_of(self, v: Arc, dv: CoVector | None = None
+                             ) -> tuple[Arc, Arc]:
+        """Least and greatest member of Y crossing v, read off dv =
+        dim(v) (computed when not given).  An arc of T is in supp(dv)
+        iff it crosses v, so they are supp(dv) cap Y, term by term: dv's
+        explicit arcs that dim({e, f}) holds, Y's explicit members that
+        dv holds, and dv's tail terms cut to Y's run on their subfamily
+        (two terms on one subfamily are crossing runs unbounded toward
+        its open side, so they meet in one).  A member of both that
+        neither holds explicitly lies in a term of each on the first
+        subfamily holding it, as both dims count an arc that T holds
+        twice once by that rule.  In X_{e,f} supp(dv) lies inside Y
+        (``in_X`` is support inclusion), so this set is supp(dv)."""
+        if dv is None:
+            dv = dimension_vector(self.t, v)
+        dim = _pair_dimension(self.t, self.pair)
+        cands = [a for a in dv.explicit if dim.eval(a)]
+        cands += [m for m in self._explicit if dv.eval(m)]
+        runs = [(r, None if tr.lo is None else max(tr.lo, r.sf.imin),
+                 None if tr.hi is None else min(tr.hi, r.sf.imax))
+                for tr in dv.tail_terms for r in self._runs
+                if (r.sf.gap, r.sf.sub) == (tr.gap, tr.sub)]
         if not cands and not runs:
             raise ModelError(f"{v!r} crosses no member of Y")
         msg = "extreme crossing member approaches a limit point"
@@ -524,12 +542,14 @@ def decompose_row(t: Triangulation, e: ClosurePoint, f: ClosurePoint,
                   v: Arc) -> Root | None:
     """The positive root attached to dim(v) in X_{e,f}, or None when
     dim(v) is zero or not in X_{e,f}: psi of the least and greatest
-    members of Y crossing v, which need no membership check."""
+    members of Y crossing v, which need no membership check.  In X_{e,f}
+    they are read off the dim(v) at hand: the crossers of v are supp(dim
+    v), inside supp(dim({e, f})) = Y (``crossing_interval_of``)."""
     dv = dimension_vector(t, v)
     if dv.is_zero() or not in_X(t, e, f, dv):
         return None
     y = crossing_order(t, e, f)
-    return _interval_root(y, *y.crossing_interval_of(v))
+    return _interval_root(y, *y.crossing_interval_of(v, dv))
 
 
 def root_of_arc(t: Triangulation, e: ClosurePoint, f: ClosurePoint,

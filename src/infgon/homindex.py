@@ -140,11 +140,16 @@ def index(t: Triangulation, a: Arc) -> KVector:
 
     Answers are memoized on t, keyed by arc; every call returns a
     fresh KVector."""
+    return KVector(index_coeffs(t, a))
+
+
+def index_coeffs(t: Triangulation, a: Arc) -> dict[Arc, int]:
+    """index(t, a)'s coefficients as memoized on t: never change them."""
     memo = t._memo("index")
     coeffs = memo.get(a)
     if coeffs is None:
         coeffs = memo[a] = _zigzag_index(t, a).coeffs
-    return KVector(coeffs)
+    return coeffs
 
 
 def _zigzag_index(t: Triangulation, a: Arc) -> KVector:
@@ -172,7 +177,7 @@ def _index_sum(t: Triangulation, terms) -> KVector:
     accumulated into one dict."""
     total: dict[Arc, int] = {}
     for a, c in terms:
-        for b, d in index(t, a).coeffs.items():
+        for b, d in index_coeffs(t, a).items():
             total[b] = total.get(b, 0) + c * d
     return KVector(total)
 
@@ -201,6 +206,8 @@ def check_duality(t_t: Triangulation, t_u: Triangulation,
     """Verifies that the two index maps are mutually inverse on the
     given basis windows: ind_T(ind_bar_U[t]) = [t] and
     ind_bar_U(ind_T[u]) = [u]."""
+    if t_t.z != t_u.z:
+        raise ModelError("triangulations live over different models")
     if window_t is None:
         window_t = t_t.window_nodes()
     if window_u is None:

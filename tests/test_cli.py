@@ -55,6 +55,7 @@ FAR = {"z": {"blocks": 2}, "core": [],
                   "left_to": 100},
                  {"limit": 1, "type": "fountain", "base": [0, -100],
                   "right_from": 101, "left_to": -102}]}
+OCTAGON_FAN = {"z": {"finite": 8}, "core": [[0, j] for j in range(2, 7)]}
 BLOCKS2 = {"z": {"blocks": 2}, "core": [[[0, 0], [1, 0]]],
            "tails": [{"limit": 0, "type": "fountain", "base": [0, 0],
                       "right_from": 2, "left_to": -1},
@@ -282,6 +283,33 @@ def test_oracle_command(tri_file, capsys):
     code, out = run(capsys, "oracle", "--triangulation",
                     tri_file(PENTAGON), "--paths", "5", "--seed", "3")
     assert code == 0 and out["mismatches"] == 0
+
+
+@pytest.mark.parametrize("flag", ["--paths", "--max-len"])
+@pytest.mark.parametrize("count", ["-1", "-5"])
+def test_oracle_refuses_a_negative_count(tri_file, capsys, flag, count):
+    """A negative --paths checks nothing and a negative --max-len has no
+    path length: both exit 2 naming the flag, and a count of 0 runs."""
+    argv = ["oracle", "--triangulation", tri_file(PENTAGON), "--paths", "2"]
+    assert main(argv + [flag, count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {flag}: expected a count >= 0, "
+                            f"got {count}\n")
+    code, out = run(capsys, *argv, flag, "0")
+    assert code == 0 and out["mismatches"] == 0
+
+
+@pytest.mark.parametrize("first, second", [
+    (OCTAGON_FAN, PENTAGON), (PENTAGON, OCTAGON_FAN), (FOUNTAIN, BLOCKS2),
+    (BLOCKS2, FOUNTAIN)], ids=["octagon-pentagon", "pentagon-octagon",
+                               "blocks1-blocks2", "blocks2-blocks1"])
+def test_duality_refuses_different_models(tri_file, capsys, first, second):
+    code = main(["duality", "--triangulation", tri_file(first),
+                 "--second-triangulation", tri_file(second, "u.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: triangulations live over different models\n")
 
 
 def test_render_command_matches_golden(tri_file, tmp_path, capsys):

@@ -4,26 +4,29 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infgon import cvector, decomposition, triangulation
 from infgon.cvector import dimension_vector, support_subset
 from infgon.decomposition import (NEG_INFINITY, MaximalityReport,
                                   OrderDescriptor, OrderedCrossingSet, Root,
-                                  YExt, add_vectors, crossing_order,
-                                  decompose_row, delta_plus, in_X,
-                                  maximal_pairs, psi, root_of_arc,
+                                  YExt, _interval_root, add_vectors,
+                                  crossing_order, decompose_row, delta_plus,
+                                  in_X, maximal_pairs, psi, root_of_arc,
                                   root_system_label,
                                   unique_maximal_iff_acyclic_report)
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
+                                  UnattainedError, _crossing_runs,
                                   enumerate_triangulations, validate)
-from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
+from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel, keys_cross
 
 from test_cvector import _points, core_and_tail, two_tails
 from test_tail_runs import OFFSETS, blocks2, fountain, leapfrog, points, tails
-from test_validate import _filled, _shift
+from test_validate import _filled, _flipped, _shift
 
 
 def pentagon_fan():
@@ -526,7 +529,7 @@ def test_crossing_crossers_still_raise():
     tf = Triangulation.make(z1, {z1.arc(1, 4)},
                             {0: Fountain(Vertex(0, 0), 2, -2)})
     yf = crossing_order(tf, z1.v(-1), z1.v(2))
-    for neighbor in (yf.pred_in, yf.succ_in):
+    for neighbor in (yf.pred_in, yf.succ_in) * 2:  # no failure is kept
         with pytest.raises(ModelError, match="crossing pair"):
             neighbor(z1.arc(1, 4))
 
@@ -595,3 +598,129 @@ def test_root_of_arc_is_psi_of_the_crossing_interval(build, m, monkeypatch):
             calls.clear()
             rows += 1
     assert rows > 0
+
+
+# -- Y's crossers of v, read off dim(v) ---------------------------------------
+
+
+def _reference_crossing_interval(y, v):
+    """The construction that ``crossing_interval_of`` replaced: v's
+    crossing runs found afresh on each of Y's tail runs, and Y's
+    explicit members crossing v by their keys."""
+    z = y.t.z
+    kv = (z.key(v.p), z.key(v.q))
+    cands = [m for m in y._explicit if keys_cross(*kv, *y._keys[m][1:])]
+    runs = [(r, lo, hi) for r in y._runs
+            for lo, hi in _crossing_runs(z, r.sf, v)]
+    if not cands and not runs:
+        raise ModelError(f"{v!r} crosses no member of Y")
+    msg = "extreme crossing member approaches a limit point"
+    return (y._select(list(cands), runs, True, msg),
+            y._select(cands, runs, False, msg))
+
+
+def _outcome_or_unattained(fn, *args):
+    try:
+        return fn(*args)
+    except (ModelError, UnattainedError) as exc:
+        return (type(exc), str(exc))
+
+
+def _assert_crossers_are_the_reference(t, pairs, probes, seen):
+    for e, f in pairs:
+        try:
+            y = crossing_order(t, e, f)
+        except ModelError:
+            continue  # Y is empty
+        for v in probes:
+            dv = dimension_vector(t, v)
+            want = _outcome_or_unattained(_reference_crossing_interval, y, v)
+            assert _outcome_or_unattained(
+                y.crossing_interval_of, v, dv) == want, (t, e, f, v)
+            if "crosses no member" in str(want):
+                seen["crosses none"] += 1
+            elif not dv.is_zero() and in_X(t, e, f, dv):
+                seen["in X"] += 1
+            else:
+                seen["outside X"] += 1
+
+
+@pytest.mark.parametrize("m", [0, 10 ** 6])
+def test_crossing_interval_through_dim_is_the_reference(m):
+    """The crossers of v read off dim(v) equal the reference's, errors
+    included, in X_{e,f}, outside it, and where v crosses no member; v
+    runs over the diagonals of a window.  The pairs are every oriented
+    maximal pair of generated valid Blocks(1..3) triangulations, and
+    every pair of window and limit points on the fountain and blocks2
+    fixtures: off the maximal pairs, v crosses fountain members that Y
+    lacks or holds only explicitly, so each of the three kinds of term
+    decides some answer."""
+    rng = random.Random(14)
+    seen = {"in X": 0, "outside X": 0, "crosses none": 0}
+    cases = []
+    for k in (1, 2, 3):
+        for _ in range(2):
+            t = _shift(_flipped(rng, k), m)
+            assert validate(t).ok
+            cases.append((t, list(_oriented_pairs(t))))
+    for build in (fountain, blocks2):
+        t = build(m)
+        ends = [Vertex(b, i) for b in range(t.z.k)
+                for i in range(m - 2, m + 3)]
+        cases.append((t, list(permutations(
+            ends + [Limit(g) for g in range(t.z.k)], 2))))
+    for t, pairs in cases:
+        verts = [Vertex(b, i) for b in range(t.z.k)
+                 for i in range(m - 3, m + 4)]
+        probes = [a for a in (Arc(p, q) for p, q in combinations(verts, 2))
+                  if t.z.is_diagonal(a)]
+        _assert_crossers_are_the_reference(t, pairs, probes, seen)
+    assert min(seen.values()) > 0, seen
+
+
+def test_decompose_row_reads_crossers_off_dim_and_keeps_neighbors(
+        monkeypatch):
+    """A decompose row finds crossing runs only inside dimension_vector,
+    and a second interval root of one member runs no side runs: Y keeps
+    its neighbours."""
+    callers = []
+
+    def counting(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return _crossing_runs(*args)
+    for mod in (triangulation, cvector, decomposition):
+        if getattr(mod, "_crossing_runs", None) is _crossing_runs:
+            monkeypatch.setattr(mod, "_crossing_runs", counting)
+    side = []
+    side_runs = OrderedCrossingSet._side_runs
+
+    def counting_side(self, *args):
+        side.append(args)
+        return side_runs(self, *args)
+    monkeypatch.setattr(OrderedCrossingSet, "_side_runs", counting_side)
+    rows = filled = 0
+    for build in FIXTURES:
+        t = build(0)
+        z = t.z
+        verts = [Vertex(b, i) for b in range(z.k) for i in range(-4, 5)]
+        for e, f in _oriented_pairs(t):
+            y = crossing_order(t, e, f)
+            for p, q in combinations(verts, 2):
+                v = Arc(p, q)
+                if not z.is_diagonal(v):
+                    continue
+                side.clear()
+                root = decompose_row(t, e, f, v)
+                if root is None:
+                    continue
+                rows += 1
+                filled += bool(side)
+                a, b = y.crossing_interval_of(v)
+                side.clear()
+                assert _interval_root(y, a, b) == root
+                assert side == []
+                assert y.pred_in(a) == (None if root.neg is NEG_INFINITY
+                                        else root.neg)
+                assert side == []
+    assert rows > filled > 0
+    assert callers and set(callers) == {"dimension_vector"}

@@ -13,7 +13,7 @@ from infgon.homindex import (KVector, StepCapExceeded, check_duality,
                              index_bar_of_kvector, index_of_kvector, zigzag)
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   enumerate_triangulations)
-from infgon.zmodel import Arc, Vertex, ZModel, suspend
+from infgon.zmodel import Arc, ModelError, Vertex, ZModel, suspend
 
 
 def pentagon_fan():
@@ -150,6 +150,25 @@ def test_duality_fountains():
     window_u = [z.arc(3, n) for n in (5, 6, 7, 1, 0, -1, -2)]
     rep = check_duality(t, u, window_t, window_u)
     assert rep.ok, rep.failures
+
+
+def test_duality_refuses_different_models_before_any_index():
+    z5, z8, b1, b2 = (ZModel.finite(5), ZModel.finite(8), ZModel.blocks(1),
+                      ZModel.blocks(2))
+    pentagon = Triangulation.make(z5, {z5.arc(0, 2), z5.arc(0, 3)})
+    octagon = Triangulation.make(z8, {z8.arc(0, j) for j in range(2, 7)})
+    fountain = Triangulation.make(b1, set(),
+                                  {0: Fountain(Vertex(0, 0), 2, -2)})
+    two = Triangulation.make(b2, {Arc(Vertex(0, 0), Vertex(1, 0))},
+                             {0: Fountain(Vertex(0, 0), 2, -1),
+                              1: Fountain(Vertex(1, 0), 2, -1)})
+    for t, u in ((octagon, pentagon), (pentagon, octagon), (fountain, two),
+                 (two, fountain)):
+        window = None if t.z.is_finite else t.arcs_within(-3, 3)
+        with pytest.raises(ModelError, match="different models"):
+            check_duality(t, u, window, window)
+        assert "_memo_index" not in t.__dict__
+        assert "_memo_index" not in u.__dict__
 
 
 def test_duality_leapfrog_vs_fountain():

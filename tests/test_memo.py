@@ -33,13 +33,17 @@ def _outcome(fn, *args):
 
 def _order_answers(t, e, f, probes):
     """What Y = crossing_order(t, e, f) says: its order type, up to three
-    members at each end it has, their predecessors, and the least and
+    members at each end it has, their predecessors and successors, asked
+    twice (the second time from Y's neighbour table), and the least and
     greatest member crossing each probe."""
     y = crossing_order(t, e, f)
     ends = ((y.first(3) if y.has_least else [])
             + (y.last(3) if y.has_greatest else []))
+    neighbors = [[(_outcome(y.pred_in, a), _outcome(y.succ_in, a))
+                  for a in ends] for _ in range(2)]
+    assert neighbors[1] == neighbors[0]
     return (str(y.descriptor()), y.has_least, y.has_greatest, ends,
-            [_outcome(y.pred_in, a) for a in ends],
+            neighbors[0],
             [_outcome(y.crossing_interval_of, v) for v in probes])
 
 
