@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .homindex import index_coeffs
 from .triangulation import Triangulation, _crossing_runs
 from .zmodel import (Arc, Frozen, ModelError, RealizationUnsupported,
-                     keys_cross, suspend)
+                     keys_cross, keys_in_closed, suspend)
 
 
 class TailRange(NamedTuple):
@@ -297,8 +297,16 @@ def realize_dimension_vector(t: Triangulation, v: Arc
     {i1, v1} are edges or added.  With u0 these four arcs bound the two
     triangles {i0, v0, i1} and {i1, v1, i0}, faces of U0 as they meet
     the circle only at their corners, so the flip at u0 gives {v0, v1}.
-    The loop below still checks the c-vector against dim(v) at every
-    diagonal of T."""
+
+    The quadruple is read off dv, whose support C is the diagonals of T
+    crossing v, that is, joining A0 = (v1, v0) to A1 = (v0, v1).  Along
+    A0 from v1 and A1 from v0, i0 is the first vertex joined to A1, s1
+    the last joined to i0, i1 the first joined to A0 and s0 the last
+    joined to i1 (``crossing_quadruple``).  Arcs of C do not cross, so
+    one with a later A1 end has no later A0 end: an arc of C at i0 ends
+    at C's last A1 end, s1; likewise s0 is C's last A0 end.  The two
+    triangles of T above are checked, and the c-vector against dim(v)
+    at every diagonal of T."""
     z = t.z
     if not z.is_diagonal(v):
         raise ModelError(f"{v!r} is not a diagonal")
@@ -313,10 +321,19 @@ def realize_dimension_vector(t: Triangulation, v: Arc
         raise RealizationUnsupported(
             "realization over Blocks models with finite crossing sets "
             "is not needed and not supported")
-    quad = t.crossing_quadruple(v)
-    assert quad is not None
-    i0, _, i1, _ = quad
     v0, v1 = v.p, v.q
+    kv0, kv1, pairs = z.key(v0), z.key(v1), t.core_keys()
+    ends0, ends1 = [], []  # C's ends in A0, in A1: (key from v0, vertex)
+    for d in dv.explicit:
+        for k, p in zip(pairs[d], (d.p, d.q)):
+            ends = ends1 if keys_in_closed(kv0, k, kv1) else ends0
+            ends.append(((k < kv0, k), p))
+    (_, i0), (_, s0) = min(ends0), max(ends0)
+    (_, i1), (_, s1) = min(ends1), max(ends1)
+    for d, end in ((Arc(s0, i1), v0), (Arc(i0, s1), v1)):
+        if (h := t.third_vertex(d, end)) != end:
+            raise AssertionError(f"the triangle of T on {d!r} toward {v!r} "
+                                 f"rests on {h!r}, not on {end!r}")
     keep = {d for d in t.core if d not in dv.explicit}  # v crosses none
     u0 = Arc(i0, i1)
     for extra in (u0, Arc(i0, v0), Arc(i1, v1)):

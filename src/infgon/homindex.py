@@ -107,30 +107,23 @@ def zigzag(t: Triangulation, e: Vertex, f: Vertex,
     e, f = z.v(e), z.v(f)
     if e == f:
         raise ModelError("zig-zag needs distinct endpoints")
-    path = [e]
-    e1 = t.sup_connected(e, z.succ(e), f, diagonals_only=False)
-    if e1 is None:
+    even, odd = e, t.sup_connected(e, z.succ(e), f)  # e_{2k-2}, e_{2k-1}
+    if odd is None:
         raise ModelError("no first step: e is isolated (invalid input)")
-    path.append(e1)
-    steps = 0
-    while path[-1] != f:
-        steps += 1
-        if steps > step_cap:
+    path = [e, odd]
+    past_f = None  # succ(f), found on the first even step
+    while odd != f:
+        if len(path) > 2 * step_cap:  # each step adds two vertices
             raise StepCapExceeded(
                 f"zig-zag from {e!r} to {f!r} exceeded {step_cap} steps")
-        prev_odd = path[-1]     # e_{2k-1}
-        prev_even_anchor = path[-2]  # e_{2k-2}
-        e_even = t.inf_connected(prev_odd, z.succ(f),
-                                 z.pred(prev_even_anchor),
-                                 diagonals_only=True)
-        if e_even is None:
+        past_f = past_f or z.succ(f)
+        even = t.inf_connected(odd, past_f, z.pred(even), True)
+        if even is None:
             raise ModelError("zig-zag stuck: no even step (invalid input)")
-        path.append(e_even)
-        e_odd = t.sup_connected(e_even, z.succ(prev_odd), f,
-                                diagonals_only=False)
-        if e_odd is None:
+        odd = t.sup_connected(even, z.succ(odd), f)
+        if odd is None:
             raise ModelError("zig-zag stuck: no odd step (invalid input)")
-        path.append(e_odd)
+        path += (even, odd)
     return ZigZagPath(tuple(path), (e, f), t)
 
 
@@ -160,15 +153,15 @@ def _zigzag_index(t: Triangulation, a: Arc) -> KVector:
         return KVector.zero()
     path = zigzag(t, a.p, a.q).vertices
     total: dict[Arc, int] = {}
-    for m in range(len(path) - 1):
-        step = Arc(path[m], path[m + 1])
-        if z.is_edge(step):
-            continue
+    for m, (u, w) in enumerate(zip(path, path[1:])):
+        if not z.are_neighbours(u, w):  # an edge step adds nothing
+            step = Arc(u, w)
+            total[step] = total.get(step, 0) + (-1) ** m
+    for step in total:
         if not t.contains(step):
             raise ModelError(
                 f"zig-zag step {step!r} is a diagonal outside T "
                 "(invalid triangulation)")
-        total[step] = total.get(step, 0) + (-1) ** m
     return KVector(total)
 
 

@@ -36,7 +36,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .zmodel import (Arc, ClosurePoint, Frozen, Limit, ModelError, Vertex,
-                     ZModel, keys_cross, keys_in_closed)
+                     ZModel, keys_cross, keys_in_closed, new_vertex)
 
 
 # Tail members that ``window_nodes`` and ``dual_quiver`` list by default
@@ -120,7 +120,7 @@ class _SubFamily(NamedTuple):
 
     def vertex(self, which: int, i: int) -> Vertex:
         b, o, s = self.e1 if which == 0 else self.e2
-        return Vertex(b, o + s * i)
+        return new_vertex((b, o + s * i))
 
     def key(self, z: ZModel, which: int, i: int) -> tuple[int, int, int]:
         """``z.key(self.vertex(which, i))`` by arithmetic, building no
@@ -443,7 +443,7 @@ class Triangulation(Frozen):
                     if in_b(z.succ(u)) or in_b(z.pred(u)):
                         add(u, ku)
 
-        for sf in self.subfamilies():
+        for sf in self.tails and self.subfamilies():
             for wa in (0, 1):
                 i = sf._match(sf.e1 if wa else sf.e2, b_lo) if point else "any"
                 if i is None or (i != "any" and not sf.in_range(i)):
@@ -479,12 +479,12 @@ class Triangulation(Frozen):
             return None
         if want_min:
             best = min(feas, key=feas.get)
-            if any(r < feas[best] for r in limits):
+            if limits and any(r < feas[best] for r in limits):
                 raise UnattainedError(
                     "infimum approaches a limit point, not attained")
         else:
             best = max(feas, key=feas.get)
-            if any(r > feas[best] for r in limits):
+            if limits and any(r > feas[best] for r in limits):
                 raise UnattainedError(
                     "supremum approaches a limit point, not attained")
         return best
@@ -524,9 +524,9 @@ class Triangulation(Frozen):
         if not keys_in_closed(ku, ks, kw):
             u, w = w, u
         # region is [u, w] counterclockwise
-        if z.succ(u) == w:
+        if (lo := z.succ(u)) == w:
             raise ModelError("chosen side of the edge has no interior")
-        h = self._extremal_connected(True, z.succ(u), z.pred(w), w, w, True)
+        h = self._extremal_connected(True, lo, z.pred(w), w, w, True)
         if h is None:
             raise UnattainedError(
                 f"no triangle of T adjacent to {d!r} on the requested side")
@@ -584,7 +584,8 @@ class Triangulation(Frozen):
         if got is None:
             return None
         i0, s0, h0, i1, s1, h1 = got
-        assert h0 == v0 and h1 == v1, "bridge triangles must rest on v"
+        if (h0, h1) != (v0, v1):
+            raise AssertionError(f"bridge triangles of {v!r} rest on {h0, h1}")
         return (i0, s0, i1, s1)
 
     # -- ears ----------------------------------------------------------

@@ -15,6 +15,7 @@ floating-point geometry is used anywhere.
 
 from __future__ import annotations
 
+from functools import partial
 from operator import attrgetter
 from typing import NamedTuple, Union
 
@@ -25,6 +26,10 @@ class Vertex(NamedTuple):
 
     def __repr__(self) -> str:
         return f"V({self.block},{self.idx})"
+
+
+# new_vertex((b, i)) is Vertex(b, i) without NamedTuple's Python __new__
+new_vertex = partial(tuple.__new__, Vertex)
 
 
 class Frozen:
@@ -141,7 +146,8 @@ class ZModel(Frozen):
         raise ModelError(f"cannot interpret {a!r} as a vertex")
 
     def check_vertex(self, v: Vertex) -> Vertex:
-        """v if it is a Vertex of this model, else ModelError."""
+        """v if it is a Vertex of this model, else ModelError.  succ,
+        pred and are_neighbours test this inline and call it to raise."""
         if v.__class__ is not Vertex:
             raise ModelError(f"cannot interpret {v!r} as a vertex")
         block, idx = v
@@ -167,16 +173,18 @@ class ZModel(Frozen):
     # -- successor / predecessor -------------------------------------
 
     def succ(self, v: Vertex) -> Vertex:
-        block, idx = self.check_vertex(v)
-        if self.n is not None:
-            return Vertex(0, (idx + 1) % self.n)
-        return Vertex(block, idx + 1)
+        block, idx = v if v.__class__ is Vertex else self.check_vertex(v)
+        n = self.n  # None or at least 4
+        if (block != 0 or not 0 <= idx < n) if n else not 0 <= block < self.k:
+            self.check_vertex(v)
+        return new_vertex((0, (idx + 1) % n) if n else (block, idx + 1))
 
     def pred(self, v: Vertex) -> Vertex:
-        block, idx = self.check_vertex(v)
-        if self.n is not None:
-            return Vertex(0, (idx - 1) % self.n)
-        return Vertex(block, idx - 1)
+        block, idx = v if v.__class__ is Vertex else self.check_vertex(v)
+        n = self.n
+        if (block != 0 or not 0 <= idx < n) if n else not 0 <= block < self.k:
+            self.check_vertex(v)
+        return new_vertex((0, (idx - 1) % n) if n else (block, idx - 1))
 
     # -- linearization -----------------------------------------------
 
@@ -188,19 +196,19 @@ class ZModel(Frozen):
         is mapped past the last limit point (pseudo-block k).  Raises
         ModelError for a point outside the model.
         """
-        n, k = self.n, self.k
+        n = self.n  # self.k is read on a Blocks model only
         if p.__class__ is Vertex or not isinstance(p, Limit):
             block, idx = p
             if n is not None:
                 if block != 0 or not (0 <= idx < n):
                     raise ModelError(f"{p!r} is not a vertex of Finite({n})")
                 return (0, 0, idx)
-            if not (0 <= block < k):
-                raise ModelError(f"{p!r} is not a vertex of Blocks({k})")
+            if not (0 <= block < self.k):
+                raise ModelError(f"{p!r} is not a vertex of Blocks({self.k})")
             if block == 0 and idx < 0:
-                return (k, 0, idx)
+                return (self.k, 0, idx)
             return (block, 0, idx)
-        if n is not None or not (0 <= p.gap < k):
+        if n is not None or not (0 <= p.gap < self.k):
             raise ModelError(f"{p!r} is not a limit point of this model")
         return (p.gap, 1, 0)
 
@@ -249,10 +257,15 @@ class ZModel(Frozen):
         return self.v(p)
 
     def are_neighbours(self, u: Vertex, v: Vertex) -> bool:
-        (bu, iu), (bv, iv) = self.check_vertex(u), self.check_vertex(v)
-        if self.n is not None:
-            return (iu - iv) % self.n in (1, self.n - 1)
-        return bu == bv and abs(iu - iv) == 1
+        if not u.__class__ is Vertex is v.__class__:
+            self.check_vertex(u), self.check_vertex(v)
+        (bu, iu), (bv, iv) = u, v
+        n = self.n
+        if not (bu == bv == 0 and 0 <= iu < n and 0 <= iv < n if n
+                else 0 <= bu < self.k and 0 <= bv < self.k):
+            self.check_vertex(u), self.check_vertex(v)
+        return ((iu - iv) % n in (1, n - 1) if n
+                else bu == bv and abs(iu - iv) == 1)
 
     def is_edge(self, a: "Arc") -> bool:
         return (isinstance(a.p, Vertex) and isinstance(a.q, Vertex)

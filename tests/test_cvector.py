@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 from functools import partial
 from itertools import combinations
 
@@ -307,6 +311,70 @@ def test_realize_is_the_flip_at_u0(n):
             assert realize_dimension_vector(t, v) == _realize_through_u0(t, v)
             pairs += 1
     assert pairs == {5: 15, 6: 84, 7: 420, 8: 1980}[n]
+
+
+class _Asked(Exception):
+    """Stops a realization once both triangle checks are asked."""
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_realize_reads_the_crossing_quadruple_off_dim(n, monkeypatch):
+    """The ends (i0, s0, i1, s1) that ``realize_dimension_vector`` reads
+    off dim(v) are ``t.crossing_quadruple(v)``, for every triangulation
+    T of the n-gon and every diagonal v crossing T: its two checks ask
+    third_vertex for the triangles on {s0, i1} toward v0 and on
+    {i0, s1} toward v1, and it asks nothing else before them."""
+    z = ZModel.finite(n)
+    cases = [(t, v, t.crossing_quadruple(v))
+             for t in enumerate_triangulations(z)
+             for v in all_diagonals(z) if v not in t.core]
+    assert len(cases) == {5: 15, 6: 84, 7: 420, 8: 1980, 9: 9009}[n]
+    asked = []
+    third_vertex = Triangulation.third_vertex
+
+    def spy(self, d, side):
+        asked.append((self, d, side))
+        if len(asked) == 2:
+            raise _Asked
+        return third_vertex(self, d, side)
+
+    monkeypatch.setattr(Triangulation, "third_vertex", spy)
+    for t, v, (i0, s0, i1, s1) in cases:
+        asked.clear()
+        with pytest.raises(_Asked):
+            realize_dimension_vector(t, v)
+        assert asked == [(t, Arc(s0, i1), v.p), (t, Arc(i0, s1), v.q)]
+
+
+def test_realize_checks_survive_python_O():
+    """Under ``python -O``, which drops assert statements, a
+    third_vertex that misplaces a triangle still makes
+    ``realize_dimension_vector`` and ``crossing_quadruple`` raise."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = textwrap.dedent("""
+        from infgon.cvector import realize_dimension_vector
+        from infgon.triangulation import Triangulation
+        from infgon.zmodel import ZModel
+        assert False, "assert statements run"
+        z = ZModel.finite(5)
+        t = Triangulation.make(z, {z.arc(0, 2), z.arc(0, 3)})
+        Triangulation.third_vertex = lambda self, d, side: z.succ(side)
+        for ask in (realize_dimension_vector,
+                    Triangulation.crossing_quadruple):
+            try:
+                ask(t, z.arc(1, 4))
+            except AssertionError as exc:
+                print(exc)
+        """)
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={"PYTHONPATH": str(src),
+                               "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "the triangle of T on Arc(V(0,0),V(0,2)) toward Arc(V(0,1),V(0,4)) "
+        "rests on V(0,2), not on V(0,1)",
+        "bridge triangles of Arc(V(0,1),V(0,4)) rest on (V(0,2), V(0,0))"]
 
 
 def test_dimension_vector_rejects_a_core_arc_that_is_no_diagonal():

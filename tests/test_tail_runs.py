@@ -314,6 +314,31 @@ def test_octagon_round_trips_call_no_runs(monkeypatch):
     assert calls == {"runs": 0}
 
 
+def test_octagon_round_trips_read_the_quadruple_off_dim(monkeypatch):
+    """No octagon realization builds a bridge quadruple: it reads the
+    crossing ends off dim(v).  The whole round trip stays within the
+    extremal queries it makes since then (39,488 over the 1,980 round
+    trips; 47,408 with the bridge)."""
+    calls = _count_calls(monkeypatch,
+                         (Triangulation, "_extremal_connected"),
+                         (Triangulation, "bridge_quadruple"))
+    z = ZModel.finite(8)
+    in_realize = 0
+    for t in enumerate_triangulations(z):
+        for v in (a for a in (z.arc(i, j) for i in range(8)
+                              for j in range(i + 2, 8)) if z.is_diagonal(a)):
+            if v in t.core:
+                continue
+            dimension_vector(t, v)
+            before = calls["bridge_quadruple"]
+            u_tri, u = realize_dimension_vector(t, v)
+            in_realize += calls["bridge_quadruple"] - before
+            cvector_full(CVectorQuery(t, u_tri, u))
+    assert in_realize == 0
+    assert calls["bridge_quadruple"] == 1980  # one in each image_arc
+    assert calls["_extremal_connected"] <= 39488, calls
+
+
 def test_structure_check_names_the_degenerate_member():
     rep = validate(_degenerate_fountain(0))
     assert (rep.ok, rep.reason, rep.witness) == (

@@ -4,6 +4,7 @@ Euclidean oracle on finite polygons."""
 from __future__ import annotations
 
 import math
+import re
 from itertools import combinations
 
 import pytest
@@ -104,11 +105,20 @@ def test_between_xor(n, a, x, b):
     (ZModel.finite(6), Vertex(1, 0), (Vertex(0, 1), Vertex(0, 3))),
     (ZModel.finite(6), Limit(0), (Vertex(0, 1), Vertex(0, 3))),
     (ZModel.blocks(2), Vertex(2, 0), (Vertex(0, 1), Vertex(1, 3))),
+    (ZModel.finite(6), Vertex(0, -1), (Vertex(0, 1), Vertex(0, 3))),
+    (ZModel.blocks(2), Vertex(-1, 0), (Vertex(0, 1), Vertex(1, 3))),
 ])
 def test_foreign_points_raise_model_error(z, bad, good):
     g, h = good
     with pytest.raises(ModelError):
         z.key(bad)
+    # succ, pred and are_neighbours test check_vertex's condition inline
+    with pytest.raises(ModelError) as refused:
+        z.check_vertex(bad)
+    for ask in (z.succ, z.pred, lambda p: z.are_neighbours(p, g),
+                lambda p: z.are_neighbours(g, p)):
+        with pytest.raises(ModelError, match=re.escape(str(refused.value))):
+            ask(bad)
     for between in (z.cyclically_between, z.strictly_between, z.in_closed):
         for args in ((bad, g, h), (g, bad, h), (g, h, bad)):
             with pytest.raises(ModelError):
