@@ -146,31 +146,39 @@ def dimension_vector(t: Triangulation, a: Arc) -> CoVector:
     first subfamily holding it, else explicitly.  So explicit arcs a
     term covers are dropped, and a term starts past the members an
     earlier subfamily holds (two subfamilies share finitely many
-    members, at the finite end of both)."""
-    z = t.z
-    explicit = {}
-    if pairs := t.core_keys():
-        ka, kb = z.key(a.p), z.key(a.q)
-        for d, kd in pairs.items():
-            if kd is None:
-                raise ModelError(f"{d!r} is not a diagonal")
-            if keys_cross(ka, kb, *kd):
-                explicit[d] = 1
-    terms: list[TailRange] = []
-    for sf in t.subfamilies():
-        for lo, hi in _crossing_runs(z, sf, a):
-            if lo is not None and hi is not None:
-                for i in range(lo, hi + 1):
-                    explicit[sf.member(i)] = 1
-                continue
-            while t.tail_ref_of(sf.member(lo if hi is None else hi)
-                                )[:2] != (sf.gap, sf.sub):
-                lo, hi = (lo + 1, hi) if hi is None else (lo, hi - 1)
-            terms.append(TailRange(sf.gap, sf.sub, lo, hi, 1))
-    if terms:
+    members, at the finite end of both).  Memoized on t per arc: the
+    memo keeps the support arcs and tail terms, which do not refer to
+    t, and every call returns a fresh CoVector, so no caller can change
+    a stored answer; a failure is never stored."""
+    memo = t._memo("dimension_vector")
+    if (got := memo.get(a)) is None:
+        z = t.z
+        # tail members and terms are built afresh each call: keep one of each
+        intern = t._memo("dimension_parts").setdefault
+        explicit = {}
+        if pairs := t.core_keys():
+            ka, kb = z.key(a.p), z.key(a.q)
+            for d, kd in pairs.items():
+                if kd is None:
+                    raise ModelError(f"{d!r} is not a diagonal")
+                if keys_cross(ka, kb, *kd):
+                    explicit[d] = 1
+        terms: list[TailRange] = []
+        for sf in t.subfamilies():
+            for lo, hi in _crossing_runs(z, sf, a):
+                if lo is not None and hi is not None:
+                    for m in map(sf.member, range(lo, hi + 1)):
+                        explicit[intern(m, m)] = 1
+                    continue
+                while t.tail_ref_of(sf.member(lo if hi is None else hi)
+                                    )[:2] != (sf.gap, sf.sub):
+                    lo, hi = (lo + 1, hi) if hi is None else (lo, hi - 1)
+                tr = TailRange(sf.gap, sf.sub, lo, hi, 1)
+                terms.append(intern(tr, tr))
         covered = CoVector(t, None, tuple(terms))
-        explicit = {d: 1 for d in explicit if not covered.eval(d)}
-    return CoVector(t, explicit, tuple(terms))
+        memo[a] = got = (tuple([d for d in explicit if not covered.eval(d)]),
+                         covered.tail_terms)
+    return CoVector(t, dict.fromkeys(got[0], 1), got[1])
 
 
 def support_subset(a: CoVector, b: CoVector) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import weakref
 from itertools import combinations
 from typing import NamedTuple
 
@@ -103,7 +104,7 @@ class _RunInfo:
         self.inc_with_i = self.dir_up == (self.open_sign > 0)
         # limit point the open end accumulates at (via the p-endpoint,
         # the one strictly inside (e, f))
-        e, f, z = ocs.e, ocs.f, ocs.t.z
+        e, f, z = ocs.e, ocs.f, ocs.z
         p_first = self.reaches_open_end(sf.runs(
             (e, f), lambda i: z.strictly_between(e, sf.vertex(0, i), f)))
         blk, _, slope = sf.e1 if p_first else sf.e2
@@ -149,17 +150,18 @@ class OrderedCrossingSet:
     rule raises, and so does ``_cmp``, by ``keys_cross`` on the cached
     keys; otherwise d1 == d2, which the key, read rp first, gives.  A
     shared p makes d1 = 0 and the key reads rq; a shared q makes d2 = 0
-    and the key reads rp."""
+    and the key reads rp.  Y refers to T weakly (``t``), so that T's
+    memo holding Y holds no reference back to T."""
 
     def __init__(self, t: Triangulation, e: ClosurePoint, f: ClosurePoint):
-        z = t.z
-        self.t = t
+        self.z = z = t.z
+        self._t = weakref.ref(t)
         self.e = z._coerce_point(e)
         self.f = z._coerce_point(f)
         self.pair = Arc(self.e, self.f)
         self._ke, self._kf = z.key(self.e), z.key(self.f)
         self._keys: dict[Arc, tuple] = {}  # explicit member -> keys
-        dim = _pair_dimension(t, self.pair)
+        dim = dimension_vector(t, self.pair)
         if dim.is_zero():
             raise ModelError(
                 f"{self.pair!r} crosses no diagonal of T (empty Y)")
@@ -171,6 +173,12 @@ class OrderedCrossingSet:
         self._explicit: tuple[Arc, ...] = tuple(
             sorted(dim.explicit, key=functools.cmp_to_key(self._cmp)))
         self._struct = None
+
+    @property
+    def t(self) -> Triangulation:
+        if (t := self._t()) is None:
+            raise ModelError("the triangulation of this crossing set is gone")
+        return t
 
     # -- the order key --------------------------------------------------
 
@@ -187,7 +195,7 @@ class OrderedCrossingSet:
                 kp, kq)
 
     def _okey(self, x: Arc) -> tuple:
-        key = self.t.z.key
+        key = self.z.key
         return self._keys.get(x) or self._order_keys(key(x.p), key(x.q))
 
     def _cmp_keys(self, kx, ky, arcs) -> int:
@@ -214,14 +222,14 @@ class OrderedCrossingSet:
     # -- membership ----------------------------------------------------
 
     def contains(self, a: Arc) -> bool:
-        return self.t.z.crosses(self.pair, a) and self.t.contains(a)
+        return self.z.crosses(self.pair, a) and self.t.contains(a)
 
     # -- segment structure ---------------------------------------------
 
     def _segments(self) -> tuple[list[_Segment], list]:
         if self._struct is not None:
             return self._struct
-        z = self.t.z
+        z = self.z
         cut_rels = sorted({z.rel(r.limit, self.e) for r in self._runs})
         nseg = len(cut_rels) + 1
         segs = [_Segment(i) for i in range(nseg)]
@@ -339,7 +347,7 @@ class OrderedCrossingSet:
     def _side_runs(self, r: _RunInfo, x: Arc, want: int):
         """Index runs of r's members other than x lying below x
         (want = -1) or above it (want = 1), read on position keys."""
-        z, sf = self.t.z, r.sf
+        z, sf = self.z, r.sf
         kx = self._okey(x)
 
         def on_side(i):
@@ -420,7 +428,7 @@ class OrderedCrossingSet:
         (``in_X`` is support inclusion), so this set is supp(dv)."""
         if dv is None:
             dv = dimension_vector(self.t, v)
-        dim = _pair_dimension(self.t, self.pair)
+        dim = dimension_vector(self.t, self.pair)
         cands = [a for a in dv.explicit if dim.eval(a)]
         cands += [m for m in self._explicit if dv.eval(m)]
         runs = [(r, None if tr.lo is None else max(tr.lo, r.sf.imin),
@@ -519,23 +527,13 @@ def _interval_root(y: OrderedCrossingSet, a: Arc, b: Arc) -> Root:
     return Root(pos=b, neg=NEG_INFINITY if p is None else p)
 
 
-def _pair_dimension(t: Triangulation, pair: Arc) -> CoVector:
-    """dim({e, f}) for an arc of coerced points, memoized on t per arc:
-    the one crossing set of the pair, read by Y, in_X and maximal_pairs."""
-    dims = t._memo("pair_dimension")
-    dim = dims.get(pair)
-    if dim is None:
-        dim = dims[pair] = dimension_vector(t, pair)
-    return dim
-
-
 def in_X(t: Triangulation, e: ClosurePoint, f: ClosurePoint,
          c: CoVector) -> bool:
     """Membership of a positive c-vector in X_{e,f}: support inclusion
     into the support of dim({e, f})."""
     if c.is_zero():
         raise ModelError("the zero vector is not a c-vector")
-    return support_subset(c, _pair_dimension(t, t.z.arc(e, f)))
+    return support_subset(c, dimension_vector(t, t.z.arc(e, f)))
 
 
 def decompose_row(t: Triangulation, e: ClosurePoint, f: ClosurePoint,
@@ -604,7 +602,7 @@ def maximal_pairs(t: Triangulation) -> set[frozenset]:
             pts.add(Limit(g))
     out: set[frozenset] = set()
     for e, f in combinations(sorted(pts, key=t.z.key), 2):
-        if not _pair_dimension(t, Arc(e, f)).is_zero():
+        if not dimension_vector(t, Arc(e, f)).is_zero():
             out.add(frozenset({e, f}))
     return out
 

@@ -32,6 +32,7 @@ all of them by m, and the work does not depend on index magnitude.
 from __future__ import annotations
 
 import bisect
+from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Union
 
@@ -286,9 +287,10 @@ class Triangulation(Frozen):
 
     def _memo(self, name: str) -> dict:
         """The memo table ``name`` kept on this triangulation, empty on
-        first use.  The fields are frozen, so an answer stored here
-        stays right for the triangulation's life; store only answers
-        that nobody mutates, and never a failure."""
+        first use.  The fields are frozen, so a stored answer stays right
+        for the triangulation's life.  Store only answers nobody mutates,
+        never a failure, and nothing that refers to the triangulation but
+        weakly: reference counting then frees it with its memos."""
         return self.__dict__.setdefault("_memo_" + name, {})
 
     def subfamilies(self) -> tuple[_SubFamily, ...]:
@@ -403,14 +405,9 @@ class Triangulation(Frozen):
         k_alo, k_ahi = key(a_lo), key(a_hi)
         k_blo = key(b_lo)
         k_bhi = k_blo if b_hi is b_lo else key(b_hi)
-        top = (k_ahi < k_alo, k_ahi)  # A's far end, rotated
         point = k_blo == k_bhi and b_lo.__class__ is Vertex
-        feas: dict[Vertex, tuple] = {}  # candidate -> its rotated key
+        cands: list[tuple[Vertex, tuple]] = []  # (vertex, key), kept in A
         limits: list[tuple] = []  # limits approached on the wanted side
-
-        def add(v: Vertex, kv: tuple):
-            if (kv < k_alo, kv) <= top:
-                feas[v] = (kv < k_alo, kv)
 
         if point:
             if keys_in_closed(k_alo, k_blo, k_ahi):
@@ -422,26 +419,22 @@ class Triangulation(Frozen):
                 # there, its last the last key up to key(a_hi)
                 i = (bisect.bisect_left(keys, k_alo) % len(keys) if want_min
                      else bisect.bisect_right(keys, k_ahi) - 1)
-                if keys_in_closed(k_alo, keys[i], k_ahi):
-                    feas[verts[i]] = (keys[i] < k_alo, keys[i])
+                cands.append((verts[i], keys[i]))
             if edges_allowed:
                 # succ(x) in A is a_lo, and pred(x) in A is a_hi
                 if a_lo == z.succ(b_lo):
-                    feas[a_lo] = (False, k_alo)
+                    cands.append((a_lo, k_alo))
                 if a_hi == z.pred(b_lo):
-                    feas[a_hi] = top
+                    cands.append((a_hi, k_ahi))
         else:
-            def in_b(p):
-                return keys_in_closed(k_blo, key(p), k_bhi)
-
             for w, (keys, verts) in self.neighbours().items():
-                if in_b(w):
-                    for u, ku in zip(verts, keys):
-                        add(u, ku)
+                if keys_in_closed(k_blo, key(w), k_bhi):
+                    cands += zip(verts, keys)
             if edges_allowed:
                 for u, ku in ((a_lo, k_alo), (a_hi, k_ahi)):
-                    if in_b(z.succ(u)) or in_b(z.pred(u)):
-                        add(u, ku)
+                    if (keys_in_closed(k_blo, key(z.succ(u)), k_bhi)
+                            or keys_in_closed(k_blo, key(z.pred(u)), k_bhi)):
+                        cands.append((u, ku))
 
         for sf in self.tails and self.subfamilies():
             for wa in (0, 1):
@@ -450,43 +443,36 @@ class Triangulation(Frozen):
                     continue
                 if i != "any":
                     if (ka := sf.key(z, wa, i)) != k_blo:
-                        add(sf.vertex(wa, i), ka)
+                        cands.append((sf.vertex(wa, i), ka))
                     continue
                 blk, _, slope = sf.e2 if wa else sf.e1
-
-                def feasible(i, sf=sf, wa=wa):
-                    ka = sf.key(z, wa, i)
-                    if not keys_in_closed(k_alo, ka, k_ahi):
-                        return False
-                    kb = sf.key(z, 1 - wa, i)
-                    return ka != kb and keys_in_closed(k_blo, kb, k_bhi)
-
-                for lo, hi in sf.runs((a_lo, a_hi, b_lo, b_hi), feasible):
+                for lo, hi in sf.runs((a_lo, a_hi, b_lo, b_hi), partial(
+                        _joins, z, sf, wa, k_alo, k_ahi, k_blo, k_bhi)):
                     # along a run va moves monotonically inside A, so
                     # its extremes sit at the run's ends
                     for end, up in ((lo, False), (hi, True)):
                         if end is not None or slope == 0:
-                            add(sf.vertex(wa, end or 0),
-                                sf.key(z, wa, end or 0))
+                            cands.append((sf.vertex(wa, end or 0),
+                                          sf.key(z, wa, end or 0)))
                         elif ((slope > 0) == up) != want_min:
                             lim = blk - 1 if want_min else blk
                             limits.append(z.rel(Limit(lim % z.k), a_lo))
 
+        top = (k_ahi < k_alo, k_ahi)  # A's far end, rotated
+        feas: dict[Vertex, tuple] = {}  # candidate in A -> its rotated key
+        for v, kv in cands:
+            if (r := (kv < k_alo, kv)) <= top:
+                feas[v] = r
         if not feas:
             if limits:
                 raise UnattainedError(
                     "candidate set accumulates at a limit point")
             return None
-        if want_min:
-            best = min(feas, key=feas.get)
-            if limits and any(r < feas[best] for r in limits):
-                raise UnattainedError(
-                    "infimum approaches a limit point, not attained")
-        else:
-            best = max(feas, key=feas.get)
-            if limits and any(r > feas[best] for r in limits):
-                raise UnattainedError(
-                    "supremum approaches a limit point, not attained")
+        pick = min if want_min else max
+        best = pick(feas, key=feas.get)
+        if limits and pick(*limits, feas[best]) != feas[best]:
+            raise UnattainedError(("infimum" if want_min else "supremum")
+                                  + " approaches a limit point, not attained")
         return best
 
     # -- public interval queries --------------------------------------
@@ -702,6 +688,14 @@ class Triangulation(Frozen):
 
 # ---------------------------------------------------------------------------
 # Validation
+
+
+def _joins(z: ZModel, sf: _SubFamily, wa: int, k_alo, k_ahi, k_blo, k_bhi,
+           i: int) -> bool:
+    """Member i of sf has endpoint wa in A and the other, apart, in B."""
+    ka, kb = sf.key(z, wa, i), sf.key(z, 1 - wa, i)
+    return (keys_in_closed(k_alo, ka, k_ahi) and ka != kb
+            and keys_in_closed(k_blo, kb, k_bhi))
 
 
 def _crossing_runs(z: ZModel, sf: _SubFamily, a: Arc

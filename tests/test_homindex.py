@@ -223,3 +223,28 @@ def test_zigzag_monotonicity_random():
         for m in range(len(p) - 1):
             step = Arc(p[m], p[m + 1])
             assert z.is_edge(step) or t.contains(step)
+
+
+def test_zigzag_step_outside_t_is_named(monkeypatch):
+    """A zig-zag step that is not a diagonal of T is refused by name.
+    The extremal engine is doctored so that the first step from 1 lands
+    on 3, which the fan at 0 does not join to 1; the path then goes on
+    through 0 to 4 as usual."""
+    z = ZModel.finite(6)
+    t = Triangulation.make(z, {z.arc(0, 2), z.arc(0, 3), z.arc(0, 4)})
+    assert index(t, z.arc(1, 4)) == KVector({z.arc(0, 2): -1,
+                                             z.arc(0, 4): 1})
+    engine = Triangulation._extremal_connected
+
+    def doctored(self, want_min, a_lo, a_hi, b_lo, b_hi, edges_allowed):
+        if b_lo == z.v(1):
+            return z.v(3)
+        return engine(self, want_min, a_lo, a_hi, b_lo, b_hi, edges_allowed)
+    monkeypatch.setattr(Triangulation, "_extremal_connected", doctored)
+    fresh = Triangulation(z, t.core, t.tails)
+    assert zigzag(fresh, z.v(1), z.v(4)).vertices == (
+        z.v(1), z.v(3), z.v(0), z.v(4))
+    with pytest.raises(ModelError) as err:
+        index(fresh, z.arc(1, 4))
+    assert str(err.value) == (f"zig-zag step {z.arc(1, 3)!r} is a diagonal "
+                              "outside T (invalid triangulation)")
