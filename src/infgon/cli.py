@@ -146,9 +146,7 @@ def triangulation_from_json(obj, pointer: str = "") -> Triangulation:
 def triangulation_to_json(t: Triangulation):
     z = t.z
     out = {"z": model_to_json(z),
-           "core": [arc_to_json(z, a)
-                    for a in sorted(t.core,
-                                    key=lambda a: (z.key(a.p), z.key(a.q)))]}
+           "core": [arc_to_json(z, a) for a in sorted(t.core, key=z.arc_key)]}
     tails = []
     for g, tl in t.tails:
         if isinstance(tl, Fountain):
@@ -171,8 +169,7 @@ def kvector_to_json(z: ZModel, kv: KVector):
 
 def covector_to_json(c: CoVector):
     z = c.t.z
-    expl = sorted(c.explicit.items(),
-                  key=lambda ac: (z.key(ac[0].p), z.key(ac[0].q)))
+    expl = sorted(c.explicit.items(), key=lambda ac: z.arc_key(ac[0]))
     out = {"explicit": [[arc_to_json(z, a), v] for a, v in expl]}
     if c.tail_terms:
         out["tails"] = [{"gap": tr.gap, "sub": tr.sub, "lo": tr.lo,
@@ -209,7 +206,7 @@ def _read_tri(path: str) -> Triangulation:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, deep nesting
             raise ParseError("/", f"invalid JSON: {exc}") from exc
     return triangulation_from_json(obj)
 
@@ -370,7 +367,8 @@ def cmd_duality(args) -> int:
     t = _load_tri(args.triangulation)
     u = _load_tri(args.second_triangulation)
     if t.z.is_finite:
-        window_t = window_u = None
+        window_t = sorted(t.core, key=t.z.arc_key)
+        window_u = sorted(u.core, key=u.z.arc_key)
     else:
         window_t = t.arcs_within(*args.window)
         window_u = u.arcs_within(*args.window)
@@ -500,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ParseError, ModelError, RealizationUnsupported,
-            UnattainedError, FileNotFoundError) as exc:
+            UnattainedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -72,16 +72,19 @@ class CoVector:
         return not self.explicit and not self.tail_terms
 
     def is_positive(self) -> bool:
+        """Nonzero with no negative coefficient: one sign of c-vectors."""
         return (all(c >= 0 for c in self.explicit.values())
                 and all(tr.coeff >= 0 for tr in self.tail_terms)
                 and not self.is_zero())
 
     def is_negative(self) -> bool:
+        """Nonzero with no positive coefficient: the other sign."""
         return (all(c <= 0 for c in self.explicit.values())
                 and all(tr.coeff <= 0 for tr in self.tail_terms)
                 and not self.is_zero())
 
     def sign_coherent(self) -> bool:
+        """The Nakanishi--Zelevinsky sign property, which tests check."""
         return self.is_zero() or self.is_positive() or self.is_negative()
 
     def _canon(self):
@@ -126,13 +129,6 @@ def cvector_eval(q: CVectorQuery, t_arc: Arc) -> int:
     if not q.t.contains(t_arc):
         raise ModelError(f"{t_arc!r} is not a diagonal of T")
     return -index_coeffs(q.u_tri, suspend(q.u_tri.z, t_arc)).get(q.u, 0)
-
-
-def cvector_bar_eval(q: CVectorQuery, t_arc: Arc) -> int:
-    """Coefficient of [u] in index(U, t_arc)."""
-    if not q.t.contains(t_arc):
-        raise ModelError(f"{t_arc!r} is not a diagonal of T")
-    return index_coeffs(q.u_tri, t_arc).get(q.u, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +306,11 @@ def realize_dimension_vector(t: Triangulation, v: Arc
     crossing v, that is, joining A0 = (v1, v0) to A1 = (v0, v1).  Along
     A0 from v1 and A1 from v0, i0 is the first vertex joined to A1, s1
     the last joined to i0, i1 the first joined to A0 and s0 the last
-    joined to i1 (``crossing_quadruple``).  Arcs of C do not cross, so
-    one with a later A1 end has no later A0 end: an arc of C at i0 ends
-    at C's last A1 end, s1; likewise s0 is C's last A0 end.  The two
-    triangles of T above are checked, and the c-vector against dim(v)
-    at every diagonal of T."""
+    joined to i1 (the tests' ``crossing_quadruple``).  Arcs of C do not
+    cross, so one with a later A1 end has no later A0 end: an arc of C
+    at i0 ends at C's last A1 end, s1; likewise s0 is C's last A0 end.
+    The two triangles of T above are checked, and the c-vector against
+    dim(v) at every diagonal of T."""
     z = t.z
     if not z.is_diagonal(v):
         raise ModelError(f"{v!r} is not a diagonal")

@@ -73,13 +73,15 @@ class Root(NamedTuple):
     neg: Arc | NegInf
 
     def vector(self) -> dict:
-        """The root as a lattice vector over Y_ext coordinates."""
+        """The root as a lattice vector over Y_ext coordinates, in
+        which the tests check that psi is additive."""
         out: dict = {self.pos: 1}
         out[self.neg] = out.get(self.neg, 0) - 1
         return out
 
 
 def add_vectors(a: dict, b: dict) -> dict:
+    """The sum of two root vectors; psi's additivity is stated with it."""
     out = dict(a)
     for k, v in b.items():
         out[k] = out.get(k, 0) + v
@@ -217,6 +219,7 @@ class OrderedCrossingSet:
         return self._cmp_keys(self._okey(x), self._okey(y), lambda: (x, y))
 
     def less(self, x: Arc, y: Arc) -> bool:
+        """The paper's order on Y, x < y, as a predicate."""
         return self._cmp(x, y) < 0
 
     # -- membership ----------------------------------------------------
@@ -300,6 +303,7 @@ class OrderedCrossingSet:
         return self.first(1)[0] if self.has_least else None
 
     def greatest(self) -> Arc | None:
+        """Y's greatest element, if any: the paper's order, like least."""
         return self.last(1)[0] if self.has_greatest else None
 
     def first(self, k: int) -> list[Arc]:
@@ -406,6 +410,7 @@ class OrderedCrossingSet:
             "point (non-sequential crossing order)"))
 
     def pred_in(self, a: Arc) -> Arc | None:
+        """The paper's predecessor map in Y, as succ_in is its successor."""
         return self._neighbor(a, below=True)
 
     def succ_in(self, a: Arc) -> Arc | None:
@@ -495,7 +500,8 @@ class YExt:
 
     def iso_to_y(self, el) -> Arc:
         """The order isomorphism Y_ext -> Y for infinite Y: shift the
-        head copy of N up by one step, identity elsewhere."""
+        head copy of N up by one step, identity elsewhere: the paper's
+        map, kept as API."""
         if self.is_finite:
             raise ModelError("Y_ext is not isomorphic to a finite Y")
         if not self.has_neg_inf:
@@ -624,8 +630,7 @@ def unique_maximal_iff_acyclic_report(t: Triangulation) -> MaximalityReport:
     names the first internal triangle met in key order."""
     z = t.z
     football = triangle = None
-    arc_key = lambda ds: (z.key(ds[0].p), z.key(ds[0].q))
-    for d, side in sorted(face_sides(t), key=arc_key):
+    for d, side in sorted(face_sides(t), key=lambda ds: z.arc_key(ds[0])):
         u, h, w = t.triangle_on_side(d, side)
         sides = (Arc(u, h), Arc(h, w), Arc(w, u))
         if all(z.is_diagonal(s) and t.contains(s) for s in sides):

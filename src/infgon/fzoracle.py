@@ -96,11 +96,11 @@ def from_triangulation(t: Triangulation) -> SeedMatrix:
     z = t.z
     if not z.is_finite:
         raise ModelError("the matrix oracle is finite-type only")
-    nodes = tuple(sorted(t.core, key=lambda a: (z.key(a.p), z.key(a.q))))
+    nodes = tuple(sorted(t.core, key=z.arc_key))
     pos = {a: i for i, a in enumerate(nodes)}
     m = len(nodes)
     b = [[0] * m for _ in range(m)]
-    for s, tgt in t.dual_quiver().arrows:
+    for s, tgt in t.dual_quiver(nodes).arrows:
         b[pos[tgt]][pos[s]] += 1
         b[pos[s]][pos[tgt]] -= 1
     ident = identity(m)

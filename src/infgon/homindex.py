@@ -1,13 +1,12 @@
-"""Indices (g-vectors) via the zig-zag construction, Hom/Ext
-predicates, and the two-way duality check between triangulations."""
+"""Indices (g-vectors) via the zig-zag construction, and the two-way
+duality check between triangulations."""
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from .triangulation import Triangulation
-from .zmodel import (Arc, ModelError, StepCapExceeded, Vertex, ZModel,
-                     suspend)
+from .zmodel import Arc, ModelError, StepCapExceeded, Vertex, ZModel, suspend
 
 
 DEFAULT_STEP_CAP = 10 ** 6
@@ -61,8 +60,7 @@ class KVector:
         return bool(self.coeffs)
 
     def items_sorted(self, z: ZModel):
-        return sorted(self.coeffs.items(),
-                      key=lambda ac: (z.key(ac[0].p), z.key(ac[0].q)))
+        return sorted(self.coeffs.items(), key=lambda ac: z.arc_key(ac[0]))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -75,26 +73,6 @@ class ZigZagPath(NamedTuple):
     vertices: tuple[Vertex, ...]
     anchor: tuple[Vertex, Vertex]
     triangulation: Triangulation
-
-
-def ext_nonzero(z: ZModel, x: Arc, y: Arc) -> bool:
-    if not (z.is_diagonal(x) and z.is_diagonal(y)):
-        raise ModelError("ext_nonzero needs diagonals")
-    return z.crosses(x, y)
-
-
-def hom_nonzero(z: ZModel, x: Arc, y: Arc) -> bool:
-    """Non-vanishing of morphisms x -> y: some labelling satisfies
-    x0 <= y0 <= x1-- < x1 <= y1 <= x0-- cyclically."""
-    if not (z.is_diagonal(x) and z.is_diagonal(y)):
-        raise ModelError("hom_nonzero needs diagonals")
-    pp2 = lambda v: z.pred(z.pred(v))
-    for (x0, x1) in ((x.p, x.q), (x.q, x.p)):
-        for (y0, y1) in ((y.p, y.q), (y.q, y.p)):
-            if (z.in_closed(x0, y0, pp2(x1))
-                    and z.in_closed(x1, y1, pp2(x0))):
-                return True
-    return False
 
 
 def zigzag(t: Triangulation, e: Vertex, f: Vertex,
@@ -194,17 +172,12 @@ class DualityReport(NamedTuple):
 
 
 def check_duality(t_t: Triangulation, t_u: Triangulation,
-                  window_t: list[Arc] | None = None,
-                  window_u: list[Arc] | None = None) -> DualityReport:
+                  window_t: list[Arc], window_u: list[Arc]) -> DualityReport:
     """Verifies that the two index maps are mutually inverse on the
     given basis windows: ind_T(ind_bar_U[t]) = [t] and
     ind_bar_U(ind_T[u]) = [u]."""
     if t_t.z != t_u.z:
         raise ModelError("triangulations live over different models")
-    if window_t is None:
-        window_t = t_t.window_nodes()
-    if window_u is None:
-        window_u = t_u.window_nodes()
     failures = []
     for a in window_t:
         via_u = index_bar(t_u, a)

@@ -91,7 +91,7 @@ def render_svg(spec: RenderSpec) -> str:
     if t is not None:
         if t.z != z:
             raise ModelError("triangulation drawn over a different model")
-        arcs = (sorted(t.core, key=lambda a: (z.key(a.p), z.key(a.q)))
+        arcs = (sorted(t.core, key=z.arc_key)
                 if z.is_finite else t.arcs_within(*spec.window))
         for a in arcs:
             (x1, y1), (x2, y2) = _xy(z, a.p), _xy(z, a.q)

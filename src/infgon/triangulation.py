@@ -24,9 +24,9 @@ x are found by bisecting x's neighbours, kept sorted by key
 
 No breakpoint or window is placed at vertex 0, where the position keys
 start: every cyclic test rotates the keys to start at its own low end.
-Windows are measured from the data hull (per block, the least and
-greatest index the data names), so shifting every index by m shifts
-all of them by m, and the work does not depend on index magnitude.
+A window of tail members is always given by the caller, counted from
+each subfamily's finite end, so shifting every index by m shifts it by
+m, and the work does not depend on index magnitude.
 """
 
 from __future__ import annotations
@@ -34,15 +34,10 @@ from __future__ import annotations
 import bisect
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .zmodel import (Arc, ClosurePoint, Frozen, Limit, ModelError, Vertex,
                      ZModel, keys_cross, keys_in_closed, new_vertex)
-
-
-# Tail members that ``window_nodes`` and ``dual_quiver`` list by default
-# beyond the widest block hull.
-_MARGIN = 8
 
 
 class UnattainedError(RuntimeError):
@@ -82,26 +77,6 @@ class ValidationReport(NamedTuple):
 class DualQuiver(NamedTuple):
     nodes: tuple[Arc, ...]
     arrows: tuple[tuple[Arc, Arc], ...]
-    window_bound: int
-
-    def is_acyclic(self) -> bool:
-        """Whether the quiver has no oriented cycle: Kahn's algorithm,
-        which removes sources until none is left, without recursion."""
-        out: dict[Arc, list[Arc]] = {n: [] for n in self.nodes}
-        indegree = dict.fromkeys(self.nodes, 0)
-        for s, t in self.arrows:
-            out[s].append(t)
-            indegree[t] += 1
-        sources = [n for n, d in indegree.items() if d == 0]
-        removed = 0
-        while sources:
-            n = sources.pop()
-            removed += 1
-            for m in out[n]:
-                indegree[m] -= 1
-                if indegree[m] == 0:
-                    sources.append(m)
-        return removed == len(indegree)
 
 
 # ---------------------------------------------------------------------------
@@ -320,34 +295,6 @@ class Triangulation(Frozen):
     def contains_or_edge(self, a: Arc) -> bool:
         return self.z.is_edge(a) or self.contains(a)
 
-    # -- the data hull -------------------------------------------------
-
-    def _hull(self) -> dict[int, tuple[int, int]]:
-        """Per block, the least and greatest vertex index the data
-        names: core endpoints, tail bases and each tail subfamily's
-        member at its finite end."""
-        cached = self.__dict__.get("_hull_cache")
-        if cached is None:
-            idx: dict[int, list[int]] = {}
-            ends = [p for a in self.core for p in (a.p, a.q)]
-            for sf in self.subfamilies():
-                end = sf.imin if sf.imin is not None else sf.imax
-                ends += (sf.vertex(0, end), sf.vertex(1, end))
-            for p in ends:
-                if isinstance(p, Vertex):
-                    idx.setdefault(p.block, []).append(p.idx)
-            cached = {b: (min(v), max(v)) for b, v in idx.items()}
-            object.__setattr__(self, "_hull_cache", cached)
-        return cached
-
-    def _default_window(self) -> int:
-        """Tail members listed per subfamily by default: the widest
-        block hull plus a margin, so that every window reaches past the
-        data on both sides of each limit point."""
-        spread = max((hi - lo for lo, hi in self._hull().values()),
-                     default=0)
-        return spread + _MARGIN
-
     def neighbours(self) -> dict[ClosurePoint, tuple[tuple, tuple]]:
         """Each endpoint of a core diagonal mapped to (keys, vertices):
         the vertices q joined to it by a core diagonal and their keys,
@@ -556,31 +503,10 @@ class Triangulation(Frozen):
         h1 = self.third_vertex(Arc(s1, i0), z.succ(s1))
         return (i0, s0, h0, i1, s1, h1)
 
-    def crossing_quadruple(self, v: Arc):
-        """For a diagonal v, the extremal vertices of the diagonals of T
-        crossing v: (i0, s0, i1, s1) with i0 <= s0 < v0 < i1 <= s1 < v1
-        and {i1, v0, s0}, {i0, v1, s1} triangles of T; None if v crosses
-        nothing in T."""
-        z = self.z
-        if not z.is_diagonal(v):
-            raise ModelError(f"{v!r} is not a diagonal")
-        v0, v1 = v.p, v.q
-        got = self.bridge_quadruple(z.succ(v1), z.pred(v0),
-                                    z.succ(v0), z.pred(v1))
-        if got is None:
-            return None
-        i0, s0, h0, i1, s1, h1 = got
-        if (h0, h1) != (v0, v1):
-            raise AssertionError(f"bridge triangles of {v!r} rest on {h0, h1}")
-        return (i0, s0, i1, s1)
-
     # -- ears ----------------------------------------------------------
 
     def ears(self) -> set[Vertex]:
         z = self.z
-        if z.is_finite:
-            return {v for v in z.vertices()
-                    if self.contains(Arc(z.pred(v), z.succ(v)))}
         cands: set[Vertex] = set()
         for a in self.core:
             for (u, w) in ((a.p, a.q), (a.q, a.p)):
@@ -620,11 +546,9 @@ class Triangulation(Frozen):
 
     # -- dual quiver ----------------------------------------------------
 
-    def window_nodes(self, window: int | None = None) -> list[Arc]:
+    def window_nodes(self, w: int) -> list[Arc]:
         """Core diagonals plus, for each tail subfamily, the members at
-        its finite end and the next ``window`` indices (by default the
-        widest block hull plus a margin), in key order."""
-        w = window if window is not None else self._default_window()
+        its finite end and the next ``w`` indices, in key order."""
         nodes = list(self.core)
         for sf in self.subfamilies():
             if sf.imin is not None:
@@ -632,8 +556,7 @@ class Triangulation(Frozen):
             else:
                 rng = range(sf.imax - w, sf.imax + 1)
             nodes.extend(sf.member(i) for i in rng)
-        return list(dict.fromkeys(sorted(
-            nodes, key=lambda a: (self.z.key(a.p), self.z.key(a.q)))))
+        return list(dict.fromkeys(sorted(nodes, key=self.z.arc_key)))
 
     def arcs_within(self, lo: int, hi: int) -> list[Arc]:
         """The arcs of T whose vertex endpoints all have indices in
@@ -653,18 +576,17 @@ class Triangulation(Frozen):
             arcs.extend(sf.member(i) for i in range(
                 max(a for a, _ in ends if a is not None),
                 min(b for _, b in ends if b is not None) + 1))
-        return list(dict.fromkeys(sorted(
-            arcs, key=lambda a: (z.key(a.p), z.key(a.q)))))
+        return list(dict.fromkeys(sorted(arcs, key=z.arc_key)))
 
     def _ccw_triangle(self, verts: frozenset[Vertex]
                       ) -> tuple[Vertex, Vertex, Vertex]:
         a, b, c = sorted(verts, key=self.z.key)
         return (a, b, c)
 
-    def dual_quiver(self, window: int | None = None) -> DualQuiver:
+    def dual_quiver(self, nodes: Sequence[Arc]) -> DualQuiver:
+        """The dual quiver on the given diagonals of T: s -> t for
+        consecutive counterclockwise sides of a triangle of T."""
         z = self.z
-        w = window if window is not None else self._default_window()
-        nodes = self.window_nodes(w)
         node_set = set(nodes)
         triangles: set[frozenset[Vertex]] = set()
         for d in nodes:
@@ -681,9 +603,8 @@ class Triangulation(Frozen):
                 s, t = sides[i], sides[(i + 1) % 3]
                 if s in node_set and t in node_set:
                     arrows.append((s, t))
-        key = lambda a: (z.key(a.p), z.key(a.q))
-        arrows.sort(key=lambda st: (key(st[0]), key(st[1])))
-        return DualQuiver(tuple(nodes), tuple(arrows), w)
+        arrows.sort(key=lambda st: (z.arc_key(st[0]), z.arc_key(st[1])))
+        return DualQuiver(tuple(nodes), tuple(arrows))
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +684,7 @@ def validate(t: Triangulation) -> ValidationReport:
         for lo, hi in sf.runs((), bad):
             return ValidationReport(False, "non-diagonal tail member",
                                     (sf.gap, sf.sub, sf.near_end(lo, hi)))
-    core = sorted(t.core, key=lambda a: (z.key(a.p), z.key(a.q)))
+    core = sorted(t.core, key=z.arc_key)
     for i, a in enumerate(core):
         for b in core[i + 1:]:
             if z.crosses(a, b):
@@ -845,8 +766,7 @@ def face_sides(t: Triangulation) -> list[tuple[Arc, ClosurePoint]]:
         i = sf.near_end(sf.imin, sf.imax)
         past = i - 1 if sf.imin is not None else i + 1
         sides.setdefault(sf.member(i), (sf.vertex(1, past),))
-    arcs = sides if z.is_finite else sorted(
-        sides, key=lambda a: (z.key(a.p), z.key(a.q)))
+    arcs = sides if z.is_finite else sorted(sides, key=z.arc_key)
     return [(d, side) for d in arcs for side in sides[d]]
 
 
@@ -878,5 +798,5 @@ def enumerate_triangulations(z: ZModel) -> list[Triangulation]:
 
     cores = solve(tuple(range(n)))
     tris = [Triangulation.make(z, c) for c in cores]
-    tris.sort(key=lambda t: sorted((z.key(a.p), z.key(a.q)) for a in t.core))
+    tris.sort(key=lambda t: sorted(map(z.arc_key, t.core)))
     return tris

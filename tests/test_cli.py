@@ -378,6 +378,28 @@ def test_exit_2_on_missing_file(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"\xff", "error: /: invalid JSON"),
+    (b"[" * 200000, "error: /: invalid JSON"),
+    (None, "error: [Errno"),
+], ids=["not_utf8", "nested_too_deep", "directory"])
+def test_exit_2_on_unreadable_input(tmp_path, capsys, content, message):
+    p = tmp_path / "input.json"
+    if content is None:
+        p.mkdir()
+    else:
+        p.write_bytes(content)
+    assert main(["validate", "--triangulation", str(p)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_exit_2_on_output_to_a_directory(tri_file, tmp_path, capsys):
+    p = tri_file(PENTAGON)
+    assert main(["validate", "--triangulation", p, "--out",
+                 str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno")
+
+
 def test_exit_2_on_limit_in_finite_model(tri_file, capsys):
     p = tri_file(PENTAGON)
     assert main(["index", "--triangulation", p, "--arc", "L0", "2"]) == 2

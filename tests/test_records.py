@@ -44,9 +44,9 @@ RECORDS = [
     (ValidationReport(True),
      "ValidationReport(ok=True, reason=None, witness=None)",
      ("ok", "reason", "witness")),
-    (DualQuiver((A,), (), 3),
-     "DualQuiver(nodes=(Arc(V(0,0),V(0,2)),), arrows=(), window_bound=3)",
-     ("nodes", "arrows", "window_bound")),
+    (DualQuiver((A,), ()),
+     "DualQuiver(nodes=(Arc(V(0,0),V(0,2)),), arrows=())",
+     ("nodes", "arrows")),
     (_SubFamily(0, "right", 2, None, (0, 0, 0), (0, 0, 1)),
      "_SubFamily(gap=0, sub='right', imin=2, imax=None, e1=(0, 0, 0), "
      "e2=(0, 0, 1))", ("gap", "sub", "imin", "imax", "e1", "e2")),

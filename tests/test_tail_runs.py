@@ -16,7 +16,10 @@ from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   _crossing_runs, _SubFamily,
                                   _subfamilies_of_tail,
                                   enumerate_triangulations, validate)
-from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
+from infgon.zmodel import (Arc, Limit, ModelError, Vertex, ZModel,
+                           keys_in_closed)
+
+from test_validate import is_acyclic, reference_nodes
 
 OFFSETS = (0, 100, 1000)
 
@@ -91,7 +94,9 @@ def _predicates(z, sf, bounds):
 
     def in_intervals(i):
         u, w = sf.vertex(0, i), sf.vertex(1, i)
-        return (u != w and z.in_closed(a, u, b) and z.in_closed(c, w, d))
+        key = z.key
+        return (u != w and keys_in_closed(key(a), key(u), key(b))
+                and keys_in_closed(key(c), key(w), key(d)))
 
     def not_diagonal(i):
         u, w = sf.vertex(0, i), sf.vertex(1, i)
@@ -182,7 +187,7 @@ def _shift_covector(c, m: int, index_moves: bool):
 def test_answers_are_the_m0_answers_shifted(build, index_moves):
     t0 = build(0)
     z = t0.z
-    acyclic0 = t0.dual_quiver().is_acyclic()
+    acyclic0 = is_acyclic(t0.dual_quiver(reference_nodes(t0)))
     pairs0 = maximal_pairs(t0)
     verts = [Vertex(b, i) for b in range(z.k) for i in range(-5, 6)]
     diags = [Arc(p, q) for i, p in enumerate(verts) for q in verts[i + 1:]
@@ -192,7 +197,7 @@ def test_answers_are_the_m0_answers_shifted(build, index_moves):
     for m in OFFSETS:
         t = build(m)
         assert validate(t).ok
-        assert t.dual_quiver().is_acyclic() == acyclic0
+        assert is_acyclic(t.dual_quiver(reference_nodes(t))) == acyclic0
         assert maximal_pairs(t) == {_shift(p, m) for p in pairs0}
         for a, want in zip(diags, dims0):
             got = _shift_covector(dimension_vector(t, _shift(a, m)), -m,
@@ -357,12 +362,6 @@ def test_degenerate_member_inside_the_range_is_reported(tail, witness):
     rep = validate(t)
     assert (rep.ok, rep.reason, rep.witness) == (
         False, "non-diagonal tail member", witness)
-
-
-def test_default_window_measured_from_data():
-    for build, _ in FIXTURES:
-        assert (len(build(1000).window_nodes())
-                == len(build(0).window_nodes()))
 
 
 # -- member keys by arithmetic ------------------------------------------------

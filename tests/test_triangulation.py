@@ -13,7 +13,8 @@ from infgon.triangulation import (DualQuiver, Fountain, Leapfrog,
                                   validate)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
 
-from test_validate import _filled, _flipped, _shift
+from test_validate import (_filled, _flipped, _shift, crossing_quadruple,
+                           is_acyclic, reference_nodes)
 
 
 def pentagon_fan():
@@ -303,7 +304,7 @@ def test_bridge_hexagon():
 
 def test_crossing_quadruple_pentagon():
     z, t = pentagon_fan()
-    got = t.crossing_quadruple(z.arc(1, 4))
+    got = crossing_quadruple(t, z.arc(1, 4))
     assert got is not None
     i0, s0, i1, s1 = got
     # crossing diagonals of {1,4} are {0,2},{0,3}; v0 = 1, v1 = 4
@@ -320,7 +321,7 @@ def test_crossing_quadruple_inequalities():
                 v = z.arc(i, j)
                 if not z.is_diagonal(v):
                     continue
-                got = t.crossing_quadruple(v)
+                got = crossing_quadruple(t, v)
                 crossers = [d for d in t.core if z.crosses(v, d)]
                 if not crossers:
                     assert got is None
@@ -337,7 +338,7 @@ def test_crossing_quadruple_inequalities():
 
 def test_crossing_quadruple_fountain():
     z, t = fountain_fixture()
-    got = t.crossing_quadruple(z.arc(1, -1))
+    got = crossing_quadruple(t, z.arc(1, -1))
     assert got is not None
     i0, s0, i1, s1 = got
     # crossers are the spokes {0,n}, |n| >= 2; normalized v0 = -1, v1 = 1,
@@ -358,6 +359,19 @@ def test_ears():
     assert tf.ears() == {Vertex(0, 1), Vertex(0, -1)}
     zl, tl = leapfrog_fixture()
     assert tl.ears() == {Vertex(0, 0)}
+
+
+def test_ears_exhaustive():
+    """On every triangulation of the n-gon, n = 4..9, the ears are the
+    vertices v with {pred v, succ v} in T."""
+    count = 0
+    for n in range(4, 10):
+        z = ZModel.finite(n)
+        for t in enumerate_triangulations(z):
+            assert t.ears() == {v for v in z.vertices() if Arc(
+                z.pred(v), z.succ(v)) in t.core}, t.core
+            count += 1
+    assert count == 2 + 5 + 14 + 42 + 132 + 429
 
 
 # -- flip -----------------------------------------------------------------
@@ -409,22 +423,22 @@ def test_flip_core_next_to_tail():
 
 def test_dual_quiver_pentagon_fan():
     z, t = pentagon_fan()
-    q = t.dual_quiver()
+    q = t.dual_quiver(reference_nodes(t))
     assert set(q.nodes) == t.core
     assert q.arrows == ((z.arc(0, 3), z.arc(0, 2)),)
-    assert q.is_acyclic()
+    assert is_acyclic(q)
 
 
 def test_dual_quiver_hexagon_cycle():
     z, t = hexagon_cyclic()
-    q = t.dual_quiver()
+    q = t.dual_quiver(reference_nodes(t))
     assert len(q.arrows) == 3
-    assert not q.is_acyclic()
+    assert not is_acyclic(q)
 
 
 def test_dual_quiver_fountain_path():
     z, t = fountain_fixture()
-    q = t.dual_quiver()
+    q = t.dual_quiver(reference_nodes(t))
     # fan of an infinite strip: within the window, in/out degree <= 1
     # along a single two-sided path
     indeg = {n: 0 for n in q.nodes}
@@ -432,7 +446,7 @@ def test_dual_quiver_fountain_path():
     for s, d in q.arrows:
         outdeg[s] += 1
         indeg[d] += 1
-    assert q.is_acyclic()
+    assert is_acyclic(q)
     assert all(v <= 1 for v in indeg.values())
     assert all(v <= 1 for v in outdeg.values())
 
@@ -441,16 +455,16 @@ def test_is_acyclic_on_long_path_and_cycle():
     z = ZModel.blocks(1)
     nodes = tuple(z.arc(i, i + 2) for i in range(5000))
     path = tuple(zip(nodes, nodes[1:]))
-    assert DualQuiver(nodes, path, 0).is_acyclic()
+    assert is_acyclic(DualQuiver(nodes, path))
     cycle = path + ((nodes[-1], nodes[0]),)
-    assert not DualQuiver(nodes, cycle, 0).is_acyclic()
+    assert not is_acyclic(DualQuiver(nodes, cycle))
 
 
 def test_dual_quiver_no_loops_or_2cycles():
     for n in (5, 6, 7):
         z = ZModel.finite(n)
         for t in enumerate_triangulations(z):
-            q = t.dual_quiver()
+            q = t.dual_quiver(reference_nodes(t))
             pairs = set(q.arrows)
             for s, d in pairs:
                 assert s != d

@@ -1,7 +1,12 @@
 """``validate`` decides the faces at the core diagonals and the tail end
 members only.  Checked here against the earlier walk, which visited
-every member of the default window and the boundary edges at each block
-hull +- 8: the two give the same report, witness included."""
+every member of the reference window and the boundary edges at each
+block hull +- 8: the two give the same report, witness included.
+
+This file also holds the references other test files share: the data
+hull and the reference window over it, the dual quiver's acyclicity,
+and the crossing quadruple, with the generators of Blocks(k)
+triangulations."""
 
 from __future__ import annotations
 
@@ -10,18 +15,80 @@ from itertools import combinations
 
 import pytest
 
-from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
-                                  UnattainedError, ValidationReport,
-                                  _crossing_runs, validate)
+from infgon.triangulation import (DualQuiver, Fountain, Leapfrog,
+                                  Triangulation, UnattainedError,
+                                  ValidationReport, _crossing_runs, validate)
 from infgon.zmodel import Arc, ModelError, Vertex, ZModel
 
-# The boundary edges the earlier walk visited beyond each block hull.
+# The boundary edges the earlier walk visited beyond each block hull, and
+# the tail members the reference window lists beyond the widest hull.
 HULL_MARGIN = 8
+
+
+def hull(t: Triangulation) -> dict[int, tuple[int, int]]:
+    """Per block, the least and greatest vertex index the data names:
+    core endpoints, tail bases and each tail subfamily's member at its
+    finite end."""
+    idx: dict[int, list[int]] = {}
+    ends = [p for a in t.core for p in (a.p, a.q)]
+    for sf in t.subfamilies():
+        end = sf.imin if sf.imin is not None else sf.imax
+        ends += (sf.vertex(0, end), sf.vertex(1, end))
+    for p in ends:
+        if isinstance(p, Vertex):
+            idx.setdefault(p.block, []).append(p.idx)
+    return {b: (min(v), max(v)) for b, v in idx.items()}
+
+
+def reference_nodes(t: Triangulation) -> list[Arc]:
+    """``t.window_nodes`` over the widest block hull plus HULL_MARGIN
+    members, so that the window reaches past the data on both sides of
+    each limit point; on an n-gon, the core in key order."""
+    spread = max((hi - lo for lo, hi in hull(t).values()), default=0)
+    return t.window_nodes(spread + HULL_MARGIN)
+
+
+def is_acyclic(q: DualQuiver) -> bool:
+    """Whether the quiver has no oriented cycle: Kahn's algorithm,
+    which removes sources until none is left, without recursion."""
+    out: dict[Arc, list[Arc]] = {n: [] for n in q.nodes}
+    indegree = dict.fromkeys(q.nodes, 0)
+    for s, t in q.arrows:
+        out[s].append(t)
+        indegree[t] += 1
+    sources = [n for n, d in indegree.items() if d == 0]
+    removed = 0
+    while sources:
+        n = sources.pop()
+        removed += 1
+        for m in out[n]:
+            indegree[m] -= 1
+            if indegree[m] == 0:
+                sources.append(m)
+    return removed == len(indegree)
+
+
+def crossing_quadruple(t: Triangulation, v: Arc):
+    """For a diagonal v, the extremal vertices of the diagonals of T
+    crossing v, by extremal queries: (i0, s0, i1, s1) with
+    i0 <= s0 < v0 < i1 <= s1 < v1 and {i1, v0, s0}, {i0, v1, s1}
+    triangles of T; None if v crosses nothing in T."""
+    z = t.z
+    if not z.is_diagonal(v):
+        raise ModelError(f"{v!r} is not a diagonal")
+    v0, v1 = v.p, v.q
+    got = t.bridge_quadruple(z.succ(v1), z.pred(v0), z.succ(v0), z.pred(v1))
+    if got is None:
+        return None
+    i0, s0, h0, i1, s1, h1 = got
+    if (h0, h1) != (v0, v1):
+        raise AssertionError(f"bridge triangles of {v!r} rest on {h0, h1}")
+    return (i0, s0, i1, s1)
 
 
 def _face_walk(t: Triangulation) -> ValidationReport:
     """The earlier face check (iii), kept as a reference: both faces of
-    every core diagonal (n-gon) or default window node (Blocks(k)),
+    every core diagonal (n-gon) or reference window node (Blocks(k)),
     then the inner face of every boundary edge of the n-gon, or of the
     edges at each block hull +- HULL_MARGIN."""
     z = t.z
@@ -39,7 +106,7 @@ def _face_walk(t: Triangulation) -> ValidationReport:
                                             (d, sidearc))
         return None
 
-    for d in list(t.core) if z.is_finite else t.window_nodes():
+    for d in list(t.core) if z.is_finite else reference_nodes(t):
         bad = check_faces_of(d, [z.succ(d.p), z.succ(d.q)])
         if bad:
             return bad
@@ -47,9 +114,9 @@ def _face_walk(t: Triangulation) -> ValidationReport:
         edges = (Arc(Vertex(0, i), Vertex(0, (i + 1) % z.n))
                  for i in range(z.n))
     else:
-        hull = t._hull()
+        spans = hull(t)
         edges = (Arc(Vertex(b, i), Vertex(b, i + 1)) for b in range(z.k)
-                 for lo, hi in [hull.get(b, (0, 0))]
+                 for lo, hi in [spans.get(b, (0, 0))]
                  for i in range(lo - HULL_MARGIN, hi + HULL_MARGIN))
     for e in edges:
         w = e.q if z.succ(e.p) == e.q else e.p
