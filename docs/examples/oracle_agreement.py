@@ -27,8 +27,8 @@ for n in (5, 6, 7):
         for j, u in enumerate(seed.labels):
             q = CVectorQuery(t, cur, u)
             crow = tuple(cvector_eval(q, d) for d in seed.basis)
-            kv = index(t, u)
-            grow = tuple(kv.get(d) for d in seed.basis)
+            g = index(t, u)
+            grow = tuple(g.eval(d) for d in seed.basis)
             checked += 1
             if seed.c[j] != crow or seed.g[j] != grow:
                 mismatches += 1

@@ -17,8 +17,7 @@ from infgon.zmodel import ZModel
 
 z = ZModel.finite(5)
 t = Triangulation.make(z, {z.arc(0, 2), z.arc(0, 3)})
-print("fan triangulation:", sorted(t.core, key=lambda a: (z.key(a.p),
-                                                          z.key(a.q))))
+print("fan triangulation:", sorted(t.core, key=z.arc_key))
 print("valid?", validate(t).ok)
 
 # The zig-zag path between two vertices visits extremal connected
@@ -29,11 +28,10 @@ print("index of {1,4}:", index(t, z.arc(1, 4)))
 
 # Flipping a diagonal replaces it by its exchange partner.
 t2, partner = t.flip(z.arc(0, 2))
-print("flip {0,2} ->", partner, "giving", sorted(
-    t2.core, key=lambda a: (z.key(a.p), z.key(a.q))))
+print("flip {0,2} ->", partner, "giving", sorted(t2.core, key=z.arc_key))
 
 # c-vectors of the pair (u, U) over T are signed dimension vectors.
-for u in sorted(t2.core, key=lambda a: (z.key(a.p), z.key(a.q))):
+for u in sorted(t2.core, key=z.arc_key):
     sign, arc, cov = cvector_full(CVectorQuery(t, t2, u))
     print(f"c({u}) over fan: sign {sign:+d}, arc {arc}, {cov}")
 

@@ -19,8 +19,7 @@ from .zmodel import (Arc, ClosurePoint, Limit, ModelError,
                      RealizationUnsupported, StepCapExceeded, Vertex, ZModel)
 
 if TYPE_CHECKING:
-    from .cvector import CoVector
-    from .homindex import KVector
+    from .homindex import CoVector
 
 
 class ParseError(ValueError):
@@ -163,10 +162,6 @@ def triangulation_to_json(t: Triangulation):
     return out
 
 
-def kvector_to_json(z: ZModel, kv: KVector):
-    return [[arc_to_json(z, a), c] for a, c in kv.items_sorted(z)]
-
-
 def covector_to_json(c: CoVector):
     z = c.t.z
     expl = sorted(c.explicit.items(), key=lambda ac: z.arc_key(ac[0]))
@@ -174,11 +169,8 @@ def covector_to_json(c: CoVector):
     if c.tail_terms:
         out["tails"] = [{"gap": tr.gap, "sub": tr.sub, "lo": tr.lo,
                          "hi": tr.hi, "coeff": tr.coeff}
-                        for tr in sorted(
-                            c.tail_terms,
-                            key=lambda tr: (tr.gap, tr.sub,
-                                            tr.lo if tr.lo is not None
-                                            else -10 ** 9))]
+                        for tr in sorted(c.tail_terms,
+                                         key=lambda tr: tr.sort_key())]
     return out
 
 
@@ -255,7 +247,7 @@ def cmd_index(args) -> int:
     from .homindex import index
     t = _load_tri(args.triangulation)
     a = _arc_from_tokens(t.z, args.arc)
-    _emit_json(args, kvector_to_json(t.z, index(t, a)))
+    _emit_json(args, covector_to_json(index(t, a))["explicit"])
     return 0
 
 
@@ -299,14 +291,10 @@ def cmd_realize(args) -> int:
     return 0
 
 
-def _decompose_table(t, e, f, lo, hi):
+def _decompose_table(t, e, f, window):
     from .decomposition import decompose_row
     z = t.z
-    if z.is_finite:
-        verts = z.vertices()
-    else:
-        verts = [Vertex(b, i) for b in range(z.k)
-                 for i in range(lo, hi + 1)]
+    verts = z.vertices(window)
     rows = []
     seen = set()
     for i, p in enumerate(verts):
@@ -328,7 +316,6 @@ def cmd_decompose(args) -> int:
                                 root_system_label)
     t = _load_tri(args.triangulation)
     z = t.z
-    lo, hi = args.window
     report = []
     for pair in sorted(maximal_pairs(t),
                        key=lambda p: sorted(map(z.key, p))):
@@ -338,7 +325,7 @@ def cmd_decompose(args) -> int:
             "pair": [point_to_json(z, e), point_to_json(z, f)],
             "descriptor": str(y.descriptor()),
             "label": root_system_label(y),
-            "table": _decompose_table(t, e, f, lo, hi),
+            "table": _decompose_table(t, e, f, args.window),
         })
     _emit_json(args, {"maximal_pairs": report})
     return 0
@@ -398,8 +385,8 @@ def cmd_oracle(args) -> int:
         for j, uarc in enumerate(seed.labels):
             q = CVectorQuery(t, cur, uarc)
             crow = tuple(cvector_eval(q, d) for d in seed.basis)
-            kv = index(t, uarc)
-            grow = tuple(kv.get(d) for d in seed.basis)
+            g = index(t, uarc)
+            grow = tuple(g.eval(d) for d in seed.basis)
             if seed.c[j] != crow or seed.g[j] != grow:
                 mismatches += 1
         if seed.pairing_matrix() != identity(seed.m):

@@ -1,112 +1,20 @@
 """c-vectors, dimension vectors of virtual arcs, image arcs, and the
 constructive realization of dimension vectors as c-vectors.
 
-A CoVector is an integer functional on the diagonals of a fixed
-triangulation, stored as a finite explicit part plus finitely many
-tail-range indicators so that functionals with infinite support (over
-Blocks models) are represented exactly.
+Every functional here is a ``homindex.CoVector``, the one type of
+integer functionals on the diagonals of a triangulation, with its
+tail terms ``homindex.TailRange``.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter
-from typing import NamedTuple
 
-from .homindex import index_coeffs
+from .homindex import CoVector, TailRange, index_coeffs
 from .triangulation import Triangulation, _crossing_runs
 from .zmodel import (Arc, Frozen, ModelError, RealizationUnsupported,
                      keys_cross, keys_in_closed, suspend)
-
-
-class TailRange(NamedTuple):
-    """Coefficient ``coeff`` on every member i of subfamily
-    (gap, sub) with lo <= i <= hi (None = unbounded)."""
-
-    gap: int
-    sub: str
-    lo: int | None
-    hi: int | None
-    coeff: int
-
-    def covers(self, i: int) -> bool:
-        if self.lo is not None and i < self.lo:
-            return False
-        if self.hi is not None and i > self.hi:
-            return False
-        return True
-
-
-class CoVector:
-    """Integer functional on the diagonals of a fixed triangulation."""
-
-    __slots__ = ("t", "explicit", "tail_terms")
-
-    def __init__(self, t: Triangulation, explicit: dict[Arc, int] | None = None,
-                 tail_terms: tuple[TailRange, ...] = ()):
-        self.t = t
-        explicit = dict(explicit or {})  # a copy reuses the stored hashes
-        if 0 in explicit.values():
-            explicit = {a: c for a, c in explicit.items() if c != 0}
-        self.explicit = explicit
-        self.tail_terms = tuple(tr for tr in tail_terms if tr.coeff != 0)
-
-    def eval(self, d: Arc) -> int:
-        val = self.explicit.get(d, 0)
-        if self.tail_terms:
-            ref = self.t.tail_ref_of(d)
-            if ref is not None:
-                gap, sub, i = ref
-                for tr in self.tail_terms:
-                    if tr.gap == gap and tr.sub == sub and tr.covers(i):
-                        val += tr.coeff
-        return val
-
-    def negate(self) -> "CoVector":
-        return CoVector(
-            self.t, {a: -c for a, c in self.explicit.items()},
-            tuple(TailRange(tr.gap, tr.sub, tr.lo, tr.hi, -tr.coeff)
-                  for tr in self.tail_terms))
-
-    def is_zero(self) -> bool:
-        return not self.explicit and not self.tail_terms
-
-    def is_positive(self) -> bool:
-        """Nonzero with no negative coefficient: one sign of c-vectors."""
-        return (all(c >= 0 for c in self.explicit.values())
-                and all(tr.coeff >= 0 for tr in self.tail_terms)
-                and not self.is_zero())
-
-    def is_negative(self) -> bool:
-        """Nonzero with no positive coefficient: the other sign."""
-        return (all(c <= 0 for c in self.explicit.values())
-                and all(tr.coeff <= 0 for tr in self.tail_terms)
-                and not self.is_zero())
-
-    def sign_coherent(self) -> bool:
-        """The Nakanishi--Zelevinsky sign property, which tests check."""
-        return self.is_zero() or self.is_positive() or self.is_negative()
-
-    def _canon(self):
-        z = self.t.z
-        expl = tuple(sorted(((z.key(a.p), z.key(a.q), c)
-                             for a, c in self.explicit.items())))
-        tails = tuple(sorted(
-            (tr.gap, tr.sub,
-             (0, tr.lo) if tr.lo is not None else (-1, 0),
-             (0, tr.hi) if tr.hi is not None else (1, 0), tr.coeff)
-            for tr in self.tail_terms))
-        return (expl, tails)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CoVector) and self.t == other.t
-                and self._canon() == other._canon())
-
-    def __hash__(self) -> int:
-        return hash(self._canon())
-
-    def __repr__(self) -> str:
-        return f"CoVector({self.explicit!r}, {self.tail_terms!r})"
 
 
 class CVectorQuery(Frozen):
@@ -174,7 +82,7 @@ def dimension_vector(t: Triangulation, a: Arc) -> CoVector:
         covered = CoVector(t, None, tuple(terms))
         memo[a] = got = (tuple([d for d in explicit if not covered.eval(d)]),
                          covered.tail_terms)
-    return CoVector(t, dict.fromkeys(got[0], 1), got[1])
+    return CoVector._owning(t, dict.fromkeys(got[0], 1), got[1])
 
 
 def support_subset(a: CoVector, b: CoVector) -> bool:
@@ -251,7 +159,7 @@ def cvector_full(q: CVectorQuery) -> tuple[int, Arc, CoVector]:
         dv = dimension_vector(t, v_arc)
         d = _support_member(t, dv)
         if d is not None and sign * cvector_eval(q, d) > 0:
-            return (sign, v_arc, dv if sign > 0 else dv.negate())
+            return (sign, v_arc, dv if sign > 0 else -dv)
     raise ModelError("neither image arc of u and its exchange partner "
                      "carries the c-vector; invalid query")
 

@@ -1,72 +1,121 @@
-"""Indices (g-vectors) via the zig-zag construction, and the two-way
-duality check between triangulations."""
+"""Indices (g-vectors) via the zig-zag construction, the two-way
+duality check between triangulations, and ``CoVector``, the one type
+of integer functionals on the diagonals of a triangulation (indices,
+dimension vectors, c-vectors): a finite explicit part plus tail-range
+terms, so that infinite supports over Blocks models are exact."""
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from .triangulation import Triangulation
-from .zmodel import Arc, ModelError, StepCapExceeded, Vertex, ZModel, suspend
+from .zmodel import Arc, ModelError, StepCapExceeded, Vertex, suspend
 
 
 DEFAULT_STEP_CAP = 10 ** 6
 
 
-class KVector:
-    """Finitely supported integer combination of diagonals of a fixed
-    triangulation; zero coefficients are never stored."""
+class TailRange(NamedTuple):
+    """Coefficient ``coeff`` on every member i of subfamily
+    (gap, sub) with lo <= i <= hi (None = unbounded)."""
 
-    __slots__ = ("coeffs",)
+    gap: int
+    sub: str
+    lo: int | None
+    hi: int | None
+    coeff: int
 
-    def __init__(self, coeffs: dict[Arc, int] | None = None):
-        coeffs = dict(coeffs or {})  # a copy reuses the stored hashes
-        if 0 in coeffs.values():
-            coeffs = {a: c for a, c in coeffs.items() if c != 0}
-        self.coeffs = coeffs
+    def covers(self, i: int) -> bool:
+        return ((self.lo is None or self.lo <= i)
+                and (self.hi is None or i <= self.hi))
 
-    @staticmethod
-    def basis(a: Arc) -> "KVector":
-        return KVector({a: 1})
+    def sort_key(self) -> tuple:
+        """The one order of tail terms: by subfamily, then by range (an
+        unbounded lo below, an unbounded hi above every index), then by
+        coefficient."""
+        lo, hi = self.lo, self.hi
+        return (self.gap, self.sub, lo is not None, lo or 0,
+                hi is None, hi or 0, self.coeff)
 
-    @staticmethod
-    def zero() -> "KVector":
-        return KVector()
 
-    def get(self, a: Arc) -> int:
-        return self.coeffs.get(a, 0)
+class CoVector:
+    """Integer functional on the diagonals of a fixed triangulation;
+    zero coefficients are never stored."""
 
-    def __add__(self, other: "KVector") -> "KVector":
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out.get(a, 0) + c
-        return KVector(out)
+    __slots__ = ("t", "explicit", "tail_terms")
 
-    def __sub__(self, other: "KVector") -> "KVector":
-        return self + (-other)
+    def __init__(self, t: Triangulation, explicit: dict[Arc, int] | None = None,
+                 tail_terms: tuple[TailRange, ...] = ()):
+        self.t = t
+        explicit = dict(explicit or {})  # a copy reuses the stored hashes
+        if 0 in explicit.values():
+            explicit = {a: c for a, c in explicit.items() if c != 0}
+        self.explicit = explicit
+        self.tail_terms = tuple(tr for tr in tail_terms if tr.coeff != 0)
 
-    def __neg__(self) -> "KVector":
-        return KVector({a: -c for a, c in self.coeffs.items()})
+    @classmethod
+    def _owning(cls, t: Triangulation, explicit: dict[Arc, int],
+                tail_terms: tuple[TailRange, ...]) -> "CoVector":
+        """A CoVector that takes ``explicit``, a fresh dict, and
+        ``tail_terms`` as they are: neither holds a zero coefficient."""
+        c = object.__new__(cls)
+        c.t, c.explicit, c.tail_terms = t, explicit, tail_terms
+        return c
 
-    def __rmul__(self, n: int) -> "KVector":
-        return KVector({a: n * c for a, c in self.coeffs.items()})
+    @property
+    def coeffs(self) -> dict[Arc, int]:
+        """The explicit part, read-only: the name under which the
+        benchmark's sweeps read index answers."""
+        return self.explicit
+
+    def eval(self, d: Arc) -> int:
+        val = self.explicit.get(d, 0)
+        if self.tail_terms:
+            ref = self.t.tail_ref_of(d)
+            if ref is not None:
+                gap, sub, i = ref
+                for tr in self.tail_terms:
+                    if tr.gap == gap and tr.sub == sub and tr.covers(i):
+                        val += tr.coeff
+        return val
+
+    def __neg__(self) -> "CoVector":
+        return CoVector._owning(
+            self.t, {a: -c for a, c in self.explicit.items()},
+            tuple(tr._replace(coeff=-tr.coeff) for tr in self.tail_terms))
+
+    def is_zero(self) -> bool:
+        return not self.explicit and not self.tail_terms
+
+    def is_positive(self) -> bool:
+        """Nonzero with no negative coefficient: one sign of c-vectors."""
+        return (all(c >= 0 for c in self.explicit.values())
+                and all(tr.coeff >= 0 for tr in self.tail_terms)
+                and not self.is_zero())
+
+    def is_negative(self) -> bool:
+        """Nonzero with no positive coefficient: the other sign."""
+        return (all(c <= 0 for c in self.explicit.values())
+                and all(tr.coeff <= 0 for tr in self.tail_terms)
+                and not self.is_zero())
+
+    def sign_coherent(self) -> bool:
+        """The Nakanishi--Zelevinsky sign property, which tests check."""
+        return self.is_zero() or self.is_positive() or self.is_negative()
+
+    def _canon(self):
+        return (frozenset(self.explicit.items()),
+                tuple(sorted(self.tail_terms, key=TailRange.sort_key)))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, KVector) and self.coeffs == other.coeffs
+        return (isinstance(other, CoVector) and self.t == other.t
+                and self._canon() == other._canon())
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def items_sorted(self, z: ZModel):
-        return sorted(self.coeffs.items(), key=lambda ac: z.arc_key(ac[0]))
+        return hash(self._canon())
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "KVector(0)"
-        parts = [f"{c}*{a!r}" for a, c in self.coeffs.items()]
-        return "KVector(" + " + ".join(parts) + ")"
+        return f"CoVector({self.explicit!r}, {self.tail_terms!r})"
 
 
 class ZigZagPath(NamedTuple):
@@ -105,13 +154,13 @@ def zigzag(t: Triangulation, e: Vertex, f: Vertex,
     return ZigZagPath(tuple(path), (e, f), t)
 
 
-def index(t: Triangulation, a: Arc) -> KVector:
+def index(t: Triangulation, a: Arc) -> CoVector:
     """The index of the arc in the basis of t: the alternating sum of
     consecutive zig-zag pairs; edge steps contribute zero.
 
     Answers are memoized on t, keyed by arc; every call returns a
-    fresh KVector."""
-    return KVector(index_coeffs(t, a))
+    fresh CoVector."""
+    return CoVector(t, index_coeffs(t, a))
 
 
 def index_coeffs(t: Triangulation, a: Arc) -> dict[Arc, int]:
@@ -119,16 +168,16 @@ def index_coeffs(t: Triangulation, a: Arc) -> dict[Arc, int]:
     memo = t._memo("index")
     coeffs = memo.get(a)
     if coeffs is None:
-        coeffs = memo[a] = _zigzag_index(t, a).coeffs
+        coeffs = memo[a] = _zigzag_index(t, a)
     return coeffs
 
 
-def _zigzag_index(t: Triangulation, a: Arc) -> KVector:
+def _zigzag_index(t: Triangulation, a: Arc) -> dict[Arc, int]:
     if not (isinstance(a.p, Vertex) and isinstance(a.q, Vertex)):
         raise ModelError("index needs vertex endpoints")
     z = t.z
     if z.is_edge(a):
-        return KVector.zero()
+        return {}
     path = zigzag(t, a.p, a.q).vertices
     total: dict[Arc, int] = {}
     for m, (u, w) in enumerate(zip(path, path[1:])):
@@ -140,30 +189,34 @@ def _zigzag_index(t: Triangulation, a: Arc) -> KVector:
             raise ModelError(
                 f"zig-zag step {step!r} is a diagonal outside T "
                 "(invalid triangulation)")
-    return KVector(total)
+    return {step: c for step, c in total.items() if c}
 
 
-def _index_sum(t: Triangulation, terms) -> KVector:
-    """The sum of c * index(t, a) over the pairs (a, c) of terms,
-    accumulated into one dict."""
+def _index_sum(t: Triangulation, c: CoVector, bar: bool) -> CoVector:
+    """The sum of c(a) * index(t, a), or of c(a) * index_bar(t, a),
+    over the explicit arcs a of c, accumulated into one dict."""
+    if c.tail_terms:
+        raise ModelError("an index sum takes finitely many terms, not "
+                         f"the tail term {c.tail_terms[0]!r}")
     total: dict[Arc, int] = {}
-    for a, c in terms:
+    for a, k in c.explicit.items():
+        if bar:
+            a, k = suspend(t.z, a), -k
         for b, d in index_coeffs(t, a).items():
-            total[b] = total.get(b, 0) + c * d
-    return KVector(total)
+            total[b] = total.get(b, 0) + k * d
+    return CoVector(t, total)
 
 
-def index_of_kvector(t: Triangulation, kv: KVector) -> KVector:
-    return _index_sum(t, kv.coeffs.items())
+def index_sum(t: Triangulation, c: CoVector) -> CoVector:
+    return _index_sum(t, c, False)
 
 
-def index_bar(t: Triangulation, a: Arc) -> KVector:
+def index_bar(t: Triangulation, a: Arc) -> CoVector:
     return -index(t, suspend(t.z, a))
 
 
-def index_bar_of_kvector(t: Triangulation, kv: KVector) -> KVector:
-    z = t.z
-    return _index_sum(t, ((suspend(z, a), -c) for a, c in kv.coeffs.items()))
+def index_bar_sum(t: Triangulation, c: CoVector) -> CoVector:
+    return _index_sum(t, c, True)
 
 
 class DualityReport(NamedTuple):
@@ -181,12 +234,12 @@ def check_duality(t_t: Triangulation, t_u: Triangulation,
     failures = []
     for a in window_t:
         via_u = index_bar(t_u, a)
-        back = index_of_kvector(t_t, via_u)
-        if back != KVector.basis(a):
+        back = index_sum(t_t, via_u)
+        if back != CoVector(t_t, {a: 1}):
             failures.append(("T-side", a, via_u, back))
     for a in window_u:
         via_t = index(t_t, a)
-        back = index_bar_of_kvector(t_u, via_t)
-        if back != KVector.basis(a):
+        back = index_bar_sum(t_u, via_t)
+        if back != CoVector(t_u, {a: 1}):
             failures.append(("U-side", a, via_t, back))
     return DualityReport(not failures, tuple(failures))

@@ -58,13 +58,6 @@ class RenderSpec(NamedTuple):
     window: tuple[int, int] = (-6, 6)
 
 
-def _window_vertices(z: ZModel, window: tuple[int, int]) -> list[Vertex]:
-    if z.is_finite:
-        return z.vertices()
-    lo, hi = window
-    return [Vertex(b, i) for b in range(z.k) for i in range(lo, hi + 1)]
-
-
 def render_svg(spec: RenderSpec) -> str:
     """The SVG document for a render spec; byte-identical for equal
     inputs."""
@@ -110,7 +103,7 @@ def render_svg(spec: RenderSpec) -> str:
                        for x, y in (_xy(z, v) for v in spec.zigzag))
         lines.append(f'<polyline class="zigzag" points="{pts}"/>')
 
-    for v in _window_vertices(z, spec.window):
+    for v in z.vertices(spec.window):
         x, y = _xy(z, v)
         lines.append(
             f'<circle class="vertex" cx="{_fmt(x)}" cy="{_fmt(y)}" '

@@ -266,7 +266,10 @@ class Triangulation(Frozen):
         for the triangulation's life.  Store only answers nobody mutates,
         never a failure, and nothing that refers to the triangulation but
         weakly: reference counting then frees it with its memos."""
-        return self.__dict__.setdefault("_memo_" + name, {})
+        try:
+            return self.__dict__["_memo_" + name]
+        except KeyError:  # first use: the one time a table is built
+            return self.__dict__.setdefault("_memo_" + name, {})
 
     def subfamilies(self) -> tuple[_SubFamily, ...]:
         cached = self.__dict__.get("_subfam_cache")

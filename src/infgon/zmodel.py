@@ -164,11 +164,17 @@ class ZModel(Frozen):
             return []
         return [Limit(g) for g in range(self.k)]
 
-    def vertices(self):
-        """All vertices; only available for finite models."""
-        if not self.is_finite:
+    def vertices(self, window: tuple[int, int] | None = None
+                 ) -> list[Vertex]:
+        """All vertices of a finite model; on a Blocks model, the
+        vertices (b, i) of every block b with lo <= i <= hi for the
+        window (lo, hi), which a Blocks model needs."""
+        if self.is_finite:
+            return [Vertex(0, i) for i in range(self.n)]
+        if window is None:
             raise ModelError("infinite model has no finite vertex list")
-        return [Vertex(0, i) for i in range(self.n)]
+        lo, hi = window
+        return [Vertex(b, i) for b in range(self.k) for i in range(lo, hi + 1)]
 
     # -- successor / predecessor -------------------------------------
 

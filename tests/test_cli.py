@@ -14,8 +14,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infgon.cli import (main, triangulation_from_json,
+from infgon.cli import (covector_to_json, main, triangulation_from_json,
                         triangulation_to_json)
+from infgon.homindex import CoVector, TailRange
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   enumerate_triangulations)
 from infgon.zmodel import Vertex, ZModel
@@ -140,6 +141,25 @@ def test_dimvec_tail_terms(tri_file, capsys):
     assert code == 0 and len(out["tails"]) == 2
     for term in out["tails"]:
         assert term["coeff"] == 1 and term["gap"] == 0
+
+
+def test_tail_terms_are_written_in_the_one_order():
+    """Tail terms are written as CoVector orders them: an unbounded lo
+    first and an unbounded hi last, at any index, however they were
+    given."""
+    t = triangulation_from_json(FOUNTAIN)
+    far = -2 * 10 ** 9
+    terms = (TailRange(0, "right", 5, None, 1),
+             TailRange(0, "right", far, far + 3, 1),
+             TailRange(0, "left", None, -2, 1),
+             TailRange(0, "right", 5, 9, 1),
+             TailRange(0, "right", None, far - 5, 1))
+    got = [(tr["sub"], tr["lo"], tr["hi"])
+           for tr in covector_to_json(CoVector(t, {}, terms))["tails"]]
+    assert got == [("left", None, -2), ("right", None, far - 5),
+                   ("right", far, far + 3), ("right", 5, 9),
+                   ("right", 5, None)]
+    assert CoVector(t, {}, terms) == CoVector(t, {}, terms[::-1])
 
 
 def test_cvector_command(tri_file, capsys):

@@ -116,7 +116,7 @@ def _agrees(t, flips):
         if seed.c[j] != tuple(cvector_eval(q, d) for d in seed.basis):
             return False
         kv = index(t, u)
-        if seed.g[j] != tuple(kv.get(d) for d in seed.basis):
+        if seed.g[j] != tuple(kv.eval(d) for d in seed.basis):
             return False
     return seed.pairing_matrix() == identity(seed.m)
 

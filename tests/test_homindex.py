@@ -8,9 +8,9 @@ import random
 import pytest
 
 from infgon.fzoracle import det
-from infgon.homindex import (KVector, StepCapExceeded, check_duality, index,
-                             index_bar, index_bar_of_kvector,
-                             index_of_kvector, zigzag)
+from infgon.homindex import (CoVector, StepCapExceeded, TailRange,
+                             check_duality, index, index_bar, index_bar_sum,
+                             index_sum, zigzag)
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   enumerate_triangulations)
 from infgon.zmodel import Arc, ModelError, Vertex, ZModel, suspend
@@ -67,25 +67,24 @@ def test_zigzag_fountain():
 
 def test_index_pentagon():
     z, t = pentagon_fan()
-    assert index(t, z.arc(1, 4)) == -KVector.basis(z.arc(0, 2))
-    assert index(t, z.arc(0, 3)) == KVector.basis(z.arc(0, 3))
-    assert index(t, z.arc(1, 3)) == (KVector.basis(z.arc(0, 3))
-                                     - KVector.basis(z.arc(0, 2)))
-    assert index(t, z.arc(3, 4)) == KVector.zero()
+    assert index(t, z.arc(1, 4)) == CoVector(t, {z.arc(0, 2): -1})
+    assert index(t, z.arc(0, 3)) == CoVector(t, {z.arc(0, 3): 1})
+    assert index(t, z.arc(1, 3)) == CoVector(t, {z.arc(0, 3): 1,
+                                                 z.arc(0, 2): -1})
+    assert index(t, z.arc(3, 4)) == CoVector(t)
 
 
 def test_index_memo_returns_fresh_equal_answers():
     z = ZModel.finite(6)
     t = Triangulation.make(z, {z.arc(0, 2), z.arc(0, 3), z.arc(3, 5)})
     a = z.arc(1, 4)
-    want = (KVector.basis(z.arc(0, 3)) - KVector.basis(z.arc(0, 2))
-            - KVector.basis(z.arc(3, 5)))
+    want = CoVector(t, {z.arc(0, 3): 1, z.arc(0, 2): -1, z.arc(3, 5): -1})
     first = index(t, a)
     assert first == want
-    first.coeffs.clear()
+    first.explicit.clear()
     again = index(t, a)
     assert again == want and again is not first
-    again.coeffs[z.arc(0, 2)] = 7
+    again.explicit[z.arc(0, 2)] = 7
     assert index(t, a) == want
     # the step cap stops the zig-zag itself, memo or not
     with pytest.raises(StepCapExceeded):
@@ -95,7 +94,7 @@ def test_index_memo_returns_fresh_equal_answers():
 
 def test_index_fountain():
     z, t = fountain_fixture()
-    assert index(t, z.arc(1, -1)) == -KVector.basis(z.arc(0, 2))
+    assert index(t, z.arc(1, -1)) == CoVector(t, {z.arc(0, 2): -1})
 
 
 def test_index_identity_on_t():
@@ -103,7 +102,7 @@ def test_index_identity_on_t():
         z = ZModel.finite(n)
         for t in enumerate_triangulations(z):
             for d in t.core:
-                assert index(t, d) == KVector.basis(d)
+                assert index(t, d) == CoVector(t, {d: 1})
 
 
 def test_index_of_suspension_is_minus():
@@ -111,15 +110,64 @@ def test_index_of_suspension_is_minus():
         z = ZModel.finite(n)
         for t in enumerate_triangulations(z):
             for d in t.core:
-                assert index(t, suspend(z, d)) == -KVector.basis(d)
+                assert index(t, suspend(z, d)) == CoVector(t, {d: -1})
 
 
 def test_index_bar():
     z, t = pentagon_fan()
-    assert index_bar(t, z.arc(1, 4)) == -KVector.basis(z.arc(0, 3))
+    assert index_bar(t, z.arc(1, 4)) == CoVector(t, {z.arc(0, 3): -1})
     u = Triangulation.make(z, {z.arc(1, 3), z.arc(1, 4)})
-    got = index_bar_of_kvector(u, KVector.basis(z.arc(0, 2)))
-    assert got == -KVector.basis(z.arc(1, 4))
+    got = index_bar_sum(u, CoVector(t, {z.arc(0, 2): 1}))
+    assert got == CoVector(u, {z.arc(1, 4): -1})
+
+
+def test_equal_functionals_hash_equal():
+    z, t = fountain_fixture()
+    a, b = z.arc(0, 2), z.arc(0, -2)
+    right = TailRange(0, "right", 3, None, 1)
+    left = TailRange(0, "left", None, -3, -2)
+    one = CoVector(t, {a: 1, b: -1}, (right, left))
+    other = CoVector(t, {b: -1, a: 1, z.arc(0, 3): 0},
+                     (left, TailRange(0, "left", 5, 9, 0), right))
+    assert one == other and hash(one) == hash(other)
+    assert one != CoVector(t, {a: 1, b: -1}, (right,))
+    assert one != CoVector(t, {a: 1, b: -2}, (right, left))
+
+
+def test_negation_is_an_involution():
+    z, t = fountain_fixture()
+    c = CoVector(t, {z.arc(0, 2): 3},
+                 (TailRange(0, "right", 4, None, 1),
+                  TailRange(0, "left", None, -4, -2)))
+    minus = -c
+    assert minus.explicit == {z.arc(0, 2): -3}
+    assert {tr.coeff for tr in minus.tail_terms} == {-1, 2}
+    assert -(-c) == c and -c != c
+    assert -CoVector(t) == CoVector(t)
+
+
+def test_functionals_over_different_triangulations_differ():
+    z, t = pentagon_fan()
+    u = Triangulation.make(z, {z.arc(0, 2), z.arc(2, 4)})
+    a = z.arc(0, 2)
+    assert CoVector(t, {a: 1}) != CoVector(u, {a: 1})
+    assert CoVector(t) != CoVector(u)
+    assert CoVector(t, {a: 1}) == CoVector(Triangulation.make(z, t.core),
+                                           {a: 1})
+
+
+def test_index_sums_refuse_tail_terms():
+    z, t = fountain_fixture()
+    first = TailRange(0, "right", 2, None, 1)
+    c = CoVector(t, {z.arc(0, 2): 1},
+                 (first, TailRange(0, "left", None, -2, 1)))
+    for index_sum_of in (index_sum, index_bar_sum):
+        with pytest.raises(ModelError, match="tail term") as err:
+            index_sum_of(t, c)
+        assert repr(first) in str(err.value)
+        # both index maps send a diagonal d of T to [d]
+        assert index_sum_of(t, CoVector(t, c.explicit)) == CoVector(
+            t, c.explicit)
 
 
 def test_duality_pentagon_pairs():
@@ -189,7 +237,7 @@ def test_g_matrix_unimodular():
                                 key=lambda a: (z.key(a.p), z.key(a.q))):
                     kv = index(t, d)
                     row = [0] * len(basis)
-                    for a, c in kv.coeffs.items():
+                    for a, c in kv.explicit.items():
                         row[pos[a]] = c
                     rows.append(row)
                 assert det(rows) in (1, -1)
@@ -226,8 +274,8 @@ def test_zigzag_step_outside_t_is_named(monkeypatch):
     through 0 to 4 as usual."""
     z = ZModel.finite(6)
     t = Triangulation.make(z, {z.arc(0, 2), z.arc(0, 3), z.arc(0, 4)})
-    assert index(t, z.arc(1, 4)) == KVector({z.arc(0, 2): -1,
-                                             z.arc(0, 4): 1})
+    assert index(t, z.arc(1, 4)) == CoVector(t, {z.arc(0, 2): -1,
+                                                 z.arc(0, 4): 1})
     engine = Triangulation._extremal_connected
 
     def doctored(self, want_min, a_lo, a_hi, b_lo, b_hi, edges_allowed):

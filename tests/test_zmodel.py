@@ -228,3 +228,13 @@ def test_edge_diagonal_classification():
     # vertices in different blocks are never neighbours
     assert zb.is_diagonal(zb.arc(Vertex(0, 100), Vertex(1, -100)))
     assert not zb.is_diagonal(Arc(Limit(0), Vertex(0, 0)))
+
+
+def test_vertices_of_a_window():
+    assert ZModel.finite(4).vertices((-9, 9)) == [
+        Vertex(0, i) for i in range(4)]
+    assert ZModel.blocks(2).vertices((-1, 1)) == [
+        Vertex(b, i) for b in (0, 1) for i in (-1, 0, 1)]
+    assert ZModel.blocks(1).vertices((3, 2)) == []
+    with pytest.raises(ModelError, match="no finite vertex list"):
+        ZModel.blocks(1).vertices()
