@@ -43,11 +43,10 @@ class InvalidTriangulation(ValueError):
 
 
 def _int(value, pointer: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(pointer, f"expected an integer, got {value!r}"
-                         ) from None
+    """A JSON integer; a bool, float or string is not one."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError(pointer, f"expected an integer, got {value!r}")
 
 
 def _field(obj: dict, name: str, pointer: str):
@@ -183,15 +182,23 @@ def root_to_json(z: ZModel, r):
 # Argument helpers.
 
 
+def _token_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError("--arc", f"expected an integer, got {tok!r}"
+                         ) from None
+
+
 def _parse_point_token(z: ZModel, tok: str) -> ClosurePoint:
     if tok.startswith("L"):
         if z.is_finite:
             raise ParseError("--arc", "finite model has no limit points")
-        return Limit(_int(tok[1:], "--arc") % z.k)
+        return Limit(_token_int(tok[1:]) % z.k)
     if ":" in tok:
         b, i = tok.split(":", 1)
-        return z.v(Vertex(_int(b, "--arc"), _int(i, "--arc")))
-    return z.v(_int(tok, "--arc"))
+        return z.v(Vertex(_token_int(b), _token_int(i)))
+    return z.v(_token_int(tok))
 
 
 def _read_tri(path: str) -> Triangulation:
@@ -219,76 +226,52 @@ def _arc_from_tokens(z: ZModel, toks) -> Arc:
                _parse_point_token(z, toks[1]))
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands.  Each takes the loaded triangulation (two for cvector and
+# duality) and the parsed arguments, and returns a JSON answer, an
+# answer and its exit code, or SVG text; `main` does the rest.
 
 
-def cmd_validate(args) -> int:
-    t = _read_tri(args.triangulation)
+def cmd_validate(t, args):
     rep = validate(t)
-    _emit_json(args, {"ok": rep.ok, "reason": rep.reason,
-                      "witness": repr(rep.witness) if rep.witness else None})
-    return 0 if rep.ok else 1
+    return ({"ok": rep.ok, "reason": rep.reason,
+             "witness": repr(rep.witness) if rep.witness else None},
+            0 if rep.ok else 1)
 
 
-def cmd_index(args) -> int:
+def cmd_index(t, args):
     from .homindex import index
-    t = _load_tri(args.triangulation)
     a = _arc_from_tokens(t.z, args.arc)
-    _emit_json(args, covector_to_json(index(t, a))["explicit"])
-    return 0
+    return covector_to_json(index(t, a))["explicit"]
 
 
-def cmd_cvector(args) -> int:
+def cmd_cvector(t, u_tri, args):
     from .cvector import CVectorQuery, cvector_full
-    t = _load_tri(args.triangulation)
-    u_tri = _load_tri(args.second_triangulation)
     u = _arc_from_tokens(t.z, args.arc)
     sign, v_arc, cov = cvector_full(CVectorQuery(t, u_tri, u))
-    _emit_json(args, {"sign": sign,
-                      "arc": arc_to_json(t.z, v_arc),
-                      "covector": covector_to_json(cov)})
-    return 0
+    return {"sign": sign, "arc": arc_to_json(t.z, v_arc),
+            "covector": covector_to_json(cov)}
 
 
-def cmd_dimvec(args) -> int:
+def cmd_dimvec(t, args):
     from .cvector import dimension_vector
-    t = _load_tri(args.triangulation)
     a = _arc_from_tokens(t.z, args.arc)
-    _emit_json(args, covector_to_json(dimension_vector(t, a)))
-    return 0
+    return covector_to_json(dimension_vector(t, a))
 
 
-def cmd_image(args) -> int:
+def cmd_image(t, args):
     from .cvector import image_arc
-    t = _load_tri(args.triangulation)
     u = _arc_from_tokens(t.z, args.arc)
     ustar = _arc_from_tokens(t.z, args.second_arc)
     v = image_arc(t, u, ustar)
-    _emit_json(args, {"image": arc_to_json(t.z, v) if v else None})
-    return 0
+    return {"image": arc_to_json(t.z, v) if v else None}
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(t, args):
     from .cvector import realize_dimension_vector
-    t = _load_tri(args.triangulation)
     v = _arc_from_tokens(t.z, args.arc)
     u_tri, u = realize_dimension_vector(t, v)
-    _emit_json(args, {"u": arc_to_json(t.z, u),
-                      "U": triangulation_to_json(u_tri)})
-    return 0
+    return {"u": arc_to_json(t.z, u), "U": triangulation_to_json(u_tri)}
 
 
 def _decompose_table(t, e, f, window):
@@ -296,13 +279,11 @@ def _decompose_table(t, e, f, window):
     z = t.z
     verts = z.vertices(window)
     rows = []
-    seen = set()
     for i, p in enumerate(verts):
         for q in verts[i + 1:]:
             a = Arc(p, q)
-            if not z.is_diagonal(a) or a in seen:
+            if not z.is_diagonal(a):
                 continue
-            seen.add(a)
             root = decompose_row(t, e, f, a)
             if root is not None:
                 rows.append({"arc": arc_to_json(z, a),
@@ -311,10 +292,9 @@ def _decompose_table(t, e, f, window):
     return rows
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(t, args):
     from .decomposition import (crossing_order, maximal_pairs,
                                 root_system_label)
-    t = _load_tri(args.triangulation)
     z = t.z
     report = []
     for pair in sorted(maximal_pairs(t),
@@ -327,14 +307,12 @@ def cmd_decompose(args) -> int:
             "label": root_system_label(y),
             "table": _decompose_table(t, e, f, args.window),
         })
-    _emit_json(args, {"maximal_pairs": report})
-    return 0
+    return {"maximal_pairs": report}
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(t, args):
     from .decomposition import (YExt, crossing_order, delta_plus,
                                 root_system_label)
-    t = _load_tri(args.triangulation)
     z = t.z
     e = _parse_point_token(z, args.arc[0])
     f = _parse_point_token(z, args.arc[1])
@@ -342,17 +320,14 @@ def cmd_roots(args) -> int:
     ye = YExt(y)
     window = args.window[1] - args.window[0] + 1
     roots = delta_plus(ye, window=None if ye.is_finite else window)
-    _emit_json(args, {"descriptor": str(y.descriptor()),
-                      "label": root_system_label(y),
-                      "neg_inf_adjoined": ye.has_neg_inf,
-                      "roots": [root_to_json(z, r) for r in roots]})
-    return 0
+    return {"descriptor": str(y.descriptor()),
+            "label": root_system_label(y),
+            "neg_inf_adjoined": ye.has_neg_inf,
+            "roots": [root_to_json(z, r) for r in roots]}
 
 
-def cmd_duality(args) -> int:
+def cmd_duality(t, u, args):
     from .homindex import check_duality
-    t = _load_tri(args.triangulation)
-    u = _load_tri(args.second_triangulation)
     if t.z.is_finite:
         window_t = sorted(t.core, key=t.z.arc_key)
         window_u = sorted(u.core, key=u.z.arc_key)
@@ -360,23 +335,17 @@ def cmd_duality(args) -> int:
         window_t = t.arcs_within(*args.window)
         window_u = u.arcs_within(*args.window)
     rep = check_duality(t, u, window_t, window_u)
-    _emit_json(args, {"ok": rep.ok,
-                      "failures": [repr(fx) for fx in rep.failures]})
-    return 0 if rep.ok else 1
+    return ({"ok": rep.ok, "failures": [repr(fx) for fx in rep.failures]},
+            0 if rep.ok else 1)
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(t, args):
     import random
 
     from .cvector import CVectorQuery, cvector_eval
     from .fzoracle import identity, run_flip_path
     from .homindex import index
-    for flag, count in (("--paths", args.paths), ("--max-len", args.max_len)):
-        if count < 0:
-            raise ParseError(flag, f"expected a count >= 0, got {count}")
-    t = _load_tri(args.triangulation)
-    z = t.z
-    if not z.is_finite:
+    if not t.z.is_finite:
         raise ModelError("the oracle runs on finite polygons only")
     rng = random.Random(args.seed)
     mismatches = 0
@@ -391,13 +360,12 @@ def cmd_oracle(args) -> int:
                 mismatches += 1
         if seed.pairing_matrix() != identity(seed.m):
             mismatches += 1
-    _emit_json(args, {"paths": args.paths, "mismatches": mismatches})
-    return 0 if mismatches == 0 else 1
+    return ({"paths": args.paths, "mismatches": mismatches},
+            0 if mismatches == 0 else 1)
 
 
-def cmd_render(args) -> int:
-    from .render import RenderSpec, render_svg
-    t = _load_tri(args.triangulation)
+def cmd_render(t, args):
+    from .render import render_svg
     z = t.z
     zz = ()
     if args.zigzag:
@@ -408,14 +376,49 @@ def cmd_render(args) -> int:
     arcs = ()
     if args.arc:
         arcs = (_arc_from_tokens(z, args.arc),)
-    spec = RenderSpec(z, triangulation=t, zigzag=zz, query_arcs=arcs,
+    return render_svg(z, triangulation=t, zigzag=zz, query_arcs=arcs,
                       window=tuple(args.window))
-    _emit(args, render_svg(spec))
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # Parser and dispatch.
+
+# Every option a command can take: its flag and argparse keywords.
+OPTIONS = {
+    "triangulation": ("--triangulation",
+                      {"required": True, "help": "triangulation JSON file"}),
+    "second_triangulation": ("--second-triangulation", {"required": True}),
+    "arc": ("--arc", {"nargs": 2, "metavar": ("P", "Q"), "required": True,
+                      "help": "endpoints: int, b:i, or Lg"}),
+    "second_arc": ("--second-arc",
+                   {"nargs": 2, "metavar": ("P", "Q"), "required": True}),
+    "zigzag": ("--zigzag", {"nargs": 2, "metavar": ("E", "F")}),
+    "query_arc": ("--arc", {"nargs": 2, "metavar": ("P", "Q")}),
+    "window": ("--window", {"nargs": 2, "type": int, "default": [-6, 6],
+                            "metavar": ("LO", "HI")}),
+    "out": ("--out", {"help": "output file (default stdout)"}),
+    "paths": ("--paths", {"type": int, "default": 100}),
+    "max_len": ("--max-len", {"type": int, "default": 10}),
+    "seed": ("--seed", {"type": int, "default": 0}),
+}
+# Options that must not be negative.
+COUNTS = ("paths", "max_len")
+
+# Each command's handler and its options after --triangulation, in the
+# order `--help` lists them.
+COMMANDS = {
+    "validate": (cmd_validate, ("out",)),
+    "index": (cmd_index, ("arc", "out")),
+    "cvector": (cmd_cvector, ("second_triangulation", "arc", "out")),
+    "dimvec": (cmd_dimvec, ("arc", "out")),
+    "image": (cmd_image, ("arc", "second_arc", "out")),
+    "realize": (cmd_realize, ("arc", "out")),
+    "decompose": (cmd_decompose, ("window", "out")),
+    "roots": (cmd_roots, ("arc", "window", "out")),
+    "duality": (cmd_duality, ("second_triangulation", "window", "out")),
+    "oracle": (cmd_oracle, ("out", "paths", "max_len", "seed")),
+    "render": (cmd_render, ("zigzag", "query_arc", "window", "out")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,59 +428,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "c-vectors, and root systems on finite and "
                     "infinity-gons.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, second_tri=False, arc=False, second_arc=False,
-               zz=False, window=False):
-        p.add_argument("--triangulation", required=True,
-                       help="triangulation JSON file")
-        if second_tri:
-            p.add_argument("--second-triangulation", required=True)
-        if arc:
-            p.add_argument("--arc", nargs=2, metavar=("P", "Q"),
-                           required=True,
-                           help="endpoints: int, b:i, or Lg")
-        if second_arc:
-            p.add_argument("--second-arc", nargs=2, metavar=("P", "Q"),
-                           required=True)
-        if zz:
-            p.add_argument("--zigzag", nargs=2, metavar=("E", "F"))
-            p.add_argument("--arc", nargs=2, metavar=("P", "Q"))
-        if window:
-            p.add_argument("--window", nargs=2, type=int, default=[-6, 6],
-                           metavar=("LO", "HI"))
-        p.add_argument("--out", help="output file (default stdout)")
-
-    cmds = {
-        "validate": (cmd_validate, {}),
-        "index": (cmd_index, {"arc": True}),
-        "cvector": (cmd_cvector, {"second_tri": True, "arc": True}),
-        "dimvec": (cmd_dimvec, {"arc": True}),
-        "image": (cmd_image, {"arc": True, "second_arc": True}),
-        "realize": (cmd_realize, {"arc": True}),
-        "decompose": (cmd_decompose, {"window": True}),
-        "roots": (cmd_roots, {"arc": True, "window": True}),
-        "duality": (cmd_duality, {"second_tri": True, "window": True}),
-        "oracle": (cmd_oracle, {}),
-        "render": (cmd_render, {"zz": True, "window": True}),
-    }
-    for name, (fn, kwargs) in cmds.items():
+    for name, (_, options) in COMMANDS.items():
         p = sub.add_parser(name)
-        common(p, **kwargs)
-        p.set_defaults(fn=fn)
-        if name == "oracle":
-            p.add_argument("--paths", type=int, default=100)
-            p.add_argument("--max-len", type=int, default=10)
-            p.add_argument("--seed", type=int, default=0)
+        for option in ("triangulation",) + options:
+            flag, kwargs = OPTIONS[option]
+            p.add_argument(flag, **kwargs)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse, check the window and counts, load the triangulations
+    (validated for every command but ``validate``), run the command and
+    write its answer; the exit code says how it ended."""
     args = build_parser().parse_args(argv)
+    fn, options = COMMANDS[args.command]
     try:
         lo, hi = getattr(args, "window", (0, 0))
         if lo > hi:
             raise ParseError("--window", f"LO {lo} exceeds HI {hi}")
-        return args.fn(args)
+        for option in COUNTS:
+            count = getattr(args, option, 0)
+            if count < 0:
+                raise ParseError(OPTIONS[option][0],
+                                 f"expected a count >= 0, got {count}")
+        load = _read_tri if args.command == "validate" else _load_tri
+        tris = [load(args.triangulation)]
+        if "second_triangulation" in options:
+            tris.append(load(args.second_triangulation))
+        answer, code = fn(*tris, args), 0
+        if isinstance(answer, tuple):
+            answer, code = answer
+        if not isinstance(answer, str):
+            answer = json.dumps(answer, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(answer)
+        else:
+            sys.stdout.write(answer)
+        return code
     except StepCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -120,8 +120,6 @@ class CoVector:
 
 class ZigZagPath(NamedTuple):
     vertices: tuple[Vertex, ...]
-    anchor: tuple[Vertex, Vertex]
-    triangulation: Triangulation
 
 
 def zigzag(t: Triangulation, e: Vertex, f: Vertex,
@@ -151,7 +149,7 @@ def zigzag(t: Triangulation, e: Vertex, f: Vertex,
         if odd is None:
             raise ModelError("zig-zag stuck: no odd step (invalid input)")
         path += (even, odd)
-    return ZigZagPath(tuple(path), (e, f), t)
+    return ZigZagPath(tuple(path))
 
 
 def index(t: Triangulation, a: Arc) -> CoVector:

@@ -10,7 +10,6 @@ points so that accumulation is visible at any window size.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .triangulation import Triangulation
 from .zmodel import Arc, ClosurePoint, Limit, ModelError, Vertex, ZModel
@@ -46,22 +45,13 @@ def _xy(z: ZModel, p: ClosurePoint) -> tuple[float, float]:
     return (_CX + _R * math.cos(a), _CY - _R * math.sin(a))
 
 
-class RenderSpec(NamedTuple):
-    """What to draw: a model, optionally a triangulation (within an
-    index window per block for Blocks models), a zig-zag path, and
-    highlighted query arcs."""
-
-    z: ZModel
-    triangulation: Triangulation | None = None
-    zigzag: tuple[Vertex, ...] = ()
-    query_arcs: tuple[Arc, ...] = ()
-    window: tuple[int, int] = (-6, 6)
-
-
-def render_svg(spec: RenderSpec) -> str:
-    """The SVG document for a render spec; byte-identical for equal
-    inputs."""
-    z = spec.z
+def render_svg(z: ZModel, triangulation: Triangulation | None = None,
+               zigzag: tuple[Vertex, ...] = (),
+               query_arcs: tuple[Arc, ...] = (),
+               window: tuple[int, int] = (-6, 6)) -> str:
+    """The SVG document of a model, optionally a triangulation (within
+    an index window per block for Blocks models), a zig-zag path, and
+    highlighted query arcs; byte-identical for equal inputs."""
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -80,30 +70,30 @@ def render_svg(spec: RenderSpec) -> str:
         f'r="{_fmt(_R)}"/>',
     ]
 
-    t = spec.triangulation
+    t = triangulation
     if t is not None:
         if t.z != z:
             raise ModelError("triangulation drawn over a different model")
         arcs = (sorted(t.core, key=z.arc_key)
-                if z.is_finite else t.arcs_within(*spec.window))
+                if z.is_finite else t.arcs_within(*window))
         for a in arcs:
             (x1, y1), (x2, y2) = _xy(z, a.p), _xy(z, a.q)
             lines.append(
                 f'<line class="triangulation" x1="{_fmt(x1)}" '
                 f'y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>')
 
-    for a in spec.query_arcs:
+    for a in query_arcs:
         (x1, y1), (x2, y2) = _xy(z, a.p), _xy(z, a.q)
         lines.append(
             f'<line class="query" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
             f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>')
 
-    if spec.zigzag:
+    if zigzag:
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}"
-                       for x, y in (_xy(z, v) for v in spec.zigzag))
+                       for x, y in (_xy(z, v) for v in zigzag))
         lines.append(f'<polyline class="zigzag" points="{pts}"/>')
 
-    for v in z.vertices(spec.window):
+    for v in z.vertices(window):
         x, y = _xy(z, v)
         lines.append(
             f'<circle class="vertex" cx="{_fmt(x)}" cy="{_fmt(y)}" '

@@ -129,10 +129,8 @@ class ZModel(Frozen):
 
     # -- vertex handling ---------------------------------------------
 
-    def v(self, a, b: int | None = None) -> Vertex:
+    def v(self, a) -> Vertex:
         """Coerce an int (finite model), pair, or Vertex into a Vertex."""
-        if b is not None:
-            return self.check_vertex(Vertex(a, b))
         if isinstance(a, Vertex):
             return self.check_vertex(a)
         if isinstance(a, int):

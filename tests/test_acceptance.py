@@ -324,6 +324,6 @@ def test_criterion_8_zigzag_structural_suite():
 def test_criterion_9_rendering_determinism():
     from test_render import FIGURES
     for name, fig in sorted(FIGURES.items()):
-        got = render_svg(fig())
+        got = render_svg(**fig())
         assert got == (GOLDEN / f"{name}.svg").read_text()
-        assert got == render_svg(fig())
+        assert got == render_svg(**fig())

@@ -14,8 +14,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infgon.cli import (covector_to_json, main, triangulation_from_json,
-                        triangulation_to_json)
+from infgon.cli import (COMMANDS, covector_to_json, main,
+                        triangulation_from_json, triangulation_to_json)
 from infgon.homindex import CoVector, TailRange
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   enumerate_triangulations)
@@ -372,6 +372,15 @@ def test_exit_2_on_parse_error(tri_file, capsys):
                  "left_to": -1}]}, "/tails/0/right_from"),
     ({"z": {"blocks": 1}, "core": [[[0, "a"], [0, 2]]]}, "/core/0/0/1"),
     ({"z": {"finite": math.inf}}, "/z/finite"),  # JSON Infinity
+    # JSON integer fields take integers only: no bool, float or string
+    ({**FOUNTAIN, "z": {"blocks": True}}, "/z/blocks"),
+    ({"z": {"finite": 5.9}, "core": [[0, 2], [0, 3]]}, "/z/finite"),
+    ({**FOUNTAIN, "tails": [{**FOUNTAIN["tails"][0], "right_from": "2"}]},
+     "/tails/0/right_from"),
+    ({**FOUNTAIN, "tails": [{**FOUNTAIN["tails"][0], "limit": 0.7}]},
+     "/tails/0/limit"),
+    ({**FOUNTAIN, "tails": [{**FOUNTAIN["tails"][0], "base": [False, 0]}]},
+     "/tails/0/base/0"),
 ])
 def test_exit_2_with_pointer_on_malformed_field(tri_file, capsys, obj,
                                                 pointer):
@@ -505,6 +514,49 @@ def test_computing_commands_reject_missing_diagonal(tri_file, capsys, argv):
     assert captured.out == ""
     assert (f"error: invalid triangulation: non-triangular face; witness "
             f"{out['witness']}\n") == captured.err
+
+
+HEXAGON_FAN = {"z": {"finite": 6}, "core": [[0, 2], [0, 3], [0, 4]]}
+# One minimal argument list per command but validate; "U" stands for a
+# second triangulation.
+MINIMAL_ARGV = {
+    "index": ["--arc", "1", "3"],
+    "cvector": ["--second-triangulation", "U", "--arc", "0", "3"],
+    "dimvec": ["--arc", "1", "3"],
+    "image": ["--arc", "1", "3", "--second-arc", "2", "4"],
+    "realize": ["--arc", "1", "3"],
+    "decompose": [],
+    "roots": ["--arc", "1", "3"],
+    "duality": ["--second-triangulation", "U"],
+    "oracle": ["--paths", "2"],
+    "render": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"validate"}))
+def test_no_command_answers_an_invalid_triangulation(tri_file, capsys,
+                                                     command):
+    """Every command but validate answers on the hexagon fan, and exits
+    1 with validate's reason and no output when --triangulation (or
+    --second-triangulation) is the crossing core."""
+    assert set(MINIMAL_ARGV) == set(COMMANDS) - {"validate"}
+    good, bad = tri_file(HEXAGON_FAN, "good.json"), tri_file(BAD, "bad.json")
+    _, report = run(capsys, "validate", "--triangulation", bad)
+    want = (f"error: invalid triangulation: {report['reason']}; witness "
+            f"{report['witness']}\n")
+
+    def argv(first, second):
+        return [command, "--triangulation", first] + [
+            second if a == "U" else a for a in MINIMAL_ARGV[command]]
+
+    assert main(argv(good, good)) == 0
+    capsys.readouterr()
+    cases = [argv(bad, good)]
+    if "U" in MINIMAL_ARGV[command]:
+        cases.append(argv(good, bad))
+    for case in cases:
+        assert main(case) == 1
+        assert capsys.readouterr() == ("", want)
 
 
 # A leapfrog whose first member repeats the one core arc, 2 * 10^6

@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from infgon.homindex import zigzag
-from infgon.render import RenderSpec, render_svg
+from infgon.render import render_svg
 from infgon.triangulation import Fountain, Leapfrog, Triangulation
 from infgon.zmodel import ModelError, Vertex, ZModel
 
@@ -18,26 +18,25 @@ def pentagon_spec():
     z = ZModel.finite(5)
     t = Triangulation.make(z, {z.arc(0, 2), z.arc(0, 3)})
     zz = zigzag(t, z.v(1), z.v(4)).vertices
-    return RenderSpec(z, triangulation=t, zigzag=zz,
-                      query_arcs=(z.arc(1, 4),))
+    return dict(z=z, triangulation=t, zigzag=zz, query_arcs=(z.arc(1, 4),))
 
 
 def football_spec():
     z = ZModel.finite(6)
     t = Triangulation.make(z, {z.arc(0, 2), z.arc(2, 4), z.arc(4, 0)})
-    return RenderSpec(z, triangulation=t)
+    return dict(z=z, triangulation=t)
 
 
 def fountain_spec():
     z = ZModel.blocks(1)
     t = Triangulation.make(z, set(), {0: Fountain(Vertex(0, 0), 2, -2)})
-    return RenderSpec(z, triangulation=t, window=(-6, 6))
+    return dict(z=z, triangulation=t, window=(-6, 6))
 
 
 def leapfrog_spec():
     z = ZModel.blocks(1)
     t = Triangulation.make(z, set(), {0: Leapfrog(1, -1)})
-    return RenderSpec(z, triangulation=t, window=(-6, 6))
+    return dict(z=z, triangulation=t, window=(-6, 6))
 
 
 FIGURES = {
@@ -50,7 +49,7 @@ FIGURES = {
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
 def test_golden_byte_equality(name):
-    got = render_svg(FIGURES[name]())
+    got = render_svg(**FIGURES[name]())
     want = (GOLDEN / f"{name}.svg").read_text()
     assert got == want
 
@@ -58,18 +57,18 @@ def test_golden_byte_equality(name):
 @pytest.mark.parametrize("name", sorted(FIGURES))
 def test_render_twice_identical(name):
     spec = FIGURES[name]()
-    assert render_svg(spec) == render_svg(spec)
+    assert render_svg(**spec) == render_svg(**spec)
 
 
 def test_svg_well_formed():
     import xml.etree.ElementTree as ET
     for fig in FIGURES.values():
-        ET.fromstring(render_svg(fig()))
+        ET.fromstring(render_svg(**fig()))
 
 
 def test_no_negative_zero_coordinates():
     for fig in FIGURES.values():
-        assert "-0.0000" not in render_svg(fig())
+        assert "-0.0000" not in render_svg(**fig())
 
 
 def test_mismatched_model_rejected():
@@ -77,12 +76,12 @@ def test_mismatched_model_rejected():
     z6 = ZModel.finite(6)
     t = Triangulation.make(z6, {z6.arc(0, 2), z6.arc(0, 3), z6.arc(0, 4)})
     with pytest.raises(ModelError):
-        render_svg(RenderSpec(z5, triangulation=t))
+        render_svg(z5, triangulation=t)
 
 
 def test_window_limits_blocks_vertices():
     z = ZModel.blocks(1)
     t = Triangulation.make(z, set(), {0: Leapfrog(1, -1)})
-    svg = render_svg(RenderSpec(z, triangulation=t, window=(-2, 2)))
+    svg = render_svg(z, triangulation=t, window=(-2, 2))
     assert ">3</text>" not in svg
     assert ">2</text>" in svg
