@@ -182,23 +182,24 @@ def root_to_json(z: ZModel, r):
 # Argument helpers.
 
 
-def _token_int(tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError("--arc", f"expected an integer, got {tok!r}"
-                         ) from None
-
-
-def _parse_point_token(z: ZModel, tok: str) -> ClosurePoint:
+def _point_from_token(z: ZModel, tok: str, flag: str) -> ClosurePoint:
+    """A point token ``i``, ``b:i`` or ``Lg`` of the option ``flag``,
+    read as the JSON point ``i``, ``[b, i]`` or ``{"limit": g}``."""
+    def num(s: str) -> int:
+        try:
+            return int(s)
+        except ValueError:
+            raise ParseError(flag, f"expected an integer, got {s!r}"
+                             ) from None
     if tok.startswith("L"):
-        if z.is_finite:
-            raise ParseError("--arc", "finite model has no limit points")
-        return Limit(_token_int(tok[1:]) % z.k)
-    if ":" in tok:
+        # on an n-gon point_from_json refuses a limit before its gap
+        obj = {"limit": 0 if z.is_finite else num(tok[1:])}
+    elif ":" in tok:
         b, i = tok.split(":", 1)
-        return z.v(Vertex(_token_int(b), _token_int(i)))
-    return z.v(_token_int(tok))
+        obj = [num(b), num(i)]
+    else:
+        obj = num(tok)
+    return point_from_json(z, obj, flag)
 
 
 def _read_tri(path: str) -> Triangulation:
@@ -221,15 +222,11 @@ def _load_tri(path: str) -> Triangulation:
     return t
 
 
-def _arc_from_tokens(z: ZModel, toks) -> Arc:
-    return Arc(_parse_point_token(z, toks[0]),
-               _parse_point_token(z, toks[1]))
-
-
 # ---------------------------------------------------------------------------
 # Commands.  Each takes the loaded triangulation (two for cvector and
-# duality) and the parsed arguments, and returns a JSON answer, an
-# answer and its exit code, or SVG text; `main` does the rest.
+# duality) and the parsed arguments, whose point tokens `main` has read
+# as pairs of points, and returns a JSON answer, an answer and its exit
+# code, or SVG text; `main` does the rest.
 
 
 def cmd_validate(t, args):
@@ -241,36 +238,30 @@ def cmd_validate(t, args):
 
 def cmd_index(t, args):
     from .homindex import index
-    a = _arc_from_tokens(t.z, args.arc)
-    return covector_to_json(index(t, a))["explicit"]
+    return covector_to_json(index(t, Arc(*args.arc)))["explicit"]
 
 
 def cmd_cvector(t, u_tri, args):
     from .cvector import CVectorQuery, cvector_full
-    u = _arc_from_tokens(t.z, args.arc)
-    sign, v_arc, cov = cvector_full(CVectorQuery(t, u_tri, u))
+    sign, v_arc, cov = cvector_full(CVectorQuery(t, u_tri, Arc(*args.arc)))
     return {"sign": sign, "arc": arc_to_json(t.z, v_arc),
             "covector": covector_to_json(cov)}
 
 
 def cmd_dimvec(t, args):
     from .cvector import dimension_vector
-    a = _arc_from_tokens(t.z, args.arc)
-    return covector_to_json(dimension_vector(t, a))
+    return covector_to_json(dimension_vector(t, Arc(*args.arc)))
 
 
 def cmd_image(t, args):
     from .cvector import image_arc
-    u = _arc_from_tokens(t.z, args.arc)
-    ustar = _arc_from_tokens(t.z, args.second_arc)
-    v = image_arc(t, u, ustar)
+    v = image_arc(t, Arc(*args.arc), Arc(*args.second_arc))
     return {"image": arc_to_json(t.z, v) if v else None}
 
 
 def cmd_realize(t, args):
     from .cvector import realize_dimension_vector
-    v = _arc_from_tokens(t.z, args.arc)
-    u_tri, u = realize_dimension_vector(t, v)
+    u_tri, u = realize_dimension_vector(t, Arc(*args.arc))
     return {"u": arc_to_json(t.z, u), "U": triangulation_to_json(u_tri)}
 
 
@@ -314,9 +305,7 @@ def cmd_roots(t, args):
     from .decomposition import (YExt, crossing_order, delta_plus,
                                 root_system_label)
     z = t.z
-    e = _parse_point_token(z, args.arc[0])
-    f = _parse_point_token(z, args.arc[1])
-    y = crossing_order(t, e, f)
+    y = crossing_order(t, *args.arc)
     ye = YExt(y)
     window = args.window[1] - args.window[0] + 1
     roots = delta_plus(ye, window=None if ye.is_finite else window)
@@ -328,13 +317,8 @@ def cmd_roots(t, args):
 
 def cmd_duality(t, u, args):
     from .homindex import check_duality
-    if t.z.is_finite:
-        window_t = sorted(t.core, key=t.z.arc_key)
-        window_u = sorted(u.core, key=u.z.arc_key)
-    else:
-        window_t = t.arcs_within(*args.window)
-        window_u = u.arcs_within(*args.window)
-    rep = check_duality(t, u, window_t, window_u)
+    rep = check_duality(t, u, t.arcs_within(args.window),
+                        u.arcs_within(args.window))
     return ({"ok": rep.ok, "failures": [repr(fx) for fx in rep.failures]},
             0 if rep.ok else 1)
 
@@ -366,17 +350,12 @@ def cmd_oracle(t, args):
 
 def cmd_render(t, args):
     from .render import render_svg
-    z = t.z
     zz = ()
     if args.zigzag:
         from .homindex import zigzag
-        e = _parse_point_token(z, args.zigzag[0])
-        f = _parse_point_token(z, args.zigzag[1])
-        zz = zigzag(t, e, f).vertices
-    arcs = ()
-    if args.arc:
-        arcs = (_arc_from_tokens(z, args.arc),)
-    return render_svg(z, triangulation=t, zigzag=zz, query_arcs=arcs,
+        zz = zigzag(t, *args.zigzag).vertices
+    arcs = (Arc(*args.arc),) if args.arc else ()
+    return render_svg(t.z, triangulation=t, zigzag=zz, query_arcs=arcs,
                       window=tuple(args.window))
 
 
@@ -403,6 +382,9 @@ OPTIONS = {
 }
 # Options that must not be negative.
 COUNTS = ("paths", "max_len")
+# Options whose two tokens are points of the first triangulation's
+# model, in the order they are read: render's path before its arc.
+POINTS = ("zigzag", "arc", "second_arc")
 
 # Each command's handler and its options after --triangulation, in the
 # order `--help` lists them.
@@ -438,8 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Parse, check the window and counts, load the triangulations
-    (validated for every command but ``validate``), run the command and
-    write its answer; the exit code says how it ended."""
+    (validated for every command but ``validate``), read the point
+    tokens, run the command and write its answer; the exit code says
+    how it ended."""
     args = build_parser().parse_args(argv)
     fn, options = COMMANDS[args.command]
     try:
@@ -455,6 +438,11 @@ def main(argv: list[str] | None = None) -> int:
         tris = [load(args.triangulation)]
         if "second_triangulation" in options:
             tris.append(load(args.second_triangulation))
+        for option in POINTS:
+            if toks := getattr(args, option, None):
+                flag = OPTIONS[option][0]
+                setattr(args, option, tuple(
+                    _point_from_token(tris[0].z, tok, flag) for tok in toks))
         answer, code = fn(*tris, args), 0
         if isinstance(answer, tuple):
             answer, code = answer

@@ -10,7 +10,7 @@ tuples and every step is exact integer arithmetic.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .triangulation import Triangulation
 from .zmodel import Arc, ModelError
@@ -49,7 +49,7 @@ def det(a: Sequence[Sequence[int]]) -> int:
     return sign * rows[-1][-1] if n else 1
 
 
-class SeedMatrix:
+class SeedMatrix(NamedTuple):
     """Exchange matrix B with c- and g-matrices over the initial basis.
 
     Row i of ``c`` is the c-vector of node i, and row i of ``g`` its
@@ -57,15 +57,11 @@ class SeedMatrix:
     ``basis``.  ``labels[i]`` is the diagonal currently represented by
     node i along a flip path."""
 
-    __slots__ = ("b", "c", "g", "labels", "basis")
-
-    def __init__(self, b: Matrix, c: Matrix, g: Matrix,
-                 labels: tuple[Arc, ...], basis: tuple[Arc, ...]):
-        self.b = b
-        self.c = c
-        self.g = g
-        self.labels = labels
-        self.basis = basis
+    b: Matrix
+    c: Matrix
+    g: Matrix
+    labels: tuple[Arc, ...]
+    basis: tuple[Arc, ...]
 
     @property
     def m(self) -> int:

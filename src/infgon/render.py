@@ -74,9 +74,7 @@ def render_svg(z: ZModel, triangulation: Triangulation | None = None,
     if t is not None:
         if t.z != z:
             raise ModelError("triangulation drawn over a different model")
-        arcs = (sorted(t.core, key=z.arc_key)
-                if z.is_finite else t.arcs_within(*window))
-        for a in arcs:
+        for a in t.arcs_within(window):
             (x1, y1), (x2, y2) = _xy(z, a.p), _xy(z, a.q)
             lines.append(
                 f'<line class="triangulation" x1="{_fmt(x1)}" '

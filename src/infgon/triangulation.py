@@ -336,8 +336,9 @@ class Triangulation(Frozen):
                             edges_allowed: bool) -> Vertex | None:
         """inf (or sup) over A = [a_lo, a_hi] of vertices joined to some
         vertex of B = [b_lo, b_hi] by a diagonal of T, or an edge when
-        edges_allowed.  Ordering is position along A from a_lo: the key
-        k rotated to start there, (k < key(a_lo), k).
+        edges_allowed; edges are allowed only for a one-point B.
+        Ordering is position along A from a_lo: the key k rotated to
+        start there, (k < key(a_lo), k).
 
         Why one index decides a tail when B is one vertex x.  Member(i)
         joins x exactly when one of its endpoints (b, o + s*i) is x.
@@ -380,11 +381,6 @@ class Triangulation(Frozen):
             for w, (keys, verts) in self.neighbours().items():
                 if keys_in_closed(k_blo, key(w), k_bhi):
                     cands += zip(verts, keys)
-            if edges_allowed:
-                for u, ku in ((a_lo, k_alo), (a_hi, k_ahi)):
-                    if (keys_in_closed(k_blo, key(z.succ(u)), k_bhi)
-                            or keys_in_closed(k_blo, key(z.pred(u)), k_bhi)):
-                        cands.append((u, ku))
 
         for sf in self.tails and self.subfamilies():
             for wa in (0, 1):
@@ -561,12 +557,17 @@ class Triangulation(Frozen):
             nodes.extend(sf.member(i) for i in rng)
         return list(dict.fromkeys(sorted(nodes, key=self.z.arc_key)))
 
-    def arcs_within(self, lo: int, hi: int) -> list[Arc]:
-        """The arcs of T whose vertex endpoints all have indices in
-        [lo, hi], in key order.  A subfamily's members there form one
-        index interval: an endpoint o + s*i with s = +-1 lies in [lo, hi]
-        for one interval of i, and a constant one for every i or none."""
+    def arcs_within(self, window: tuple[int, int]) -> list[Arc]:
+        """In key order, every arc of a finite T; on a Blocks model, the
+        arcs whose vertex endpoints all have indices in the window
+        (lo, hi), as ``ZModel.vertices(window)`` lists the vertices.  A
+        subfamily's members there form one index interval: an endpoint
+        o + s*i with s = +-1 lies in [lo, hi] for one interval of i, and
+        a constant one for every i or none."""
         z = self.z
+        if z.is_finite:
+            return sorted(self.core, key=z.arc_key)
+        lo, hi = window
         arcs = [a for a in self.core if all(
             lo <= p.idx <= hi for p in a.endpoints() if isinstance(p, Vertex))]
         for sf in self.subfamilies():

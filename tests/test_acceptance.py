@@ -10,7 +10,6 @@ import functools
 import pathlib
 import random
 import time
-from itertools import combinations
 
 from infgon.cvector import (CVectorQuery, cvector_eval, cvector_full,
                             dimension_vector, realize_dimension_vector)
@@ -23,6 +22,8 @@ from infgon.render import render_svg
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   enumerate_triangulations, validate)
 from infgon.zmodel import Arc, Limit, Vertex, ZModel, suspend
+
+from test_validate import all_diagonals, fountain_fixture
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -39,11 +40,6 @@ def criterion(num):
             print(f"criterion {num}: PASS")
         return wrapper
     return deco
-
-
-def all_diagonals(z):
-    return [z.arc(i, j) for i, j in combinations(range(z.n), 2)
-            if z.is_diagonal(z.arc(i, j))]
 
 
 def dim_set(t):
@@ -69,11 +65,6 @@ def c_sets(t, tris):
             else:
                 assert cov.is_negative()
     return call, cplus
-
-
-def fountain_fixture():
-    z = ZModel.blocks(1)
-    return z, Triangulation.make(z, set(), {0: Fountain(Vertex(0, 0), 2, -2)})
 
 
 def second_fountain():

@@ -390,9 +390,16 @@ def test_exit_2_with_pointer_on_malformed_field(tri_file, capsys, obj,
 
 
 def test_exit_2_on_malformed_arc_token(tri_file, capsys):
+    """A bad point token is reported with the flag it came from."""
     p = tri_file(PENTAGON)
-    assert main(["index", "--triangulation", p, "--arc", "x", "2"]) == 2
-    assert "error: --arc: " in capsys.readouterr().err
+    for argv, flag in (
+            (["index", "--arc", "x", "2"], "--arc"),
+            (["render", "--zigzag", "x", "1"], "--zigzag"),
+            (["image", "--arc", "1", "3", "--second-arc", "z", "4"],
+             "--second-arc")):
+        assert main([argv[0], "--triangulation", p] + argv[1:]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {flag}: expected an integer, got '{argv[-2]}'\n")
 
 
 def test_exit_2_on_bad_json(tmp_path, capsys):
@@ -458,6 +465,23 @@ def test_computing_commands_reject_invalid_tails(tri_file, capsys, argv):
     assert captured.out == ""
     assert ("non-diagonal tail member; witness (0, 'right', 0)"
             in captured.err)
+
+
+@pytest.mark.parametrize("obj", [
+    {"z": {"finite": 5}, "core": [[0, 1], [0, 2]]},
+    {**FOUNTAIN, "core": [[[0, 0], [0, 1]]]},
+], ids=["pentagon", "fountain"])
+def test_computing_commands_reject_non_diagonal_core_arc(tri_file, capsys,
+                                                         obj):
+    """A boundary edge in the core is reported before any crossing."""
+    p = tri_file(obj)
+    code, out = run(capsys, "validate", "--triangulation", p)
+    assert code == 1 and out["reason"] == "non-diagonal arc"
+    assert out["witness"] == "Arc(V(0,0),V(0,1))"
+    assert main(["index", "--triangulation", p, "--arc", "1", "3"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: invalid triangulation: non-diagonal arc; witness "
+            "Arc(V(0,0),V(0,1))\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,7 +20,8 @@ from infgon.homindex import check_duality, index, index_coeffs
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   enumerate_triangulations, validate)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel, suspend
-from test_validate import _filled, _shift, crossing_quadruple
+from test_validate import (_filled, _shift, all_diagonals, crossing_quadruple,
+                           fountain_fixture)
 
 
 def pentagon_fixtures():
@@ -28,16 +29,6 @@ def pentagon_fixtures():
     t = Triangulation.make(z, {z.arc(0, 2), z.arc(0, 3)})
     u = Triangulation.make(z, {z.arc(1, 3), z.arc(1, 4)})
     return z, t, u
-
-
-def fountain_fixture():
-    z = ZModel.blocks(1)
-    return z, Triangulation.make(z, set(), {0: Fountain(Vertex(0, 0), 2, -2)})
-
-
-def all_diagonals(z):
-    return [z.arc(i, j) for i, j in combinations(range(z.n), 2)
-            if z.is_diagonal(z.arc(i, j))]
 
 
 def test_cvector_eval_pentagon():

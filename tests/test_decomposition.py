@@ -19,35 +19,16 @@ from infgon.decomposition import (NEG_INFINITY, MaximalityReport,
                                   in_X, maximal_pairs, psi, root_of_arc,
                                   root_system_label,
                                   unique_maximal_iff_acyclic_report)
-from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
-                                  UnattainedError, _crossing_runs,
-                                  enumerate_triangulations, validate)
+from infgon.triangulation import (Fountain, Triangulation, UnattainedError,
+                                  _crossing_runs, enumerate_triangulations,
+                                  validate)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel, keys_cross
 
 from test_cvector import _points, core_and_tail, two_tails
 from test_tail_runs import OFFSETS, blocks2, fountain, leapfrog, points, tails
-from test_validate import (_filled, _flipped, _shift, is_acyclic,
-                           reference_nodes)
-
-
-def pentagon_fan():
-    z = ZModel.finite(5)
-    return z, Triangulation.make(z, {z.arc(0, 2), z.arc(0, 3)})
-
-
-def hexagon_cyclic():
-    z = ZModel.finite(6)
-    return z, Triangulation.make(z, {z.arc(0, 2), z.arc(2, 4), z.arc(4, 0)})
-
-
-def fountain_fixture():
-    z = ZModel.blocks(1)
-    return z, Triangulation.make(z, set(), {0: Fountain(Vertex(0, 0), 2, -2)})
-
-
-def leapfrog_fixture():
-    z = ZModel.blocks(1)
-    return z, Triangulation.make(z, set(), {0: Leapfrog(1, -1)})
+from test_validate import (_filled, _flipped, _shift, fountain_fixture,
+                           hexagon_cyclic, is_acyclic, leapfrog_fixture,
+                           pentagon_fan, reference_nodes)
 
 
 # -- crossing order ---------------------------------------------------------

@@ -15,10 +15,7 @@ from infgon.homindex import index
 from infgon.triangulation import Triangulation, enumerate_triangulations
 from infgon.zmodel import ModelError, ZModel
 
-
-def pentagon_fan():
-    z = ZModel.finite(5)
-    return z, Triangulation.make(z, {z.arc(0, 2), z.arc(0, 3)})
+from test_validate import pentagon_fan
 
 
 def random_flip_path(rng, z, t, max_len):

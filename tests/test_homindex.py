@@ -15,19 +15,7 @@ from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   enumerate_triangulations)
 from infgon.zmodel import Arc, ModelError, Vertex, ZModel, suspend
 
-
-def pentagon_fan():
-    z = ZModel.finite(5)
-    return z, Triangulation.make(z, {z.arc(0, 2), z.arc(0, 3)})
-
-
-def _sorted_core(t):
-    return sorted(t.core, key=t.z.arc_key)
-
-
-def fountain_fixture():
-    z = ZModel.blocks(1)
-    return z, Triangulation.make(z, set(), {0: Fountain(Vertex(0, 0), 2, -2)})
+from test_validate import fountain_fixture, pentagon_fan
 
 
 def test_ext_is_crossing():
@@ -175,13 +163,15 @@ def test_duality_pentagon_pairs():
     tris = enumerate_triangulations(z)
     for t in tris:
         for u in tris:
-            rep = check_duality(t, u, _sorted_core(t), _sorted_core(u))
+            rep = check_duality(t, u, t.arcs_within((0, 4)),
+                                u.arcs_within((0, 4)))
             assert rep.ok, rep.failures
 
 
 def test_duality_self():
     z, t = pentagon_fan()
-    assert check_duality(t, t, _sorted_core(t), _sorted_core(t)).ok
+    window = t.arcs_within((0, 4))
+    assert check_duality(t, t, window, window).ok
 
 
 def test_duality_fountains():
@@ -206,7 +196,7 @@ def test_duality_refuses_different_models_before_any_index():
                               1: Fountain(Vertex(1, 0), 2, -1)})
     for t, u in ((octagon, pentagon), (pentagon, octagon), (fountain, two),
                  (two, fountain)):
-        window = _sorted_core(t) if t.z.is_finite else t.arcs_within(-3, 3)
+        window = t.arcs_within((-3, 3))
         with pytest.raises(ModelError, match="different models"):
             check_duality(t, u, window, window)
         assert "_memo_index" not in t.__dict__

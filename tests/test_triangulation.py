@@ -14,29 +14,8 @@ from infgon.triangulation import (DualQuiver, Fountain, Leapfrog,
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
 
 from test_validate import (_filled, _flipped, _shift, crossing_quadruple,
-                           is_acyclic, reference_nodes)
-
-
-def pentagon_fan():
-    z = ZModel.finite(5)
-    return z, Triangulation.make(z, {z.arc(0, 2), z.arc(0, 3)})
-
-
-def hexagon_cyclic():
-    z = ZModel.finite(6)
-    return z, Triangulation.make(z, {z.arc(0, 2), z.arc(2, 4), z.arc(4, 0)})
-
-
-def fountain_fixture():
-    z = ZModel.blocks(1)
-    t = Triangulation.make(z, set(), {0: Fountain(Vertex(0, 0), 2, -2)})
-    return z, t
-
-
-def leapfrog_fixture():
-    z = ZModel.blocks(1)
-    t = Triangulation.make(z, set(), {0: Leapfrog(1, -1)})
-    return z, t
+                           fountain_fixture, hexagon_cyclic, is_acyclic,
+                           leapfrog_fixture, pentagon_fan, reference_nodes)
 
 
 # -- membership -----------------------------------------------------------
@@ -488,8 +467,9 @@ def _brute_arcs_within(t, lo, hi):
 
 def test_arcs_within_is_brute_force():
     """Every arc of T with both ends in [lo, hi], each once, in key
-    order, however far the window lies from the tails' finite ends."""
-    assert validate(FAR).ok and len(FAR.arcs_within(-6, 6)) == 25
+    order, however far the window lies from the tails' finite ends; on
+    an n-gon, every arc of T."""
+    assert validate(FAR).ok and len(FAR.arcs_within((-6, 6))) == 25
     rng = random.Random(3)
     cases = [(FAR, 0)] + [(_filled(rng, k), m) for k in (1, 2, 3)
                           for _ in range(3) for m in (0, 40)]
@@ -497,10 +477,14 @@ def test_arcs_within_is_brute_force():
         t = _shift(t, m)
         z = t.z
         for lo, hi in ((-6, 6), (-2, 9), (3, 3), (5, -5), (-30, -20)):
-            got = t.arcs_within(lo + m, hi + m)
+            got = t.arcs_within((lo + m, hi + m))
             assert len(set(got)) == len(got)
             assert set(got) == _brute_arcs_within(t, lo + m, hi + m)
             assert got == sorted(got, key=lambda a: (z.key(a.p), z.key(a.q)))
+    # on an n-gon every arc, whatever the window
+    for t in enumerate_triangulations(ZModel.finite(7))[::7]:
+        for w in ((-6, 6), (2, 3), (5, -5), (10, 20)):
+            assert t.arcs_within(w) == sorted(t.core, key=t.z.arc_key)
 
 
 # -- one-point queries against explicit enumeration ---------------------------

@@ -5,7 +5,9 @@ block hull +- 8: the two give the same report, witness included.
 
 This file also holds the references other test files share: the data
 hull and the reference window over it, the dual quiver's acyclicity,
-and the crossing quadruple, with the generators of Blocks(k)
+and the crossing quadruple, with the small fixtures (the pentagon fan,
+the hexagon's inner triangle, one fountain, one leapfrog and the list
+of an n-gon's diagonals) and the generators of Blocks(k)
 triangulations."""
 
 from __future__ import annotations
@@ -84,6 +86,34 @@ def crossing_quadruple(t: Triangulation, v: Arc):
     if (h0, h1) != (v0, v1):
         raise AssertionError(f"bridge triangles of {v!r} rest on {h0, h1}")
     return (i0, s0, i1, s1)
+
+
+# -- shared fixtures ---------------------------------------------------------
+
+
+def pentagon_fan():
+    z = ZModel.finite(5)
+    return z, Triangulation.make(z, {z.arc(0, 2), z.arc(0, 3)})
+
+
+def hexagon_cyclic():
+    z = ZModel.finite(6)
+    return z, Triangulation.make(z, {z.arc(0, 2), z.arc(2, 4), z.arc(4, 0)})
+
+
+def fountain_fixture():
+    z = ZModel.blocks(1)
+    return z, Triangulation.make(z, set(), {0: Fountain(Vertex(0, 0), 2, -2)})
+
+
+def leapfrog_fixture():
+    z = ZModel.blocks(1)
+    return z, Triangulation.make(z, set(), {0: Leapfrog(1, -1)})
+
+
+def all_diagonals(z):
+    return [z.arc(i, j) for i, j in combinations(range(z.n), 2)
+            if z.is_diagonal(z.arc(i, j))]
 
 
 def _face_walk(t: Triangulation) -> ValidationReport:
