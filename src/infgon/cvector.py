@@ -57,8 +57,6 @@ def dimension_vector(t: Triangulation, a: Arc) -> CoVector:
     memo = t._memo("dimension_vector")
     if (got := memo.get(a)) is None:
         z = t.z
-        # tail members and terms are built afresh each call: keep one of each
-        intern = t._memo("dimension_parts").setdefault
         explicit = {}
         if pairs := t.core_keys():
             ka, kb = z.key(a.p), z.key(a.q)
@@ -69,6 +67,8 @@ def dimension_vector(t: Triangulation, a: Arc) -> CoVector:
                     explicit[d] = 1
         terms: list[TailRange] = []
         for sf in t.subfamilies():
+            # members and terms are built afresh each call: keep one of each
+            intern = t._memo("dimension_parts").setdefault
             for lo, hi in _crossing_runs(z, sf, a):
                 if lo is not None and hi is not None:
                     for m in map(sf.member, range(lo, hi + 1)):

@@ -158,24 +158,25 @@ def index(t: Triangulation, a: Arc) -> CoVector:
 
     Answers are memoized on t, keyed by arc; every call returns a
     fresh CoVector."""
-    return CoVector(t, index_coeffs(t, a))
+    return CoVector._owning(t, index_coeffs(t, a), ())
 
 
 def index_coeffs(t: Triangulation, a: Arc) -> dict[Arc, int]:
-    """index(t, a)'s coefficients as memoized on t: never change them."""
+    """index(t, a)'s coefficients in a fresh dict; the memo on t keeps
+    them as a flat tuple (arc, coeff, arc, coeff, ...), smaller."""
     memo = t._memo("index")
-    coeffs = memo.get(a)
-    if coeffs is None:
-        coeffs = memo[a] = _zigzag_index(t, a)
-    return coeffs
+    flat = memo.get(a)
+    if flat is None:
+        flat = memo[a] = _zigzag_index(t, a)
+    return dict(zip(flat[::2], flat[1::2]))
 
 
-def _zigzag_index(t: Triangulation, a: Arc) -> dict[Arc, int]:
+def _zigzag_index(t: Triangulation, a: Arc) -> tuple:
     if not (isinstance(a.p, Vertex) and isinstance(a.q, Vertex)):
         raise ModelError("index needs vertex endpoints")
     z = t.z
     if z.is_edge(a):
-        return {}
+        return ()
     path = zigzag(t, a.p, a.q).vertices
     total: dict[Arc, int] = {}
     for m, (u, w) in enumerate(zip(path, path[1:])):
@@ -187,7 +188,11 @@ def _zigzag_index(t: Triangulation, a: Arc) -> dict[Arc, int]:
             raise ModelError(
                 f"zig-zag step {step!r} is a diagonal outside T "
                 "(invalid triangulation)")
-    return {step: c for step, c in total.items() if c}
+    own = t._memo("core_arc")  # T's own instance of each core arc
+    if len(own) < len(t.core):
+        own.update(zip(t.core, t.core))
+    return tuple(x for step, c in total.items() if c
+                 for x in (own.get(step, step), c))
 
 
 def _index_sum(t: Triangulation, c: CoVector, bar: bool) -> CoVector:

@@ -32,6 +32,7 @@ m, and the work does not depend on index magnitude.
 from __future__ import annotations
 
 import bisect
+import weakref
 from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
@@ -246,6 +247,7 @@ def _subfamilies_of_tail(z: ZModel, gap: int, tail: Tail) -> list[_SubFamily]:
 class Triangulation(Frozen):
     _fields = ("z", "core", "tails")  # and a __dict__ for the memos
     _values = attrgetter(*_fields)
+    _live = weakref.WeakValueDictionary()  # make's instances, by fields
 
     def __init__(self, z: ZModel, core: frozenset[Arc],
                  tails: tuple[tuple[int, Tail], ...] = ()) -> None:
@@ -256,16 +258,20 @@ class Triangulation(Frozen):
     @staticmethod
     def make(z: ZModel, core: Iterable[Arc], tails: dict[int, Tail] | None = None
              ) -> "Triangulation":
-        tails = tails or {}
-        return Triangulation(z, frozenset(core),
-                             tuple(sorted(tails.items())))
+        """The live triangulation equal to the one asked for, else a new
+        one, held weakly, that later calls share with its memos.  The
+        constructor builds an unshared, cold instance."""
+        key = (z, frozenset(core), tuple(sorted((tails or {}).items())))
+        if (t := Triangulation._live.get(key)) is None:
+            t = Triangulation._live[key] = Triangulation(*key)
+        return t
 
     def _memo(self, name: str) -> dict:
         """The memo table ``name`` kept on this triangulation, empty on
-        first use.  The fields are frozen, so a stored answer stays right
-        for the triangulation's life.  Store only answers nobody mutates,
-        never a failure, and nothing that refers to the triangulation but
-        weakly: reference counting then frees it with its memos."""
+        first use.  The fields are frozen, so an answer depends on the
+        value only, shared by every caller of ``make``.  Store only
+        answers nobody mutates, never a failure, and nothing that refers
+        to the triangulation but weakly: reference counting frees both."""
         try:
             return self.__dict__["_memo_" + name]
         except KeyError:  # first use: the one time a table is built
@@ -284,11 +290,11 @@ class Triangulation(Frozen):
     # -- membership ---------------------------------------------------
 
     def contains(self, a: Arc) -> bool:
-        if a in self.core:
-            return True
-        return self.tail_ref_of(a) is not None
+        return a in self.core or self.tail_ref_of(a) is not None
 
     def tail_ref_of(self, a: Arc) -> tuple[int, str, int] | None:
+        if not self.tails:
+            return None
         memo = self._memo("tail_ref")
         if a not in memo:
             memo[a] = next(((sf.gap, sf.sub, i) for sf in self.subfamilies()
@@ -445,7 +451,8 @@ class Triangulation(Frozen):
 
     def third_vertex(self, d: Arc, side: ClosurePoint) -> Vertex:
         """The vertex h completing d to a triangle of T on the side of d
-        that contains the closure point ``side``."""
+        that contains the closure point ``side``; memoized per oriented
+        pair (u, w), the side [u, w] counterclockwise."""
         z = self.z
         u, w = d.p, d.q
         if not (isinstance(u, Vertex) and isinstance(w, Vertex)):
@@ -455,13 +462,15 @@ class Triangulation(Frozen):
             raise ModelError("side marker must not be an endpoint of d")
         if not keys_in_closed(ku, ks, kw):
             u, w = w, u
-        # region is [u, w] counterclockwise
-        if (lo := z.succ(u)) == w:
-            raise ModelError("chosen side of the edge has no interior")
-        h = self._extremal_connected(True, lo, z.pred(w), w, w, True)
-        if h is None:
-            raise UnattainedError(
-                f"no triangle of T adjacent to {d!r} on the requested side")
+        # [u, w] counterclockwise holds side strictly inside: not an edge
+        memo = self._memo("third_vertex")
+        if (h := memo.get((u, w))) is None:
+            h = self._extremal_connected(True, z.succ(u), z.pred(w), w, w,
+                                         True)
+            if h is None:
+                raise UnattainedError(f"no triangle of T adjacent to {d!r} "
+                                      "on the requested side")
+            memo[u, w] = h
         return h
 
     def triangle_on_side(self, d: Arc, side: ClosurePoint

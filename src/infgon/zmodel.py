@@ -32,6 +32,14 @@ class Vertex(NamedTuple):
 new_vertex = partial(tuple.__new__, Vertex)
 
 
+class _Ring(dict):
+    """Finite(n)'s vertices by index, each built once, on first use."""
+
+    def __missing__(self, i: int) -> Vertex:
+        v = self[i] = new_vertex((0, i))
+        return v
+
+
 class Frozen:
     """Base of the immutable value classes: ``__init__`` sets the
     fields ``_fields`` once.  Two instances of one class are equal when
@@ -101,7 +109,8 @@ class ZModel(Frozen):
     Exactly one of ``n`` (finite) and ``k`` (blocks) is set.
     """
 
-    __slots__ = _fields = ("n", "k")
+    _fields = ("n", "k")
+    __slots__ = _fields + ("_ring",)  # _ring: a cache, not a field
     _values = attrgetter(*_fields)
 
     def __init__(self, n: int | None = None, k: int | None = None) -> None:
@@ -112,6 +121,7 @@ class ZModel(Frozen):
         if k is not None and k < 1:
             raise ModelError("blocks model needs k >= 1")
         super().__init__(n, k)
+        object.__setattr__(self, "_ring", _Ring())
 
     # -- constructors ------------------------------------------------
 
@@ -135,7 +145,7 @@ class ZModel(Frozen):
             return self.check_vertex(a)
         if isinstance(a, int):
             if self.n is not None:
-                return Vertex(0, a % self.n)
+                return self._ring[a % self.n]
             if self.k == 1:
                 return Vertex(0, a)
             raise ModelError("bare integer vertex is ambiguous for k > 1")
@@ -181,14 +191,14 @@ class ZModel(Frozen):
         n = self.n  # None or at least 4
         if (block != 0 or not 0 <= idx < n) if n else not 0 <= block < self.k:
             self.check_vertex(v)
-        return new_vertex((0, (idx + 1) % n) if n else (block, idx + 1))
+        return self._ring[(idx + 1) % n] if n else new_vertex((block, idx + 1))
 
     def pred(self, v: Vertex) -> Vertex:
         block, idx = v if v.__class__ is Vertex else self.check_vertex(v)
         n = self.n
         if (block != 0 or not 0 <= idx < n) if n else not 0 <= block < self.k:
             self.check_vertex(v)
-        return new_vertex((0, (idx - 1) % n) if n else (block, idx - 1))
+        return self._ring[(idx - 1) % n] if n else new_vertex((block, idx - 1))
 
     # -- linearization -----------------------------------------------
 

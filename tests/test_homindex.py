@@ -185,15 +185,17 @@ def test_duality_fountains():
 
 
 def test_duality_refuses_different_models_before_any_index():
+    """Built by the constructor, so cold: ``make`` may return an equal
+    triangulation that another test has memoized indices on."""
     z5, z8, b1, b2 = (ZModel.finite(5), ZModel.finite(8), ZModel.blocks(1),
                       ZModel.blocks(2))
-    pentagon = Triangulation.make(z5, {z5.arc(0, 2), z5.arc(0, 3)})
-    octagon = Triangulation.make(z8, {z8.arc(0, j) for j in range(2, 7)})
-    fountain = Triangulation.make(b1, set(),
-                                  {0: Fountain(Vertex(0, 0), 2, -2)})
-    two = Triangulation.make(b2, {Arc(Vertex(0, 0), Vertex(1, 0))},
-                             {0: Fountain(Vertex(0, 0), 2, -1),
-                              1: Fountain(Vertex(1, 0), 2, -1)})
+    pentagon = Triangulation(z5, frozenset({z5.arc(0, 2), z5.arc(0, 3)}))
+    octagon = Triangulation(z8, frozenset(z8.arc(0, j) for j in range(2, 7)))
+    fountain = Triangulation(b1, frozenset(),
+                             ((0, Fountain(Vertex(0, 0), 2, -2)),))
+    two = Triangulation(b2, frozenset({Arc(Vertex(0, 0), Vertex(1, 0))}),
+                        ((0, Fountain(Vertex(0, 0), 2, -1)),
+                         (1, Fountain(Vertex(1, 0), 2, -1))))
     for t, u in ((octagon, pentagon), (pentagon, octagon), (fountain, two),
                  (two, fountain)):
         window = t.arcs_within((-3, 3))

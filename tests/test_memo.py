@@ -2,7 +2,9 @@
 dimension vectors, ``in_X`` and ``root_of_arc`` equal the answers of a
 freshly built, equal triangulation; failures are never stored; the
 pair (f, e) is its own entry, ordered the other way; and no memo keeps
-its triangulation alive."""
+its triangulation alive.  ``Triangulation.make`` returns the live
+equal triangulation, so its memos serve every equal value, and a
+shared instance answers as a cold one does."""
 
 from __future__ import annotations
 
@@ -21,10 +23,16 @@ from infgon.decomposition import (crossing_order, decompose_row, in_X,
                                   unique_maximal_iff_acyclic_report)
 from infgon.homindex import index
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
-                                  UnattainedError, validate)
+                                  UnattainedError, enumerate_triangulations,
+                                  validate)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel, suspend
 
 from test_tail_runs import OFFSETS, blocks2, fountain, leapfrog, points, tails
+from test_validate import all_diagonals
+
+cpython_only = pytest.mark.skipif(
+    platform.python_implementation() != "CPython",
+    reason="frees by reference counting")
 
 
 def _fresh(t: Triangulation) -> Triangulation:
@@ -196,8 +204,7 @@ def _realize_round_trip(t, v):
     return weakref.ref(u_tri)
 
 
-@pytest.mark.skipif(platform.python_implementation() != "CPython",
-                    reason="frees by reference counting")
+@cpython_only
 @pytest.mark.parametrize("m", [0, 10 ** 6])
 def test_triangulations_are_freed_without_the_cyclic_gc(m):
     """No memo value refers back to its triangulation, so reference
@@ -237,3 +244,156 @@ def test_a_crossing_set_outliving_its_triangulation_says_so():
         with pytest.raises(ModelError,
                            match="triangulation of this crossing set is gone"):
             ask()
+
+
+# -- one instance per value ------------------------------------------------
+
+
+def _unheld():
+    """(z, core, tails) of triangulations that no other test keeps
+    alive: a fan of the 11-gon, and two fountains of Blocks(2) far out,
+    their tails given out of gap order."""
+    z, b2, m = ZModel.finite(11), ZModel.blocks(2), 7_777
+    return [(z, [z.arc(3, j) for j in (5, 6, 7, 8, 9, 10, 0, 1)], None),
+            (b2, [Arc(Vertex(0, m), Vertex(1, m))],
+             {1: Fountain(Vertex(1, m), m + 2, m - 1),
+              0: Fountain(Vertex(0, m), m + 2, m - 1)})]
+
+
+@cpython_only
+@pytest.mark.parametrize("case", [0, 1])
+def test_make_returns_the_live_equal_triangulation(case):
+    z, core, tails = _unheld()[case]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t = Triangulation.make(z, core, tails)
+        same_z = ZModel(z.n, z.k)
+        assert Triangulation.make(same_z, set(reversed(core)),
+                                  tails and dict(sorted(tails.items()))) is t
+        cold = Triangulation(t.z, t.core, t.tails)
+        assert cold == t and cold is not t
+        assert Triangulation.make(z, core, tails) is t
+        d = min(t.core, key=z.arc_key)
+        assert index(t, suspend(z, d)) == index(cold, suspend(z, d))
+        assert t.third_vertex(d, z.succ(d.p)) == cold.third_vertex(
+            d, z.succ(d.p))
+        ref = weakref.ref(t)
+        del t
+        assert ref() is None
+        again = Triangulation.make(z, core, tails)
+        assert again is not cold and again == cold
+        assert not [name for name in vars(again) if name.startswith("_memo_")]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _shared_answers(t, diagonals):
+    """index of every suspended diagonal, third_vertex on both sides of
+    every diagonal, and the exchange partner of every core diagonal."""
+    z = t.z
+    out = []
+    for a in diagonals:
+        out.append(_outcome(index, t, suspend(z, a)))
+        out += [_outcome(t.third_vertex, a, side)
+                for side in (z.succ(a.p), z.succ(a.q))]
+    out += [t.exchange_partner(d) for d in sorted(t.core, key=z.arc_key)]
+    return out
+
+
+def _round_trips(t, diagonals, cold: bool):
+    """realize -> cvector_full for every diagonal v crossing t; with
+    cold, the c-vector is taken over a cold copy of U."""
+    out = []
+    for v in diagonals:
+        if v in t.core:
+            continue
+        u_tri, u = realize_dimension_vector(t, v)
+        if cold:
+            u_tri = _fresh(u_tri)
+        out.append((u_tri, u, cvector_full(CVectorQuery(t, u_tri, u))))
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_shared_and_cold_triangulations_answer_alike(n):
+    z = ZModel.finite(n)
+    diagonals = all_diagonals(z)
+    tris = enumerate_triangulations(z)
+    for t in tris:
+        assert Triangulation.make(z, t.core) is t
+        warm = _shared_answers(t, diagonals)
+        trips = _round_trips(t, diagonals, False)
+        assert _shared_answers(t, diagonals) == warm  # from the memos
+        cold = _fresh(t)
+        assert _shared_answers(cold, diagonals) == warm
+        assert _round_trips(cold, diagonals, True) == trips
+
+
+def _octagon_sweep():
+    z = ZModel.finite(8)
+    for t in enumerate_triangulations(z):
+        for v in all_diagonals(z):
+            if v not in t.core:
+                _realize_round_trip(t, v)
+
+
+@cpython_only
+def test_a_dropped_realization_sweep_leaves_no_triangulation_alive():
+    """Each benchmark pass enumerates afresh: once a sweep is dropped,
+    reference counting alone frees every triangulation it built or
+    shared, so the next sweep starts cold."""
+    def alive():
+        return sum(type(o) is Triangulation for o in gc.get_objects())
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = alive()
+        _octagon_sweep()
+        assert alive() == before
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_third_vertex_stores_no_failure(monkeypatch):
+    """The side of an edge without interior holds no closure point but
+    the edge's endpoints, which the side test refuses; and a failure of
+    the engine, here stubbed as it meets invalid input, is raised on
+    every call and leaves the apex memo as it was."""
+    z = ZModel.finite(5)
+    t = Triangulation(z, frozenset({z.arc(0, 2), z.arc(0, 3)}))
+    edge, d = z.arc(0, 1), z.arc(0, 2)
+    for _ in range(2):
+        for side in edge.endpoints():
+            with pytest.raises(ModelError, match="side marker"):
+                t.third_vertex(edge, side)
+    assert not t._memo("third_vertex")
+
+    def unattained(*args):
+        raise UnattainedError("infimum approaches a limit point")
+    for stub in (unattained, lambda *args: None):
+        monkeypatch.setattr(Triangulation, "_extremal_connected", stub)
+        for _ in range(2):
+            with pytest.raises(UnattainedError):
+                t.third_vertex(d, z.v(1))
+        assert not t._memo("third_vertex")
+    monkeypatch.undo()
+    assert t.third_vertex(d, z.v(1)) == z.v(1)
+    assert t._memo("third_vertex") == {(z.v(0), z.v(2)): z.v(1)}
+
+
+def test_tail_free_models_build_no_tail_tables():
+    """A model without tails keeps no tail-member memo: shared, such a
+    table would hold one None per arc asked about for a whole sweep."""
+    z = ZModel.finite(6)
+    t = Triangulation(z, frozenset({z.arc(0, 2), z.arc(0, 3), z.arc(0, 4)}))
+    assert t.contains(z.arc(0, 3)) and not t.contains(z.arc(1, 3))
+    assert t.tail_ref_of(z.arc(1, 3)) is None
+    assert dimension_vector(t, z.arc(1, 3)).explicit == {z.arc(0, 2): 1}
+    assert not {"_memo_tail_ref", "_memo_dimension_parts"} & set(vars(t))
+    tf = _fresh(fountain(0))
+    assert tf.contains(Arc(Vertex(0, 0), Vertex(0, 5)))
+    assert not tf.contains(Arc(Vertex(0, 1), Vertex(0, 5)))
+    assert len(tf._memo("tail_ref")) == 2

@@ -124,6 +124,6 @@ def test_construction_checks_stay():
 
 
 def test_triangulation_keeps_its_memos():
-    t = Triangulation.make(Z, T.core)
+    t = Triangulation(Z, T.core)  # not make, which would return T itself
     t._memo("probe")["x"] = 1
     assert t._memo("probe") == {"x": 1} and t == T and hash(t) == hash(T)
