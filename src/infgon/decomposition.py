@@ -98,7 +98,7 @@ class _RunInfo:
 
     def __init__(self, ocs: "OrderedCrossingSet", sf: _SubFamily,
                  lo: int | None, hi: int | None):
-        self.sf = sf = sf._replace(imin=lo, imax=hi)
+        self.sf = sf = _SubFamily(sf.gap, sf.sub, lo, hi, sf.e1, sf.e2)
         self.open_sign = 1 if hi is None else -1
         self.closed = lo if hi is None else hi
         step = sf.member(self.closed + self.open_sign)
@@ -162,7 +162,7 @@ class OrderedCrossingSet:
         self.f = z._coerce_point(f)
         self.pair = Arc(self.e, self.f)
         self._ke, self._kf = z.key(self.e), z.key(self.f)
-        self._keys: dict[Arc, tuple] = {}  # explicit member -> keys
+        self._keys: dict[Arc, tuple] = {}  # arc -> _order_keys, on first use
         dim = dimension_vector(t, self.pair)
         if dim.is_zero():
             raise ModelError(
@@ -170,8 +170,8 @@ class OrderedCrossingSet:
         fams = {(sf.gap, sf.sub): sf for sf in t.subfamilies()}
         self._runs = [_RunInfo(self, fams[tr.gap, tr.sub], tr.lo, tr.hi)
                       for tr in dim.tail_terms]
-        self._keys = {a: self._okey(a) for a in dim.explicit}
         self._near: dict[tuple[Arc, bool], Arc | None] = {}
+        self._sides: dict[tuple[_RunInfo, Arc, int], list] = {}
         self._explicit: tuple[Arc, ...] = tuple(
             sorted(dim.explicit, key=functools.cmp_to_key(self._cmp)))
         self._struct = None
@@ -197,8 +197,11 @@ class OrderedCrossingSet:
                 kp, kq)
 
     def _okey(self, x: Arc) -> tuple:
-        key = self.z.key
-        return self._keys.get(x) or self._order_keys(key(x.p), key(x.q))
+        k = self._keys.get(x)
+        if k is None:
+            key = self.z.key
+            k = self._keys[x] = self._order_keys(key(x.p), key(x.q))
+        return k
 
     def _cmp_keys(self, kx, ky, arcs) -> int:
         """-1/+1: the order of two crossers from their keys (okey, kp,
@@ -237,7 +240,7 @@ class OrderedCrossingSet:
         nseg = len(cut_rels) + 1
         segs = [_Segment(i) for i in range(nseg)]
         for a in self._explicit:
-            s = bisect.bisect_left(cut_rels, self._keys[a][0][0])
+            s = bisect.bisect_left(cut_rels, self._okey(a)[0][0])
             segs[s].explicit.append(a)
         for r in self._runs:
             ci = cut_rels.index(z.rel(r.limit, self.e))
@@ -350,7 +353,11 @@ class OrderedCrossingSet:
 
     def _side_runs(self, r: _RunInfo, x: Arc, want: int):
         """Index runs of r's members other than x lying below x
-        (want = -1) or above it (want = 1), read on position keys."""
+        (want = -1) or above it (want = 1), read on position keys; kept
+        per (r, x, want), while a failure raises again on every call."""
+        out = self._sides.get((r, x, want))
+        if out is not None:
+            return out
         z, sf = self.z, r.sf
         kx = self._okey(x)
 
@@ -358,15 +365,18 @@ class OrderedCrossingSet:
             km = self._order_keys(sf.key(z, 0, i), sf.key(z, 1, i))
             return km[0] != kx[0] and self._cmp_keys(
                 km, kx, lambda: (sf.member(i), x)) == want
-        return sf.runs((x.p, x.q, self.e, self.f), on_side)
+        out = self._sides[r, x, want] = sf.runs(
+            (x.p, x.q, self.e, self.f), on_side)
+        return out
 
     def _select(self, cands: list[Arc], runs, low: bool,
                 unattained: str) -> Arc | None:
         """The least (low) or greatest of the members ``cands`` and of
         the index runs (r, lo, hi) of Y's tail runs r; None when there
         are none.  A run whose wanted end is open gives no candidate: it
-        raises UnattainedError(unattained) unless the one found lies
-        beyond the run's members far toward that end."""
+        raises UnattainedError(unattained), naming the run's (gap, sub,
+        closed index), unless the one found lies beyond the run's
+        members far toward that end.  Each candidate is keyed once."""
         want = -1 if low else 1
         markers: list[_RunInfo] = []
         for r, lo, hi in runs:
@@ -377,15 +387,18 @@ class OrderedCrossingSet:
                 markers.append(r)
             else:
                 cands.append(r.sf.member(end))
-        best = None
+        best = kb = None
         for m in cands:
-            if best is None or self._cmp(m, best) == want:
-                best = m
+            km = self._okey(m)
+            if best is None or m != best and self._cmp_keys(
+                    km, kb, lambda: (m, best)) == want:
+                best, kb = m, km
         for r in markers:
             # r's members far toward its open end lie beyond best
             if best is None or r.reaches_open_end(
                     self._side_runs(r, best, want)):
-                raise UnattainedError(unattained)
+                raise UnattainedError(f"{unattained} (witness run "
+                                      f"{r.sf.gap, r.sf.sub, r.closed})")
         return best
 
     # -- immediate neighbors --------------------------------------------
@@ -402,7 +415,7 @@ class OrderedCrossingSet:
         want = -1 if below else 1
         ka = self._okey(a)
         cands = [m for m in self._explicit if m != a and self._cmp_keys(
-            self._keys[m], ka, lambda m=m: (m, a)) == want]
+            self._okey(m), ka, lambda m=m: (m, a)) == want]
         runs = [(r, lo, hi) for r in self._runs
                 for lo, hi in self._side_runs(r, a, want)]
         return self._near.setdefault((a, below), self._select(

@@ -84,16 +84,14 @@ class DualQuiver(NamedTuple):
 # Tail sub-families: arcs whose endpoints are affine in a single index.
 
 
-class _SubFamily(NamedTuple):
+class _SubFamily(Frozen):
     """Arcs member(i) = {(b1, o1 + s1*i), (b2, o2 + s2*i)}, imin <= i <= imax
-    (None bound = unbounded in that direction)."""
+    (None bound = unbounded in that direction); e1 and e2 are the
+    endpoints' (block, offset, slope).  Slotted: the predicates of
+    ``runs`` read e1 and e2 for every index they evaluate."""
 
-    gap: int
-    sub: str
-    imin: int | None
-    imax: int | None
-    e1: tuple[int, int, int]  # (block, offset, slope)
-    e2: tuple[int, int, int]
+    __slots__ = _fields = ("gap", "sub", "imin", "imax", "e1", "e2")
+    _values = attrgetter(*_fields)
 
     def vertex(self, which: int, i: int) -> Vertex:
         b, o, s = self.e1 if which == 0 else self.e2

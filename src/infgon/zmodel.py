@@ -329,9 +329,11 @@ def _point_sort_key(p: ClosurePoint):
 
 
 class Arc(Frozen):
-    """Unordered pair of distinct closure points, stored normalized."""
+    """Unordered pair of distinct closure points, stored normalized,
+    with the hash of (p, q) kept from construction."""
 
-    __slots__ = _fields = ("p", "q")
+    _fields = ("p", "q")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, p: ClosurePoint, q: ClosurePoint) -> None:
         if p == q:
@@ -343,14 +345,17 @@ class Arc(Frozen):
             p, q = q, p
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_hash", hash((p, q)))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
-            return (self.p, self.q) == (other.p, other.q)
+            return self.p == other.p and self.q == other.q
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.p, self.q))
+        return self._hash
 
     def endpoints(self) -> tuple[ClosurePoint, ClosurePoint]:
         return (self.p, self.q)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import functools
 import random
 import sys
@@ -22,7 +23,7 @@ from infgon.decomposition import (NEG_INFINITY, MaximalityReport,
 from infgon.triangulation import (Fountain, Triangulation, UnattainedError,
                                   _crossing_runs, enumerate_triangulations,
                                   validate)
-from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel, keys_cross
+from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
 
 from test_cvector import _points, core_and_tail, two_tails
 from test_tail_runs import OFFSETS, blocks2, fountain, leapfrog, points, tails
@@ -586,20 +587,37 @@ def test_root_of_arc_is_psi_of_the_crossing_interval(build, m, monkeypatch):
 # -- Y's crossers of v, read off dim(v) ---------------------------------------
 
 
-def _reference_crossing_interval(y, v):
-    """The construction that ``crossing_interval_of`` replaced: v's
-    crossing runs found afresh on each of Y's tail runs, and Y's
-    explicit members crossing v by their keys."""
-    z = y.t.z
-    kv = (z.key(v.p), z.key(v.q))
-    cands = [m for m in y._explicit if keys_cross(*kv, *y._keys[m][1:])]
-    runs = [(r, lo, hi) for r in y._runs
-            for lo, hi in _crossing_runs(z, r.sf, v)]
-    if not cands and not runs:
-        raise ModelError(f"{v!r} crosses no member of Y")
-    msg = "extreme crossing member approaches a limit point"
-    return (y._select(list(cands), runs, True, msg),
-            y._select(cands, runs, False, msg))
+UNATTAINED = "extreme crossing member approaches a limit point"
+REF_WINDOW = 16
+
+
+def _sorted_windows(y):
+    """Y's members among ``window_nodes(w)`` and ``window_nodes(2w)``,
+    w = REF_WINDOW, each sorted by the pairwise reference rule."""
+    order = functools.cmp_to_key(functools.partial(_reference_cmp, y))
+    wide = sorted(_window_members(y, 2 * REF_WINDOW), key=order)
+    narrow = set(_window_members(y, REF_WINDOW))
+    return [a for a in wide if a in narrow], wide
+
+
+def _reference_crossing_interval(y, v, windows, crosses_v):
+    """v's least and greatest crossers in Y, read off Y's members in the
+    ``windows`` of ``_sorted_windows``, independently of Y's selection:
+    an end that moves as the window doubles approaches a limit point.
+    ``crosses_v`` holds the arcs of the wide window crossing v.  The
+    answer, or ModelError's text, or (UnattainedError, text, the tail
+    gap of the moving end's far crosser)."""
+    ends = []
+    for members in windows:
+        crossers = [a for a in members if a in crosses_v]
+        ends.append((crossers[0], crossers[-1]) if crossers else (None,) * 2)
+    if ends[1] == (None, None):
+        return (ModelError, f"{v!r} crosses no member of Y")
+    for side in (0, 1):
+        if ends[0][side] != ends[1][side]:
+            return (UnattainedError, UNATTAINED,
+                    y.t.tail_ref_of(ends[1][side])[0])
+    return ends[1]
 
 
 def _outcome_or_unattained(fn, *args):
@@ -610,16 +628,32 @@ def _outcome_or_unattained(fn, *args):
 
 
 def _assert_crossers_are_the_reference(t, pairs, probes, seen):
+    """The crossing interval of each probe against the reference; an
+    UnattainedError names its witness run (gap, sub, closed index), a
+    run of Y on the moving end's tail."""
+    z = t.z
+    nodes = [a for a in t.window_nodes(2 * REF_WINDOW) if z.is_diagonal(a)]
+    crossing = {v: {a for a in nodes if z.crosses(v, a)} for v in probes}
     for e, f in pairs:
         try:
             y = crossing_order(t, e, f)
         except ModelError:
             continue  # Y is empty
+        windows = _sorted_windows(y)
         for v in probes:
             dv = dimension_vector(t, v)
-            want = _outcome_or_unattained(_reference_crossing_interval, y, v)
-            assert _outcome_or_unattained(
-                y.crossing_interval_of, v, dv) == want, (t, e, f, v)
+            want = _reference_crossing_interval(y, v, windows, crossing[v])
+            got = _outcome_or_unattained(y.crossing_interval_of, v, dv)
+            if want[0] is UnattainedError:
+                assert got[0] is UnattainedError, (t, e, f, v, got)
+                head = f"{UNATTAINED} (witness run "
+                assert got[1].startswith(head) and got[1][-1] == ")"
+                witness = ast.literal_eval(got[1][len(head):-1])
+                assert witness[0] == want[2] and witness in {
+                    (r.sf.gap, r.sf.sub, r.closed) for r in y._runs}
+                seen["unattained"] += 1
+            else:
+                assert got == want, (t, e, f, v)
             if "crosses no member" in str(want):
                 seen["crosses none"] += 1
             elif not dv.is_zero() and in_X(t, e, f, dv):
@@ -639,7 +673,7 @@ def test_crossing_interval_through_dim_is_the_reference(m):
     lacks or holds only explicitly, so each of the three kinds of term
     decides some answer."""
     rng = random.Random(14)
-    seen = {"in X": 0, "outside X": 0, "crosses none": 0}
+    seen = {"in X": 0, "outside X": 0, "crosses none": 0, "unattained": 0}
     cases = []
     for k in (1, 2, 3):
         for _ in range(2):

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from infgon.cvector import (CVectorQuery, cvector_full, dimension_vector,
                             realize_dimension_vector)
 from infgon.decomposition import (crossing_order, decompose_row, in_X,
-                                  maximal_pairs, root_of_arc,
+                                  maximal_pairs, psi, root_of_arc,
                                   unique_maximal_iff_acyclic_report)
 from infgon.homindex import index
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
@@ -48,20 +48,31 @@ def _outcome(fn, *args):
         return (type(exc), str(exc))
 
 
+def _probe_answers(t, e, f, y, v):
+    """The least and greatest member of Y crossing v, the decompose row
+    of v, and psi of that crossing interval."""
+    ends = _outcome(y.crossing_interval_of, v)
+    return (ends, _outcome(decompose_row, t, e, f, v),
+            _outcome(psi, y, *ends) if isinstance(ends[0], Arc) else None)
+
+
 def _order_answers(t, e, f, probes):
     """What Y = crossing_order(t, e, f) says: its order type, up to three
-    members at each end it has, their predecessors and successors, asked
-    twice (the second time from Y's neighbour table), and the least and
-    greatest member crossing each probe."""
+    members at each end it has, their predecessors and successors, and
+    for each probe ``_probe_answers``.  Neighbours and probes are asked
+    twice, the second time from Y's warm tables (neighbours, order keys,
+    side sweeps)."""
     y = crossing_order(t, e, f)
     ends = ((y.first(3) if y.has_least else [])
             + (y.last(3) if y.has_greatest else []))
     neighbors = [[(_outcome(y.pred_in, a), _outcome(y.succ_in, a))
                   for a in ends] for _ in range(2)]
     assert neighbors[1] == neighbors[0]
+    rows = [[_probe_answers(t, e, f, y, v) for v in probes]
+            for _ in range(2)]
+    assert rows[1] == rows[0]
     return (str(y.descriptor()), y.has_least, y.has_greatest, ends,
-            neighbors[0],
-            [_outcome(y.crossing_interval_of, v) for v in probes])
+            neighbors[0], rows[0])
 
 
 def _assert_memo_agrees(t, e, f, probes):
@@ -207,24 +218,30 @@ def _realize_round_trip(t, v):
 @cpython_only
 @pytest.mark.parametrize("m", [0, 10 ** 6])
 def test_triangulations_are_freed_without_the_cyclic_gc(m):
-    """No memo value refers back to its triangulation, so reference
-    counting frees it once the caller lets go, memos and all."""
+    """No memo value refers back to its triangulation, and Y's tables
+    (neighbours, order keys, side sweeps) hold no reference to Y or T,
+    so reference counting frees T and every Y once the caller lets go,
+    memos and all, and the cyclic collector then finds nothing."""
     enabled = gc.isenabled()
+    gc.collect()
     gc.disable()
     try:
         for build in (fountain, leapfrog, blocks2):
             t = build(m)
             _tail_queries(t, m)
             assert t.__dict__["_memo_dimension_vector"]
+            ys = [weakref.ref(y) for y in t._memo("crossing_order").values()]
+            assert any(y()._sides for y in ys), build.__name__
             ref = weakref.ref(t)
             del t
-            assert ref() is None, build.__name__
+            assert ref() is None and not any(y() for y in ys), build.__name__
         z = ZModel.finite(8)
         t = Triangulation.make(z, {z.arc(0, j) for j in range(2, 7)})
         ref_u = _realize_round_trip(t, z.arc(1, 4))
         ref = weakref.ref(t)
         del t
         assert ref() is None and ref_u() is None
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()

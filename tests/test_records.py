@@ -17,7 +17,8 @@ from infgon.homindex import DualityReport, ZigZagPath
 from infgon.triangulation import (DualQuiver, Fountain, Leapfrog,
                                   Triangulation, ValidationReport,
                                   _SubFamily)
-from infgon.zmodel import Arc, Limit, ModelError, Vertex as V, ZModel
+from infgon.zmodel import (Arc, Limit, ModelError, Vertex as V, ZModel,
+                           suspend)
 
 Z = ZModel.finite(5)
 A = Arc(V(0, 0), V(0, 2))
@@ -25,7 +26,7 @@ T = Triangulation.make(Z, {A, Arc(V(0, 0), V(0, 3))})
 T_REPR = ("Triangulation(z=ZModel(n=5, k=None), core=frozenset({"
           + ", ".join(map(repr, T.core)) + "}), tails=())")
 
-# (instance, repr text, fields); the first five are the hand-written
+# (instance, repr text, fields); the first six are the hand-written
 # classes, the rest NamedTuples.
 RECORDS = [
     (Limit(1), "L(1)", ("gap",)),
@@ -35,6 +36,9 @@ RECORDS = [
     (CVectorQuery(T, T, A),
      f"CVectorQuery(t={T_REPR}, u_tri={T_REPR}, u=Arc(V(0,0),V(0,2)))",
      ("t", "u_tri", "u")),
+    (_SubFamily(0, "right", 2, None, (0, 0, 0), (0, 0, 1)),
+     "_SubFamily(gap=0, sub='right', imin=2, imax=None, e1=(0, 0, 0), "
+     "e2=(0, 0, 1))", ("gap", "sub", "imin", "imax", "e1", "e2")),
     (Fountain(V(0, 0), 2, -2),
      "Fountain(base=V(0,0), right_from=2, left_to=-2)",
      ("base", "right_from", "left_to")),
@@ -46,9 +50,6 @@ RECORDS = [
     (DualQuiver((A,), ()),
      "DualQuiver(nodes=(Arc(V(0,0),V(0,2)),), arrows=())",
      ("nodes", "arrows")),
-    (_SubFamily(0, "right", 2, None, (0, 0, 0), (0, 0, 1)),
-     "_SubFamily(gap=0, sub='right', imin=2, imax=None, e1=(0, 0, 0), "
-     "e2=(0, 0, 1))", ("gap", "sub", "imin", "imax", "e1", "e2")),
     (ZigZagPath((V(0, 1), V(0, 4))), "ZigZagPath(vertices=(V(0,1), V(0,4)))",
      ("vertices",)),
     (DualityReport(True, ()), "DualityReport(ok=True, failures=())",
@@ -67,7 +68,7 @@ RECORDS = [
      "internal_triangle=None)",
      ("acyclic", "pairs", "football", "internal_triangle")),
 ]
-HAND_WRITTEN = RECORDS[:5]
+HAND_WRITTEN = RECORDS[:6]
 
 
 def _values(x, fields):
@@ -104,6 +105,30 @@ def test_no_equality_across_classes():
             assert x != y and y != x, (x, y)
     assert Limit(0) != V(0, 0) and V(0, 0) != Limit(0)
     assert Arc(V(0, 0), Limit(0)) != Arc(V(0, 0), V(0, 1))
+
+
+def test_equal_arcs_hash_alike_however_built():
+    """An arc keeps the hash of (p, q) from construction: equal arcs from
+    every constructor compare equal and hash as that tuple, so set and
+    dict orders stay as they were."""
+    b1, b2 = ZModel.blocks(1), ZModel.blocks(2)
+    sf = _SubFamily(0, "right", 2, None, (0, 0, 0), (0, 0, 1))
+    groups = [
+        [Arc(V(0, 0), V(0, 2)), Arc(V(0, 2), V(0, 0)), Z.arc(2, 0),
+         suspend(Z, Z.arc(1, 3)), A],
+        [Arc(V(0, 0), V(0, 5)), b1.arc(5, 0), sf.member(5),
+         suspend(b1, b1.arc(1, 6))],
+        [Arc(V(1, 3), Limit(0)), b2.arc(Limit(2), (1, 3))],
+    ]
+    for group in groups:
+        a = group[0]
+        group += [copy.copy(a), pickle.loads(pickle.dumps(a))]
+        for b in group:
+            assert b == a and a == b and not b != a
+            assert hash(b) == hash(a) == hash((a.p, a.q)) == hash((b.p, b.q))
+        assert len(set(group)) == 1
+    assert Arc(V(0, 0), V(0, 3)) != groups[0][0]
+    assert len({a for group in groups for a in group}) == len(groups)
 
 
 def test_construction_checks_stay():
