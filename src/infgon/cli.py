@@ -82,13 +82,17 @@ def model_to_json(z: ZModel):
 
 
 def point_from_json(z: ZModel, obj, pointer: str) -> ClosurePoint:
+    """The point at ``pointer``; one outside the model is refused there."""
     if isinstance(obj, bool):
         raise ParseError(pointer, "not a point")
-    if isinstance(obj, int):
-        return z.v(obj)
-    if isinstance(obj, list) and len(obj) == 2:
-        return z.v(Vertex(_int(obj[0], pointer + "/0"),
-                          _int(obj[1], pointer + "/1")))
+    try:
+        if isinstance(obj, int):
+            return z.v(obj)
+        if isinstance(obj, list) and len(obj) == 2:
+            return z.v(Vertex(_int(obj[0], pointer + "/0"),
+                              _int(obj[1], pointer + "/1")))
+    except ModelError as exc:
+        raise ParseError(pointer, str(exc)) from None
     if isinstance(obj, dict) and "limit" in obj:
         if z.is_finite:
             raise ParseError(pointer, "finite model has no limit points")
@@ -105,8 +109,12 @@ def point_to_json(z: ZModel, p: ClosurePoint):
 def arc_from_json(z: ZModel, obj, pointer: str) -> Arc:
     if not (isinstance(obj, list) and len(obj) == 2):
         raise ParseError(pointer, "arc must be a two-element list")
-    return Arc(point_from_json(z, obj[0], pointer + "/0"),
-               point_from_json(z, obj[1], pointer + "/1"))
+    p = point_from_json(z, obj[0], pointer + "/0")
+    q = point_from_json(z, obj[1], pointer + "/1")
+    try:
+        return Arc(p, q)
+    except ModelError as exc:  # equal endpoints
+        raise ParseError(pointer, str(exc)) from None
 
 
 def arc_to_json(z: ZModel, a: Arc):
@@ -441,8 +449,11 @@ def main(argv: list[str] | None = None) -> int:
         for option in POINTS:
             if toks := getattr(args, option, None):
                 flag = OPTIONS[option][0]
-                setattr(args, option, tuple(
-                    _point_from_token(tris[0].z, tok, flag) for tok in toks))
+                pts = tuple(_point_from_token(tris[0].z, tok, flag)
+                            for tok in toks)
+                if option != "zigzag" and pts[0] == pts[1]:
+                    raise ParseError(flag, "arc endpoints must be distinct")
+                setattr(args, option, pts)
         answer, code = fn(*tris, args), 0
         if isinstance(answer, tuple):
             answer, code = answer

@@ -58,7 +58,7 @@ def dimension_vector(t: Triangulation, a: Arc) -> CoVector:
     if (got := memo.get(a)) is None:
         z = t.z
         explicit = {}
-        if pairs := t.core_keys():
+        if pairs := t.core_keys:
             ka, kb = z.key(a.p), z.key(a.q)
             for d, kd in pairs.items():
                 if kd is None:
@@ -66,7 +66,7 @@ def dimension_vector(t: Triangulation, a: Arc) -> CoVector:
                 if keys_cross(ka, kb, *kd):
                     explicit[d] = 1
         terms: list[TailRange] = []
-        for sf in t.subfamilies():
+        for sf in t.subfamilies:
             # members and terms are built afresh each call: keep one of each
             intern = t._memo("dimension_parts").setdefault
             for lo, hi in _crossing_runs(z, sf, a):
@@ -134,7 +134,7 @@ def image_arc(t: Triangulation, u: Arc, ustar: Arc) -> Arc | None:
 def _support_member(t: Triangulation, c: CoVector) -> Arc | None:
     """A diagonal of T where c is nonzero, None when c is zero: an
     explicit arc, or the member at a tail term's finite end."""
-    fams = {(sf.gap, sf.sub): sf for sf in t.subfamilies()}
+    fams = {(sf.gap, sf.sub): sf for sf in t.subfamilies}
     ends = (fams[tr.gap, tr.sub].member(tr.hi if tr.lo is None else tr.lo)
             for tr in c.tail_terms)
     return next(chain(c.explicit, ends), None)
@@ -234,7 +234,7 @@ def realize_dimension_vector(t: Triangulation, v: Arc
             "realization over Blocks models with finite crossing sets "
             "is not needed and not supported")
     v0, v1 = v.p, v.q
-    kv0, kv1, pairs = z.key(v0), z.key(v1), t.core_keys()
+    kv0, kv1, pairs = z.key(v0), z.key(v1), t.core_keys
     ends0, ends1 = [], []  # C's ends in A0, in A1: (key from v0, vertex)
     for d in dv.explicit:
         for k, p in zip(pairs[d], (d.p, d.q)):

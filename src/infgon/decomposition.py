@@ -167,7 +167,7 @@ class OrderedCrossingSet:
         if dim.is_zero():
             raise ModelError(
                 f"{self.pair!r} crosses no diagonal of T (empty Y)")
-        fams = {(sf.gap, sf.sub): sf for sf in t.subfamilies()}
+        fams = {(sf.gap, sf.sub): sf for sf in t.subfamilies}
         self._runs = [_RunInfo(self, fams[tr.gap, tr.sub], tr.lo, tr.hi)
                       for tr in dim.tail_terms]
         self._near: dict[tuple[Arc, bool], Arc | None] = {}
@@ -291,16 +291,11 @@ class OrderedCrossingSet:
 
     @property
     def has_least(self) -> bool:
-        if not self._runs:
-            return True
-        return self._segments()[0][0].idx == 0
+        return self.is_finite or self.descriptor().head
 
     @property
     def has_greatest(self) -> bool:
-        if not self._runs:
-            return True
-        live, cuts = self._segments()
-        return live[-1].idx == len(cuts)
+        return self.is_finite or self.descriptor().tail
 
     def least(self) -> Arc | None:
         return self.first(1)[0] if self.has_least else None
@@ -311,16 +306,17 @@ class OrderedCrossingSet:
 
     def first(self, k: int) -> list[Arc]:
         """The k least elements, enumerated upward."""
-        return self._merge(k, up=True)
+        return self._end(k, up=True)
 
     def last(self, k: int) -> list[Arc]:
         """The k greatest elements, in increasing order."""
-        return self._merge(k, up=False)
+        return self._end(k, up=False)
 
-    def _merge(self, k: int, up: bool) -> list[Arc]:
-        """The k least (up) or greatest members, in increasing order: a
-        k-way merge, from Y's end inward, of the end segment's explicit
-        members and of its tail runs, each read from its closed end."""
+    def _end(self, k: int, up: bool) -> list[Arc]:
+        """The k least (up) or greatest members, in increasing order:
+        the end segment's explicit members and the first k members of
+        each of its tail runs, read from the closed end, sorted as
+        ``_explicit`` is."""
         if k <= 0:
             return []
         if not self._runs:
@@ -330,24 +326,11 @@ class OrderedCrossingSet:
                              else "Y has no greatest element")
         live = self._segments()[0]
         seg = live[0] if up else live[-1]
-        expl = seg.explicit if up else seg.explicit[::-1]
-        ptrs = [[r, r.closed] for r in (seg.up_runs if up else seg.down_runs)]
-        want = -1 if up else 1
-        out: list[Arc] = []
-        j = 0
-        while len(out) < k:
-            heads = [(expl[j], None)] if j < len(expl) else []
-            heads += [(pr[0].sf.member(pr[1]), pr) for pr in ptrs]
-            best = heads[0]
-            for h in heads[1:]:
-                if self._cmp(h[0], best[0]) == want:
-                    best = h
-            out.append(best[0])
-            if best[1] is None:
-                j += 1
-            else:
-                best[1][1] += best[1][0].open_sign
-        return out if up else out[::-1]
+        ends = seg.explicit + [
+            r.sf.member(r.closed + j * r.open_sign)
+            for r in (seg.up_runs if up else seg.down_runs) for j in range(k)]
+        ends.sort(key=functools.cmp_to_key(self._cmp))
+        return ends[:k] if up else ends[-k:]
 
     # -- one keyed selection ---------------------------------------------
 
@@ -592,12 +575,9 @@ def delta_plus(yext: YExt, window: int | None = None) -> list[Root]:
             raise ModelError("infinite Y_ext needs an enumeration window")
         if not (yext.y.has_least or yext.y.has_greatest):
             raise ModelError("Y has neither a least nor a greatest element")
-        els = []
-        ends = ((yext.first(window) if yext.y.has_least else [])
-                + (yext.last(window) if yext.y.has_greatest else []))
-        for el in ends:
-            if el not in els:
-                els.append(el)
+        # the two ends lie in different segments: no element is repeated
+        els = ((yext.first(window) if yext.y.has_least else [])
+               + (yext.last(window) if yext.y.has_greatest else []))
     return [Root(pos=els[j], neg=els[i])
             for i in range(len(els)) for j in range(i + 1, len(els))]
 

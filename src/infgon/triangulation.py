@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import bisect
 import weakref
-from functools import partial
+from functools import cached_property, partial
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
@@ -275,15 +275,10 @@ class Triangulation(Frozen):
         except KeyError:  # first use: the one time a table is built
             return self.__dict__.setdefault("_memo_" + name, {})
 
+    @cached_property
     def subfamilies(self) -> tuple[_SubFamily, ...]:
-        cached = self.__dict__.get("_subfam_cache")
-        if cached is None:
-            out = []
-            for g, tail in self.tails:
-                out.extend(_subfamilies_of_tail(self.z, g, tail))
-            cached = tuple(out)
-            object.__setattr__(self, "_subfam_cache", cached)
-        return cached
+        return tuple(sf for g, tail in self.tails
+                     for sf in _subfamilies_of_tail(self.z, g, tail))
 
     # -- membership ---------------------------------------------------
 
@@ -295,42 +290,36 @@ class Triangulation(Frozen):
             return None
         memo = self._memo("tail_ref")
         if a not in memo:
-            memo[a] = next(((sf.gap, sf.sub, i) for sf in self.subfamilies()
+            memo[a] = next(((sf.gap, sf.sub, i) for sf in self.subfamilies
                             for i in (sf.index_of(a),) if i is not None), None)
         return memo[a]
 
     def contains_or_edge(self, a: Arc) -> bool:
         return self.z.is_edge(a) or self.contains(a)
 
+    @cached_property
+    def core_keys(self) -> dict[Arc, tuple | None]:
+        """Each core arc mapped to its endpoint keys (key(p), key(q)),
+        checked once as a diagonal: None when it is not one.  Do not
+        mutate."""
+        z, out = self.z, {}
+        for arc in self.core:
+            keys = z.key(arc.p), z.key(arc.q)  # ModelError outside z
+            out[arc] = keys if z.is_diagonal(arc) else None
+        return out
+
+    @cached_property
     def neighbours(self) -> dict[ClosurePoint, tuple[tuple, tuple]]:
         """Each endpoint of a core diagonal mapped to (keys, vertices):
         the vertices q joined to it by a core diagonal and their keys,
-        both sorted by key.  The same build stores each core arc's
-        endpoint keys, checked once as a diagonal (``core_keys``).
-        Built once, checking every endpoint against the model; do not
-        mutate."""
-        cached = self.__dict__.get("_nbr_cache")
-        if cached is None:
-            z = self.z
-            acc: dict[ClosurePoint, list[tuple[tuple, Vertex]]] = {}
-            pairs: dict[Arc, tuple | None] = {}
-            for arc in self.core:
-                kp, kq = z.key(arc.p), z.key(arc.q)  # ModelError outside z
-                pairs[arc] = (kp, kq) if z.is_diagonal(arc) else None
-                for (p, q, k) in ((arc.p, arc.q, kq), (arc.q, arc.p, kp)):
-                    if q.__class__ is Vertex:  # a limit point joins nothing
-                        acc.setdefault(p, []).append((k, q))
-            cached = {p: tuple(zip(*sorted(qs))) for p, qs in acc.items()}
-            object.__setattr__(self, "_nbr_cache", cached)
-            object.__setattr__(self, "_core_keys_cache", pairs)
-        return cached
-
-    def core_keys(self) -> dict[Arc, tuple | None]:
-        """Each core arc mapped to its endpoint keys (key(p), key(q)),
-        or to None when it is not a diagonal; built by ``neighbours``."""
-        if "_core_keys_cache" not in self.__dict__:
-            self.neighbours()
-        return self.__dict__["_core_keys_cache"]
+        both sorted by key.  Do not mutate."""
+        z, acc = self.z, {}
+        for arc, keys in self.core_keys.items():
+            kp, kq = keys or (z.key(arc.p), z.key(arc.q))
+            for (p, q, k) in ((arc.p, arc.q, kq), (arc.q, arc.p, kp)):
+                if q.__class__ is Vertex:  # a limit point joins nothing
+                    acc.setdefault(p, []).append((k, q))
+        return {p: tuple(zip(*sorted(qs))) for p, qs in acc.items()}
 
     # -- the exact extremal engine ------------------------------------
 
@@ -354,7 +343,7 @@ class Triangulation(Frozen):
         ``_SubFamily.runs``, with their limit points.  A must not
         contain x (ModelError).  A circle neighbour of x in A is an end
         of A, as A excludes x, and the core diagonals at x come from
-        bisecting ``neighbours()``."""
+        bisecting ``neighbours``."""
         z = self.z
         key = z.key
         k_alo, k_ahi = key(a_lo), key(a_hi)
@@ -367,7 +356,7 @@ class Triangulation(Frozen):
         if point:
             if keys_in_closed(k_alo, k_blo, k_ahi):
                 raise ModelError("interval [lo, hi] must not contain x")
-            keys, verts = self.neighbours().get(b_lo, ((), ()))
+            keys, verts = self.neighbours.get(b_lo, ((), ()))
             if keys:
                 # A is a prefix of the sorted keys rotated to start at
                 # key(a_lo): its first member is the first key from
@@ -382,11 +371,11 @@ class Triangulation(Frozen):
                 if a_hi == z.pred(b_lo):
                     cands.append((a_hi, k_ahi))
         else:
-            for w, (keys, verts) in self.neighbours().items():
+            for w, (keys, verts) in self.neighbours.items():
                 if keys_in_closed(k_blo, key(w), k_bhi):
                     cands += zip(verts, keys)
 
-        for sf in self.tails and self.subfamilies():
+        for sf in self.tails and self.subfamilies:
             for wa in (0, 1):
                 i = sf._match(sf.e1 if wa else sf.e2, b_lo) if point else "any"
                 if i is None or (i != "any" and not sf.in_range(i)):
@@ -518,7 +507,7 @@ class Triangulation(Frozen):
             for (u, w) in ((a.p, a.q), (a.q, a.p)):
                 if z.succ(z.succ(u)) == w:
                     cands.add(z.succ(u))
-        for sf in self.subfamilies():
+        for sf in self.subfamilies:
             b1, o1, s1 = sf.e1
             b2, o2, s2 = sf.e2
             if b1 != b2:
@@ -556,7 +545,7 @@ class Triangulation(Frozen):
         """Core diagonals plus, for each tail subfamily, the members at
         its finite end and the next ``w`` indices, in key order."""
         nodes = list(self.core)
-        for sf in self.subfamilies():
+        for sf in self.subfamilies:
             if sf.imin is not None:
                 rng = range(sf.imin, sf.imin + w + 1)
             else:
@@ -577,7 +566,7 @@ class Triangulation(Frozen):
         lo, hi = window
         arcs = [a for a in self.core if all(
             lo <= p.idx <= hi for p in a.endpoints() if isinstance(p, Vertex))]
-        for sf in self.subfamilies():
+        for sf in self.subfamilies:
             ends = [(sf.imin, sf.imax)]
             for _, o, s in (sf.e1, sf.e2):
                 if s:
@@ -671,9 +660,9 @@ def validate(t: Triangulation) -> ValidationReport:
     that is none of these triangles is a face of a core diagonal, or
     the face of an end member outside its tail, and only those
     (``face_sides``) are checked.  On an n-gon with a non-empty core
-    every face has a core diagonal as a side.  An empty core is walked
-    at the boundary edges, listed lazily from vertex 0, up to the first
-    witness without building the n edges."""
+    every face has a core diagonal as a side.  An empty core fails at
+    its one face, checked at the edge {0, 1}: the face's side
+    {1, n - 1} is not an arc of T."""
     z = t.z
     k = 0 if z.is_finite else z.k
     have = sorted({g for g, _ in t.tails})
@@ -687,7 +676,7 @@ def validate(t: Triangulation) -> ValidationReport:
     for a in t.core:
         if not z.is_diagonal(a):
             return ValidationReport(False, "non-diagonal arc", a)
-    subfams = t.subfamilies()
+    subfams = t.subfamilies
     for sf in subfams:
         def bad(i, sf=sf):
             u, w = sf.vertex(0, i), sf.vertex(1, i)
@@ -757,11 +746,7 @@ def validate(t: Triangulation) -> ValidationReport:
         if bad:
             return bad
     if z.is_finite and not t.core:
-        for i in range(z.n):
-            u, w = Vertex(0, i), Vertex(0, (i + 1) % z.n)
-            bad = check_face(Arc(u, w), z.succ(w))
-            if bad:
-                return bad
+        return check_face(Arc(z.v(0), z.v(1)), z.v(2))
     return ValidationReport(True)
 
 
@@ -773,7 +758,7 @@ def face_sides(t: Triangulation) -> list[tuple[Arc, ClosurePoint]]:
     key order on Blocks models, in the core's own order on an n-gon."""
     z = t.z
     sides = {d: (z.succ(d.p), z.succ(d.q)) for d in t.core}
-    for sf in t.subfamilies():
+    for sf in t.subfamilies:
         i = sf.near_end(sf.imin, sf.imax)
         past = i - 1 if sf.imin is not None else i + 1
         sides.setdefault(sf.member(i), (sf.vertex(1, past),))

@@ -381,6 +381,12 @@ def test_exit_2_on_parse_error(tri_file, capsys):
      "/tails/0/limit"),
     ({**FOUNTAIN, "tails": [{**FOUNTAIN["tails"][0], "base": [False, 0]}]},
      "/tails/0/base/0"),
+    # a point outside the model, or an arc with equal endpoints
+    ({"z": {"finite": 5}, "core": [[[1, 2], 3]]}, "/core/0/0"),
+    ({"z": {"finite": 5}, "core": [[0, 5], [0, 3]]}, "/core/0"),
+    ({"z": {"blocks": 1}, "core": [[[0, 2], [3, 4]]]}, "/core/0/1"),
+    ({**FOUNTAIN, "tails": [{**FOUNTAIN["tails"][0], "base": [3, 0]}]},
+     "/tails/0/base"),
 ])
 def test_exit_2_with_pointer_on_malformed_field(tri_file, capsys, obj,
                                                 pointer):
@@ -392,14 +398,21 @@ def test_exit_2_with_pointer_on_malformed_field(tri_file, capsys, obj,
 def test_exit_2_on_malformed_arc_token(tri_file, capsys):
     """A bad point token is reported with the flag it came from."""
     p = tri_file(PENTAGON)
-    for argv, flag in (
-            (["index", "--arc", "x", "2"], "--arc"),
-            (["render", "--zigzag", "x", "1"], "--zigzag"),
+    for argv, error in (
+            (["index", "--arc", "x", "2"],
+             "--arc: expected an integer, got 'x'"),
+            (["render", "--zigzag", "x", "1"],
+             "--zigzag: expected an integer, got 'x'"),
             (["image", "--arc", "1", "3", "--second-arc", "z", "4"],
-             "--second-arc")):
+             "--second-arc: expected an integer, got 'z'"),
+            (["index", "--arc", "1:1", "3"],
+             "--arc: V(1,1) is not a vertex of Finite(5)"),
+            (["index", "--arc", "1", "6"],
+             "--arc: arc endpoints must be distinct"),
+            (["image", "--arc", "1", "3", "--second-arc", "2", "7"],
+             "--second-arc: arc endpoints must be distinct")):
         assert main([argv[0], "--triangulation", p] + argv[1:]) == 2
-        assert capsys.readouterr() == (
-            "", f"error: {flag}: expected an integer, got '{argv[-2]}'\n")
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_exit_2_on_bad_json(tmp_path, capsys):

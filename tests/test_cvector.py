@@ -124,7 +124,7 @@ def _support_subset_reference(a, b):
     for arc in a.explicit:
         if b.eval(arc) == 0:
             return False
-    fams = {(sf.gap, sf.sub): sf for sf in a.t.subfamilies()}
+    fams = {(sf.gap, sf.sub): sf for sf in a.t.subfamilies}
     for tr in a.tail_terms:
         bmatches = [s for s in b.tail_terms
                     if (s.gap, s.sub) == (tr.gap, tr.sub)]
@@ -462,7 +462,7 @@ def test_arc_held_twice_counts_once():
     shared = Arc(Vertex(0, 0), Vertex(1, 2))
     assert validate(t2).ok
     assert sum(sf.index_of(shared) is not None
-               for sf in t2.subfamilies()) == 2
+               for sf in t2.subfamilies) == 2
     dv = dimension_vector(t2, Arc(Vertex(0, -1), Vertex(1, 1)))
     assert dv.eval(shared) == 1 and shared not in dv.explicit
     for t in (core_and_tail(), two_tails()):

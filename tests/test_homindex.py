@@ -12,7 +12,7 @@ from infgon.homindex import (CoVector, StepCapExceeded, TailRange,
                              check_duality, index, index_bar, index_bar_sum,
                              index_sum, zigzag)
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
-                                  enumerate_triangulations)
+                                  enumerate_triangulations, validate)
 from infgon.zmodel import Arc, ModelError, Vertex, ZModel, suspend
 
 from test_validate import fountain_fixture, pentagon_fan
@@ -172,6 +172,20 @@ def test_duality_self():
     z, t = pentagon_fan()
     window = t.arcs_within((0, 4))
     assert check_duality(t, t, window, window).ok
+
+
+def test_duality_fails_on_a_crossing_core():
+    """Duality is checked, not assumed: U's core is no triangulation
+    (13 crosses 02), and the U-side check fails at 02."""
+    z = ZModel.finite(6)
+    t = Triangulation.make(z, {z.arc(0, 2), z.arc(0, 3), z.arc(0, 4)})
+    u = Triangulation.make(z, {z.arc(1, 3), z.arc(1, 4), z.arc(1, 5),
+                               z.arc(0, 2)})
+    assert validate(u).reason == "crossing pair"
+    rep = check_duality(t, u, sorted(t.core, key=z.arc_key),
+                        sorted(u.core, key=z.arc_key))
+    assert not rep.ok
+    assert [f[:2] for f in rep.failures] == [("U-side", z.arc(0, 2))]
 
 
 def test_duality_fountains():

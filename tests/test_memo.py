@@ -166,6 +166,10 @@ def test_reversed_pair_reads_the_order_backwards():
         crossing_order(tl, Limit(0), Vertex(0, 0))
     assert (str(y.descriptor()), str(r.descriptor())) == ("omega", "omega*")
     assert r.last(4) == y.first(4)[::-1]
+    with pytest.raises(ModelError, match="Y has no greatest element"):
+        y.last(1)
+    with pytest.raises(ModelError, match="Y has no least element"):
+        r.first(1)
 
 
 def test_dimension_vector_returns_a_fresh_covector_each_call():

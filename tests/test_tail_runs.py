@@ -375,7 +375,7 @@ def test_member_key_is_the_model_key(build, m):
     index is the key of the vertex."""
     t = build(m)
     z = t.z
-    for sf in t.subfamilies():
+    for sf in t.subfamilies:
         end = sf.imin if sf.imin is not None else sf.imax
         for i in range(end - 3 * m - 40, end + 3 * m + 41):
             for w in (0, 1):

@@ -501,7 +501,7 @@ def _joined(t: Triangulation) -> dict[Vertex, set[Vertex]]:
     """Each vertex mapped to the vertices joined to it by the core or by
     a tail member listed one by one."""
     arcs = list(t.core)
-    for sf in t.subfamilies():
+    for sf in t.subfamilies:
         end = sf.imin if sf.imin is not None else sf.imax
         arcs += [sf.member(i) for i in range(end - REACH, end + REACH + 1)
                  if sf.in_range(i)]

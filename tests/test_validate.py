@@ -33,7 +33,7 @@ def hull(t: Triangulation) -> dict[int, tuple[int, int]]:
     finite end."""
     idx: dict[int, list[int]] = {}
     ends = [p for a in t.core for p in (a.p, a.q)]
-    for sf in t.subfamilies():
+    for sf in t.subfamilies:
         end = sf.imin if sf.imin is not None else sf.imax
         ends += (sf.vertex(0, end), sf.vertex(1, end))
     for p in ends:
@@ -222,7 +222,7 @@ def _filled(rng: random.Random, k: int) -> Triangulation:
     core: list[Arc] = []
     for a in cands:
         if (any(z.crosses(a, c) for c in core) or t.tail_ref_of(a)
-                or any(_crossing_runs(z, sf, a) for sf in t.subfamilies())):
+                or any(_crossing_runs(z, sf, a) for sf in t.subfamilies)):
             continue
         core.append(a)
     return Triangulation(z, frozenset(core), t.tails)
