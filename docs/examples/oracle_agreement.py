@@ -23,7 +23,6 @@ for n in (5, 6, 7):
     for _ in range(20):
         t = rng.choice(tris)
         seed, cur = run_flip_path(t, rng=rng, max_len=8)
-        seed.check()
         for j, u in enumerate(seed.labels):
             q = CVectorQuery(t, cur, u)
             crow = tuple(cvector_eval(q, d) for d in seed.basis)

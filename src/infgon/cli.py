@@ -451,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
                 flag = OPTIONS[option][0]
                 pts = tuple(_point_from_token(tris[0].z, tok, flag)
                             for tok in toks)
-                if option != "zigzag" and pts[0] == pts[1]:
+                if pts[0] == pts[1]:
                     raise ParseError(flag, "arc endpoints must be distinct")
                 setattr(args, option, pts)
         answer, code = fn(*tris, args), 0

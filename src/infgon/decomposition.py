@@ -627,7 +627,7 @@ def unique_maximal_iff_acyclic_report(t: Triangulation) -> MaximalityReport:
         u, h, w = t.triangle_on_side(d, side)
         sides = (Arc(u, h), Arc(h, w), Arc(w, u))
         if all(z.is_diagonal(s) and t.contains(s) for s in sides):
-            football, triangle = sides, t._ccw_triangle(frozenset((u, h, w)))
+            football, triangle = sides, tuple(sorted((u, h, w), key=z.key))
             break
     acyclic = football is None
     pairs = frozenset(maximal_pairs(t))

@@ -22,33 +22,6 @@ def identity(m: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
 
 
-def det(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix by Bareiss's
-    fraction-free elimination (Math. Comp. 1968).  After step k every
-    entry is a (k + 1)-minor of the input, so each division by the
-    previous pivot is exact; a zero pivot is replaced by a lower row
-    with a nonzero entry in its column, flipping the sign."""
-    rows = [list(r) for r in a]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pivot, rk = rows[k][k], rows[k]
-        for ri in rows[k + 1:]:
-            rik = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pivot - rik * rk[j]) // prev
-        prev = pivot
-    return sign * rows[-1][-1] if n else 1
-
-
 class SeedMatrix(NamedTuple):
     """Exchange matrix B with c- and g-matrices over the initial basis.
 
@@ -66,19 +39,6 @@ class SeedMatrix(NamedTuple):
     @property
     def m(self) -> int:
         return len(self.b)
-
-    def check(self) -> None:
-        """Structural invariants: B skew-symmetric, C and G unimodular
-        (exact determinant ±1), C rows sign coherent."""
-        if self.b != tuple(tuple(-x for x in col) for col in zip(*self.b)):
-            raise ModelError("exchange matrix is not skew-symmetric")
-        for mat, name in ((self.c, "C"), (self.g, "G")):
-            if det(mat) not in (1, -1):
-                raise ModelError(f"{name}-matrix is not unimodular")
-        for row in self.c:
-            coherent = all(x >= 0 for x in row) or all(x <= 0 for x in row)
-            if not coherent or not any(row):
-                raise ModelError("c-matrix row is not sign coherent")
 
     def pairing_matrix(self) -> Matrix:
         """<c_i, g_j> over all node pairs; the identity by duality."""

@@ -8,19 +8,16 @@ point).
 
 Queries over the infinite tail families are answered exactly.  A tail
 splits into subfamilies whose members have endpoints (b, o + s*i),
-affine in one index i with slope s in {-1, 0, 1}.  Every predicate used
-here (interval membership, crossing, being a diagonal) reads a member
-only through the cyclic order of its endpoints among themselves and
-against finitely many given closure points.  As a function of i it can
-change only within one index of a breakpoint: where a moving endpoint
-meets a given vertex of its block or the other endpoint, or at an end
-of the range.  ``_SubFamily.runs`` evaluates every index within 2 of a
-breakpoint plus one sentinel beyond them all, a complete decision
-procedure, not a sample (its docstring gives the argument).  Queries
-at one vertex x run it only on a constant endpoint at x; a moving one
-meets x at one index, ``_SubFamily._match``, and the core diagonals at
-x are found by bisecting x's neighbours, kept sorted by key
-(``neighbours``, ``_extremal_connected``).
+affine in one index i with slope s in {-1, 0, 1}.  A moving endpoint
+passes one vertex per index through its block, so the members crossing
+an arc are solved in closed form, on runs read off the arc's ends
+(``_crossing_runs``), and those at one vertex x at one index
+(``_SubFamily._match``).  The other predicates (interval membership,
+order, being a diagonal) read a member only through the cyclic order
+of its endpoints among themselves and against finitely many given
+closure points, so they change only near a breakpoint, and
+``_SubFamily.runs`` evaluates every index within 2 of one plus a
+sentinel, a complete decision procedure, not a sample.
 
 No breakpoint or window is placed at vertex 0, where the position keys
 start: every cyclic test rotates the keys to start at its own low end.
@@ -38,7 +35,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .zmodel import (Arc, ClosurePoint, Frozen, Limit, ModelError, Vertex,
-                     ZModel, keys_cross, keys_in_closed, new_vertex)
+                     ZModel, keys_in_closed, new_vertex)
 
 
 class UnattainedError(RuntimeError):
@@ -111,11 +108,8 @@ class _SubFamily(Frozen):
         return Arc(self.vertex(0, i), self.vertex(1, i))
 
     def in_range(self, i: int) -> bool:
-        if self.imin is not None and i < self.imin:
-            return False
-        if self.imax is not None and i > self.imax:
-            return False
-        return True
+        return ((self.imin is None or self.imin <= i)
+                and (self.imax is None or i <= self.imax))
 
     @staticmethod
     def _match(ep: tuple[int, int, int], v: Vertex):
@@ -172,6 +166,11 @@ class _SubFamily(Frozen):
         outermost window point belongs to the stretch it opens.  The
         sentinel, one index beyond, samples that stretch; a run
         reaching it is unbounded.
+
+        Its callers read order; crossing is solved in closed form
+        (``_crossing_runs``).  They are a fountain base at x in
+        ``_extremal_connected``, ``validate``'s non-diagonal and
+        cross-family checks, and the ``decomposition`` side sweeps.
         """
         low, high = self.imin is None, self.imax is None
         pts = sorted({c + d for c in self.breakpoints(bounds)
@@ -209,16 +208,11 @@ class _SubFamily(Frozen):
         if not (isinstance(a.p, Vertex) and isinstance(a.q, Vertex)):
             return None
         for (u, w) in ((a.p, a.q), (a.q, a.p)):
-            i = self._match(self.e1, u)
-            j = self._match(self.e2, w)
-            if i is None or j is None:
+            i, j = self._match(self.e1, u), self._match(self.e2, w)
+            if i is None or j is None or i == j == "any":
                 continue
-            if i == "any" and j == "any":
-                continue
-            if i != "any" and j != "any" and i != j:
-                continue
-            idx = i if i != "any" else j
-            if self.in_range(idx):
+            idx = j if i == "any" else i
+            if (j == "any" or j == idx) and self.in_range(idx):
                 return idx
         return None
 
@@ -578,11 +572,6 @@ class Triangulation(Frozen):
                 min(b for _, b in ends if b is not None) + 1))
         return list(dict.fromkeys(sorted(arcs, key=z.arc_key)))
 
-    def _ccw_triangle(self, verts: frozenset[Vertex]
-                      ) -> tuple[Vertex, Vertex, Vertex]:
-        a, b, c = sorted(verts, key=self.z.key)
-        return (a, b, c)
-
     def dual_quiver(self, nodes: Sequence[Arc]) -> DualQuiver:
         """The dual quiver on the given diagonals of T: s -> t for
         consecutive counterclockwise sides of a triangle of T."""
@@ -597,7 +586,7 @@ class Triangulation(Frozen):
                 triangles.add(frozenset(tri))
         arrows: list[tuple[Arc, Arc]] = []
         for tri in triangles:
-            a, b, c = self._ccw_triangle(tri)
+            a, b, c = sorted(tri, key=z.key)  # counterclockwise
             sides = (Arc(a, b), Arc(b, c), Arc(c, a))
             for i in range(3):
                 s, t = sides[i], sides[(i + 1) % 3]
@@ -619,16 +608,67 @@ def _joins(z: ZModel, sf: _SubFamily, wa: int, k_alo, k_ahi, k_blo, k_bhi,
             and keys_in_closed(k_blo, kb, k_bhi))
 
 
+def _sides(z: ZModel, sf: _SubFamily, which: int, p: ClosurePoint,
+           q: ClosurePoint, kp, kq) -> tuple[Sequence, Sequence]:
+    """(In, Out): the maximal runs of all indices i (None unbounded)
+    where endpoint ``which`` of sf, (b, o + s*i), lies strictly inside
+    the counterclockwise interval (p, q), and (q, p), of keys kp, kq.
+    Block b is a line of vertices from L(b - 1) to L(b), the index
+    rising counterclockwise, so a moving endpoint (s = +-1) meets p at
+    ip = s*(p.idx - o) when p is in b, q likewise, and lies on one side
+    between them and on the other past them.  A constant endpoint, or a
+    block holding neither, lies on one side for every i, or on none."""
+    b, o, s = sf.e2 if which else sf.e1
+    ip = s * (p.idx - o) if p.__class__ is Vertex and p.block == b else None
+    iq = s * (q.idx - o) if q.__class__ is Vertex and q.block == b else None
+    if s == 0 or ip is None is iq:
+        kv = sf.key(z, which, 0)  # ModelError for a block outside z
+        if kv == kp or kv == kq:
+            return (), ()
+        every = ((None, None),)
+        return (every, ()) if keys_in_closed(kp, kv, kq) else ((), every)
+    if s < 0:  # the endpoint runs clockwise as i rises
+        ip, iq = iq, ip
+    if ip is None:
+        return [(None, iq - 1)], [(iq + 1, None)]
+    if iq is None:
+        return [(ip + 1, None)], [(None, ip - 1)]
+    lo, hi = sorted((ip, iq))
+    mid, ends = [(lo + 1, hi - 1)], [(None, lo - 1), (hi + 1, None)]
+    return (mid, ends) if ip < iq else (ends, mid)
+
+
+def _meet(r, s) -> tuple[int | None, int | None] | None:
+    """The intersection of two index runs (None unbounded), if any."""
+    lo = r[0] if s[0] is None or r[0] is not None and r[0] > s[0] else s[0]
+    hi = r[1] if s[1] is None or r[1] is not None and r[1] < s[1] else s[1]
+    return (lo, hi) if lo is None or hi is None or lo <= hi else None
+
+
 def _crossing_runs(z: ZModel, sf: _SubFamily, a: Arc
                    ) -> list[tuple[int | None, int | None]]:
-    """Maximal index runs where member(i) is a diagonal crossing the
-    (possibly virtual) arc a.  A member that is not a diagonal crosses
-    nothing, as no point lies strictly between equal or adjacent
-    vertices, so the one test on position keys decides both."""
-    ka, kb = z.key(a.p), z.key(a.q)
-    key = sf.key
-    return sf.runs((a.p, a.q), lambda i: keys_cross(
-        ka, kb, key(z, 0, i), key(z, 1, i)))
+    """``sf.runs`` of the ``keys_cross`` test on member keys against
+    the (possibly virtual) arc a, solved in closed form: the maximal
+    runs (None unbounded), in increasing order, where member(i) crosses a.
+
+    Why it is exact.  The test holds when one endpoint lies strictly
+    inside (a.p, a.q) counterclockwise and the other inside (a.q, a.p):
+    on (In1 & Out2) | (Out1 & In2), with the runs of ``_sides``.  A
+    member that is not a diagonal crosses nothing, as no point lies
+    strictly between equal or adjacent vertices.  Runs of one part at
+    adjacent indices would lie in one run of each factor, and runs of
+    the two parts never are, as an endpoint changes sides only by
+    stepping onto a.p or a.q: clipped to the range, they are maximal."""
+    p, q, kp, kq = a.p, a.q, z.key(a.p), z.key(a.q)
+    in1, out1 = _sides(z, sf, 0, p, q, kp, kq)
+    in2, out2 = _sides(z, sf, 1, p, q, kp, kq)
+    out, rng = [], (sf.imin, sf.imax)
+    for r1s, r2s in ((in1, out2), (out1, in2)):
+        for r1 in r1s:
+            for r2 in r2s:
+                if (r := _meet(r1, r2)) and (r := _meet(r, rng)):
+                    out.append(r)
+    return sorted(out, key=lambda r: (r[0] is not None, r[0] or 0))
 
 
 def validate(t: Triangulation) -> ValidationReport:

@@ -16,13 +16,14 @@ from infgon.cvector import (CVectorQuery, cvector_eval, cvector_full,
 from infgon.decomposition import (YExt, add_vectors, crossing_order,
                                   delta_plus, in_X, maximal_pairs, psi,
                                   root_of_arc, root_system_label)
-from infgon.fzoracle import det, run_flip_path
+from infgon.fzoracle import run_flip_path
 from infgon.homindex import CoVector, check_duality, index, zigzag
 from infgon.render import render_svg
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   enumerate_triangulations, validate)
 from infgon.zmodel import Arc, Limit, Vertex, ZModel, suspend
 
+from test_fzoracle import det
 from test_validate import all_diagonals, fountain_fixture
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

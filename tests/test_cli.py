@@ -403,6 +403,10 @@ def test_exit_2_on_malformed_arc_token(tri_file, capsys):
              "--arc: expected an integer, got 'x'"),
             (["render", "--zigzag", "x", "1"],
              "--zigzag: expected an integer, got 'x'"),
+            (["render", "--zigzag", "1", "1"],
+             "--zigzag: arc endpoints must be distinct"),
+            (["render", "--zigzag", "1", "6"],
+             "--zigzag: arc endpoints must be distinct"),
             (["image", "--arc", "1", "3", "--second-arc", "z", "4"],
              "--second-arc: expected an integer, got 'z'"),
             (["index", "--arc", "1:1", "3"],

@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from infgon.fzoracle import det
 from infgon.homindex import (CoVector, StepCapExceeded, TailRange,
                              check_duality, index, index_bar, index_bar_sum,
                              index_sum, zigzag)
@@ -15,6 +14,7 @@ from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   enumerate_triangulations, validate)
 from infgon.zmodel import Arc, ModelError, Vertex, ZModel, suspend
 
+from test_fzoracle import det
 from test_validate import fountain_fixture, pentagon_fan
 
 

@@ -17,7 +17,7 @@ from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
                                   _subfamilies_of_tail,
                                   enumerate_triangulations, validate)
 from infgon.zmodel import (Arc, Limit, ModelError, Vertex, ZModel,
-                           keys_in_closed)
+                           keys_cross, keys_in_closed)
 
 from test_validate import is_acyclic, reference_nodes
 
@@ -113,15 +113,59 @@ def test_runs_match_brute_force(m, data):
     reach = _reach(sf, bounds, m)
     for bnd, pred in _predicates(z, sf, bounds):
         _assert_runs_exact(sf, sf.runs(bnd, pred), pred, reach)
-    a, b = bounds[0], bounds[1]
-    if a != b:
-        arc = Arc(a, b)
 
-        def crosses(i):
-            u, w = sf.vertex(0, i), sf.vertex(1, i)
-            return (u != w and z.is_diagonal(Arc(u, w))
-                    and z.crosses(arc, Arc(u, w)))
-        _assert_runs_exact(sf, _crossing_runs(z, sf, arc), crosses, reach)
+
+@st.composite
+def family_and_arc(draw, m):
+    """A fountain or leapfrog subfamily of Blocks(k), k = 1..3, at
+    offset m (valid or not; a fountain base may lie in any block), and
+    an arc near its data: two points, limit points among them, or a
+    vertex and its neighbour."""
+    k = draw(st.integers(1, 3))
+    z = ZModel.blocks(k)
+    sf = draw(st.sampled_from(_subfamilies_of_tail(
+        z, draw(st.integers(0, k - 1)), draw(tails(k, m)))))
+    p = draw(points(k, m))
+    if isinstance(p, Vertex) and draw(st.booleans()):
+        q = Vertex(p.block, p.idx + draw(st.sampled_from([-1, 1])))
+    else:
+        q = draw(points(k, m).filter(lambda q: q != p))
+    return z, sf, Arc(p, q)
+
+
+@pytest.mark.parametrize("m", OFFSETS + (10 ** 6, 10 ** 12))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_crossing_runs_match_brute_force_and_the_sampled_runs(m, data):
+    """The closed-form crossing runs are the runs the breakpoint window
+    finds for the crossing test on member keys, list for list, and the
+    members crossing the arc by brute force.  Every breakpoint lies
+    within the spread S of the vertex indices of the arc and of the
+    end member from the family's finite end, so the brute force runs
+    4(S + 1) past it either way, whatever the offset."""
+    z, sf, arc = data.draw(family_and_arc(m))
+    ka, kb = z.key(arc.p), z.key(arc.q)
+    sampled = sf.runs((arc.p, arc.q), lambda i: keys_cross(
+        ka, kb, sf.key(z, 0, i), sf.key(z, 1, i)))
+    got = _crossing_runs(z, sf, arc)
+    assert got == sampled
+
+    def crosses(i):
+        u, w = sf.vertex(0, i), sf.vertex(1, i)
+        return (u != w and z.is_diagonal(Arc(u, w))
+                and z.crosses(arc, Arc(u, w)))
+    end = sf.imin if sf.imin is not None else sf.imax
+    idx = [sf.vertex(0, end).idx, sf.vertex(1, end).idx]
+    idx += [p.idx for p in arc.endpoints() if isinstance(p, Vertex)]
+    reach = 4 * (max(idx) - min(idx) + 1)
+    lo_r = end - reach if sf.imin is None else sf.imin
+    hi_r = end + reach if sf.imax is None else sf.imax
+    truth = {i for i in range(lo_r, hi_r + 1) if crosses(i)}
+    assert truth == {i for lo, hi in got for i in range(
+        lo_r if lo is None else lo, (hi_r if hi is None else hi) + 1)}
+    for lo, hi in got:
+        assert lo is not None or crosses(lo_r - 1)
+        assert hi is not None or crosses(hi_r + 1)
 
 
 def test_runs_window_does_not_depend_on_vertex_zero():
@@ -276,6 +320,22 @@ def test_validate_work_does_not_grow_with_offset(monkeypatch):
         assert all(c["_extremal_connected"] <= per_m[0]["_extremal_connected"]
                    for c in per_m), build.__name__
         assert all(c["runs"] == per_m[0]["runs"] for c in per_m), per_m
+
+
+def test_dimension_vectors_call_no_runs(monkeypatch):
+    """Crossing runs are solved in closed form: no dimension vector on
+    a fresh Blocks triangulation evaluates breakpoint runs."""
+    calls = _count_calls(monkeypatch, (_SubFamily, "runs"))
+    for build, _ in FIXTURES:
+        for m in (0, 10 ** 6):
+            t0 = build(m)
+            t = Triangulation(t0.z, t0.core, t0.tails)
+            pts = [Vertex(b, m + i) for b in range(t.z.k)
+                   for i in range(-5, 6)] + t.z.limits()
+            for i, p in enumerate(pts):
+                for q in pts[i + 1:]:
+                    dimension_vector(t, Arc(p, q))
+    assert calls == {"runs": 0}
 
 
 def test_one_point_queries_run_only_a_constant_endpoint_at_the_point(
