@@ -2,8 +2,8 @@
 
 Run with ``python3 docs/examples/infinite_fountain.py``.  Every
 infinite family is handled symbolically: no truncation, no sampling —
-queries about tails are decided exactly from finitely many breakpoint
-evaluations.
+queries about tails are decided exactly, on index runs solved in
+closed form.
 """
 
 from infgon.cvector import dimension_vector

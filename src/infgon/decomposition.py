@@ -10,9 +10,8 @@ eps_y - eps_{y'}, realizing each set X_{e,f} of positive c-vectors as
 the positive root system of a Borel subalgebra of sl_infinity (or of
 sl_n in the finite case).
 
-Infinite tail families are handled with the same eventual-constancy
-discipline as elsewhere: every predicate on a family is decided by
-``_SubFamily.runs``, an exact decision procedure, not a sample.
+Infinite tail families are handled as elsewhere: every predicate on a
+family is read off index runs solved in closed form, not sampled.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import NamedTuple
 
 from .cvector import CoVector, dimension_vector, support_subset
 from .triangulation import (Leapfrog, Triangulation, UnattainedError,
-                            _SubFamily, face_sides)
+                            _and, _at, _clip, _sides, _SubFamily, face_sides)
 from .zmodel import (Arc, ClosurePoint, Limit, ModelError, Vertex,
                      keys_cross, keys_in_closed)
 
@@ -104,12 +103,12 @@ class _RunInfo:
         step = sf.member(self.closed + self.open_sign)
         self.dir_up = ocs._cmp(sf.member(self.closed), step) < 0
         self.inc_with_i = self.dir_up == (self.open_sign > 0)
-        # limit point the open end accumulates at (via the p-endpoint,
-        # the one strictly inside (e, f))
-        e, f, z = ocs.e, ocs.f, ocs.z
-        p_first = self.reaches_open_end(sf.runs(
-            (e, f), lambda i: z.strictly_between(e, sf.vertex(0, i), f)))
-        blk, _, slope = sf.e1 if p_first else sf.e2
+        # the limit point the open end accumulates at, via p: the
+        # endpoint inside (e, f), one all along a crossing run
+        z = ocs.z
+        self.p_first = z.strictly_between(ocs.e, sf.vertex(0, self.closed),
+                                          ocs.f)
+        blk, _, slope = sf.e1 if self.p_first else sf.e2
         going_up = (slope > 0) == (self.open_sign > 0)
         self.limit = Limit(blk) if going_up else Limit((blk - 1) % z.k)
 
@@ -336,20 +335,29 @@ class OrderedCrossingSet:
 
     def _side_runs(self, r: _RunInfo, x: Arc, want: int):
         """Index runs of r's members other than x lying below x
-        (want = -1) or above it (want = 1), read on position keys; kept
-        per (r, x, want), while a failure raises again on every call."""
+        (want = -1) or above it (want = 1); kept per (r, x, want), while
+        a failure raises again on every call.
+
+        With p a member's endpoint inside (e, f), q the other, and x.p,
+        x.q x's, the order key puts it below x where p is in (e, x.p),
+        or p = x.p and q in (x.q, e); above, mirrored.  Along the run p
+        stays in (e, f) and q in (f, e): these are the ``_sides`` of p
+        against (e, x.p) and of q against (x.q, e).  Where they disagree
+        (d1 != d2) the member crosses x: ``_cmp`` raises at the least."""
         out = self._sides.get((r, x, want))
         if out is not None:
             return out
-        z, sf = self.z, r.sf
-        kx = self._okey(x)
-
-        def on_side(i):
-            km = self._order_keys(sf.key(z, 0, i), sf.key(z, 1, i))
-            return km[0] != kx[0] and self._cmp_keys(
-                km, kx, lambda: (sf.member(i), x)) == want
-        out = self._sides[r, x, want] = sf.runs(
-            (x.p, x.q, self.e, self.f), on_side)
+        z, sf, wp = self.z, r.sf, 0 if r.p_first else 1
+        _, kxp, kxq = self._okey(x)
+        xp, xq = (x.p, x.q) if z.key(x.p) == kxp else (x.q, x.p)
+        p_below, p_above = _sides(z, sf, wp, self.e, xp, self._ke, kxp)
+        q_below, q_above = _sides(z, sf, 1 - wp, xq, self.e, kxq, self._ke)
+        for lo, hi in _clip(sf, _and(p_below, q_above)
+                            + _and(p_above, q_below))[:1]:
+            self._cmp(sf.member(hi if lo is None else lo), x)
+        p_side, q_side = (p_below, q_below) if want < 0 else (p_above, q_above)
+        out = self._sides[r, x, want] = _clip(
+            sf, [*p_side, *_and(_at(sf, wp, xp), q_side)])
         return out
 
     def _select(self, cands: list[Arc], runs, low: bool,

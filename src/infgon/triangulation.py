@@ -9,30 +9,25 @@ point).
 Queries over the infinite tail families are answered exactly.  A tail
 splits into subfamilies whose members have endpoints (b, o + s*i),
 affine in one index i with slope s in {-1, 0, 1}.  A moving endpoint
-passes one vertex per index through its block, so the members crossing
-an arc are solved in closed form, on runs read off the arc's ends
-(``_crossing_runs``), and those at one vertex x at one index
-(``_SubFamily._match``).  The other predicates (interval membership,
-order, being a diagonal) read a member only through the cyclic order
-of its endpoints among themselves and against finitely many given
-closure points, so they change only near a breakpoint, and
-``_SubFamily.runs`` evaluates every index within 2 of one plus a
-sentinel, a complete decision procedure, not a sample.
-
-No breakpoint or window is placed at vertex 0, where the position keys
-start: every cyclic test rotates the keys to start at its own low end.
-A window of tail members is always given by the caller, counted from
-each subfamily's finite end, so shifting every index by m shifts it by
-m, and the work does not depend on index magnitude.
+passes one vertex per index through its block, so every predicate on
+members is read off index runs (maximal index intervals) solved in
+closed form against the fixed points it names: where an endpoint lies
+strictly inside an interval (``_sides``), where it is a given vertex
+(``_SubFamily._match``), and unions and intersections of those
+(``_union``, ``_and``).  Nothing is sampled, and nothing is placed at
+vertex 0, where the position keys start.  A window of tail members is
+always given by the caller, counted from each subfamily's finite end,
+so shifting every index by m shifts every answer by m, for the same
+work.
 """
 
 from __future__ import annotations
 
 import bisect
 import weakref
-from functools import cached_property, partial
+from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .zmodel import (Arc, ClosurePoint, Frozen, Limit, ModelError, Vertex,
                      ZModel, keys_in_closed, new_vertex)
@@ -84,8 +79,8 @@ class DualQuiver(NamedTuple):
 class _SubFamily(Frozen):
     """Arcs member(i) = {(b1, o1 + s1*i), (b2, o2 + s2*i)}, imin <= i <= imax
     (None bound = unbounded in that direction); e1 and e2 are the
-    endpoints' (block, offset, slope).  Slotted: the predicates of
-    ``runs`` read e1 and e2 for every index they evaluate."""
+    endpoints' (block, offset, slope).  Slotted: member keys read e1
+    and e2 for every index they build."""
 
     __slots__ = _fields = ("gap", "sub", "imin", "imax", "e1", "e2")
     _values = attrgetter(*_fields)
@@ -113,91 +108,14 @@ class _SubFamily(Frozen):
 
     @staticmethod
     def _match(ep: tuple[int, int, int], v: Vertex):
-        """Index forced by one endpoint: an int, "any" for a matching
-        constant endpoint, or None for a mismatch."""
+        """Index forced by one endpoint at the point v: an int, "any"
+        for a matching constant endpoint, or None for a mismatch."""
         b, o, s = ep
-        if v.block != b:
+        if v.__class__ is not Vertex or v.block != b:
             return None
         if s == 0:
             return "any" if v.idx == o else None
         return (v.idx - o) * s
-
-    def breakpoints(self, bounds: Iterable[ClosurePoint]) -> set[int]:
-        """The indices where the cyclic order of member(i)'s endpoints,
-        among themselves and against the bounds, can change: each
-        finite end of the range, each index where a moving endpoint
-        meets a bound vertex of its block, and the index nearest below
-        the meeting of two endpoints of one block."""
-        pts = {bd for bd in (self.imin, self.imax) if bd is not None}
-        for b, o, s in (self.e1, self.e2):
-            if s:
-                pts.update((p.idx - o) * s for p in bounds
-                           if isinstance(p, Vertex) and p.block == b)
-        (b1, o1, s1), (b2, o2, s2) = self.e1, self.e2
-        if b1 == b2 and s1 != s2:
-            pts.add((o2 - o1) // (s1 - s2))
-        return pts
-
-    def runs(self, bounds: Iterable[ClosurePoint],
-             pred: Callable[[int], bool]
-             ) -> list[tuple[int | None, int | None]]:
-        """The maximal runs (lo, hi) of indices in the range where pred
-        holds, in increasing order; None marks an unbounded end.
-
-        pred is called only on indices in the range, and must read
-        member(i) only through the cyclic order of its endpoints among
-        themselves and against the closure points in ``bounds``
-        (coincidence and adjacency included).  The predicates here read
-        the endpoint keys (``key``) against the keys of the bounds: keys
-        order the closure points counterclockwise, so that is such a read.
-
-        Why the window and one sentinel are exact.  An endpoint
-        (b, o + s*i) with s != 0 moves one vertex per index inside block
-        b, past no limit point and no vertex of another block.  Against
-        a bound vertex (b, x) its order (before, adjacent, equal,
-        adjacent, after) changes only at c = (x - o)*s and c +- 1.  Two
-        endpoints of one block with slopes s1 != s2 are equal or
-        adjacent only within one index of c = (o2 - o1) // (s1 - s2).
-        So pred is constant on each stretch of the range lying at least
-        2 from every breakpoint, the range ends being breakpoints.  The
-        window holds every index within 2 of a breakpoint: two window
-        points that are not neighbours both belong to the stretch
-        between them, and on an unbounded side every index past the
-        outermost window point belongs to the stretch it opens.  The
-        sentinel, one index beyond, samples that stretch; a run
-        reaching it is unbounded.
-
-        Its callers read order; crossing is solved in closed form
-        (``_crossing_runs``).  They are a fountain base at x in
-        ``_extremal_connected``, ``validate``'s non-diagonal and
-        cross-family checks, and the ``decomposition`` side sweeps.
-        """
-        low, high = self.imin is None, self.imax is None
-        pts = sorted({c + d for c in self.breakpoints(bounds)
-                      for d in (-2, -1, 0, 1, 2)})
-        pts = pts[0 if low else bisect.bisect_left(pts, self.imin):
-                  None if high else bisect.bisect_right(pts, self.imax)]
-        if low:
-            pts.insert(0, pts[0] - 1)
-        if high:
-            pts.append(pts[-1] + 1)
-        out: list[tuple[int | None, int | None]] = []
-        start = prev = None
-        prev_val = False
-        for i in pts:
-            val = pred(i)
-            if prev is not None and i > prev + 1 and val != prev_val:
-                raise AssertionError("breakpoint escaped the window")
-            if val and not prev_val:
-                start = i
-            elif prev_val and not val:
-                out.append((start, prev))
-            prev, prev_val = i, val
-        if prev_val:
-            out.append((start, None if high else prev))
-        if low and out and out[0][0] == pts[0]:
-            out[0] = (None, out[0][1])
-        return out
 
     def near_end(self, lo: int | None, hi: int | None) -> int:
         """The end of run (lo, hi) nearest the range's finite end."""
@@ -333,11 +251,11 @@ class Triangulation(Frozen):
         block b, so it is x at the one index (x.idx - o)*s, or at none
         if x lies in another block (``_SubFamily._match``).  With s == 0
         it is x at every index or at none; at every index, the members
-        whose other endpoint lies in A form the runs of
-        ``_SubFamily.runs``, with their limit points.  A must not
-        contain x (ModelError).  A circle neighbour of x in A is an end
-        of A, as A excludes x, and the core diagonals at x come from
-        bisecting ``neighbours``."""
+        are read off runs as for an interval B: endpoint wa in A and the
+        other in B (``_within``).  A excludes x (else ModelError) and an
+        interval B (``bridge_quadruple``), so the two are apart.  A
+        circle neighbour of x in A is an end of A, and the core
+        diagonals at x come from bisecting ``neighbours``."""
         z = self.z
         key = z.key
         k_alo, k_ahi = key(a_lo), key(a_hi)
@@ -379,8 +297,9 @@ class Triangulation(Frozen):
                         cands.append((sf.vertex(wa, i), ka))
                     continue
                 blk, _, slope = sf.e2 if wa else sf.e1
-                for lo, hi in sf.runs((a_lo, a_hi, b_lo, b_hi), partial(
-                        _joins, z, sf, wa, k_alo, k_ahi, k_blo, k_bhi)):
+                for lo, hi in _clip(sf, _and(
+                        _within(z, sf, wa, a_lo, a_hi, k_alo, k_ahi),
+                        _within(z, sf, 1 - wa, b_lo, b_hi, k_blo, k_bhi))):
                     # along a run va moves monotonically inside A, so
                     # its extremes sit at the run's ends
                     for end, up in ((lo, False), (hi, True)):
@@ -502,18 +421,12 @@ class Triangulation(Frozen):
                 if z.succ(z.succ(u)) == w:
                     cands.add(z.succ(u))
         for sf in self.subfamilies:
-            b1, o1, s1 = sf.e1
-            b2, o2, s2 = sf.e2
-            if b1 != b2:
-                continue
-            # |(o1 + s1 i) - (o2 + s2 i)| == 2 has at most two solutions
-            den = s1 - s2
-            for num in (2 - (o1 - o2), -2 - (o1 - o2)):
-                if den and num % den == 0 and sf.in_range(num // den):
-                    a = sf.member(num // den)
-                    for (u, w) in ((a.p, a.q), (a.q, a.p)):
-                        if z.succ(z.succ(u)) == w:
-                            cands.add(z.succ(u))
+            # endpoints 2 apart in one block; their slopes differ: a point
+            for i, _ in _apart(sf, 2, 2) + _apart(sf, -2, -2):
+                a = sf.member(i)
+                for (u, w) in ((a.p, a.q), (a.q, a.p)):
+                    if z.succ(z.succ(u)) == w:
+                        cands.add(z.succ(u))
         return {e for e in cands
                 if self.contains(Arc(z.pred(e), z.succ(e)))}
 
@@ -551,9 +464,9 @@ class Triangulation(Frozen):
         """In key order, every arc of a finite T; on a Blocks model, the
         arcs whose vertex endpoints all have indices in the window
         (lo, hi), as ``ZModel.vertices(window)`` lists the vertices.  A
-        subfamily's members there form one index interval: an endpoint
-        o + s*i with s = +-1 lies in [lo, hi] for one interval of i, and
-        a constant one for every i or none."""
+        subfamily's members there form one index run: an endpoint o + s*i
+        with s = +-1 lies in [lo, hi] for one run of i, and a constant
+        one for every i or none."""
         z = self.z
         if z.is_finite:
             return sorted(self.core, key=z.arc_key)
@@ -561,15 +474,14 @@ class Triangulation(Frozen):
         arcs = [a for a in self.core if all(
             lo <= p.idx <= hi for p in a.endpoints() if isinstance(p, Vertex))]
         for sf in self.subfamilies:
-            ends = [(sf.imin, sf.imax)]
+            runs = [(sf.imin, sf.imax)]
             for _, o, s in (sf.e1, sf.e2):
                 if s:
-                    ends.append((lo - o, hi - o) if s > 0 else (o - hi, o - lo))
+                    runs = _and(runs, [(lo - o, hi - o) if s > 0
+                                       else (o - hi, o - lo)])
                 elif not lo <= o <= hi:
-                    ends.append((1, 0))  # no index
-            arcs.extend(sf.member(i) for i in range(
-                max(a for a, _ in ends if a is not None),
-                min(b for _, b in ends if b is not None) + 1))
+                    runs = []
+            arcs.extend(sf.member(i) for a, b in runs for i in range(a, b + 1))
         return list(dict.fromkeys(sorted(arcs, key=z.arc_key)))
 
     def dual_quiver(self, nodes: Sequence[Arc]) -> DualQuiver:
@@ -598,14 +510,6 @@ class Triangulation(Frozen):
 
 # ---------------------------------------------------------------------------
 # Validation
-
-
-def _joins(z: ZModel, sf: _SubFamily, wa: int, k_alo, k_ahi, k_blo, k_bhi,
-           i: int) -> bool:
-    """Member i of sf has endpoint wa in A and the other, apart, in B."""
-    ka, kb = sf.key(z, wa, i), sf.key(z, 1 - wa, i)
-    return (keys_in_closed(k_alo, ka, k_ahi) and ka != kb
-            and keys_in_closed(k_blo, kb, k_bhi))
 
 
 def _sides(z: ZModel, sf: _SubFamily, which: int, p: ClosurePoint,
@@ -645,11 +549,113 @@ def _meet(r, s) -> tuple[int | None, int | None] | None:
     return (lo, hi) if lo is None or hi is None or lo <= hi else None
 
 
+def _union(runs) -> list[tuple[int | None, int | None]]:
+    """The indices of the given runs as maximal runs, in increasing
+    order; an empty run (lo > hi) adds nothing."""
+    out: list = []
+    for lo, hi in sorted(runs, key=lambda r: (r[0] is not None, r[0] or 0)):
+        if lo is not None and hi is not None and lo > hi:
+            continue
+        if out and (out[-1][1] is None or lo <= out[-1][1] + 1):
+            top = out[-1][1]
+            out[-1] = (out[-1][0], None if None in (top, hi) else max(top, hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def _and(rs, ss) -> list[tuple[int | None, int | None]]:
+    """The maximal runs of the indices in both runs rs and runs ss."""
+    return _union(filter(None, (_meet(r, s) for r in rs for s in ss)))
+
+
+def _clip(sf: _SubFamily, runs) -> list[tuple[int | None, int | None]]:
+    """The maximal runs of the given indices in sf's range."""
+    return _and(runs, ((sf.imin, sf.imax),))
+
+
+def _at(sf: _SubFamily, which: int, v: ClosurePoint) -> list:
+    """The run, if any, where endpoint ``which`` of sf is the point v."""
+    i = sf._match(sf.e2 if which else sf.e1, v)
+    return [] if i is None else [(None, None) if i == "any" else (i, i)]
+
+
+def _within(z: ZModel, sf: _SubFamily, which: int, p: ClosurePoint,
+            q: ClosurePoint, kp, kq) -> list[tuple[int | None, int | None]]:
+    """The maximal runs of all indices where endpoint ``which`` of sf
+    lies in the closed counterclockwise interval [p, q] of keys kp, kq
+    (the point p when kp == kq): strictly inside it, or at an end."""
+    inside = _sides(z, sf, which, p, q, kp, kq)[0] if kp != kq else ()
+    return _union([*inside, *_at(sf, which, p), *_at(sf, which, q)])
+
+
+def _apart(sf: _SubFamily, lo: int, hi: int
+           ) -> list[tuple[int | None, int | None]]:
+    """The run, if any, of indices in sf's range where member(i)'s
+    endpoints lie in one block at offsets (o1 + s1*i) - (o2 + s2*i) =
+    c + d*i from lo to hi: one interval of i, or every i or none when
+    d = 0."""
+    (b1, o1, s1), (b2, o2, s2) = sf.e1, sf.e2
+    c, d = o1 - o2, s1 - s2
+    if b1 != b2 or d == 0 and not lo <= c <= hi:
+        return []
+    if d < 0:  # -c - d*i runs from -hi to -lo
+        c, d, lo, hi = -c, -d, -hi, -lo
+    return _clip(sf, [(-((c - lo) // d), (hi - c) // d) if d else
+                      (None, None)])
+
+
+def _family_crossings(z: ZModel, fa: _SubFamily, fb: _SubFamily
+                      ) -> list[tuple[int | None, int | None]]:
+    """The maximal runs of j in fb's range (None unbounded), in
+    increasing order, where some member of fa crosses fb.member(j).
+
+    Why it is exact.  The (block, index) order of vertices linearizes
+    the circle, and two chords cross iff their endpoints alternate
+    along it: one of 8 chains v < w < v' < w' or w < v < w' < v', with
+    {v, v'} fa's endpoints and {w, w'} fb's.  A link of (b, o + s*i)
+    and (b', o' + s'*j) is constant when b != b', else s*i <= o' - o -
+    1 + s'*j or its mirror: a bound on i, with unit coefficient, or on
+    j alone.  An integer i meets a chain's bounds and fa's range iff
+    each lower bound is at most each upper one, all integers: a bound
+    on j per pair, so each chain holds on one interval of j."""
+    out = []
+    for v, v2 in ((fa.e1, fa.e2), (fa.e2, fa.e1)):
+        for w, w2 in ((fb.e1, fb.e2), (fb.e2, fb.e1)):
+            # (fa's point, fb's point, +1 when fa's comes first)
+            for links in (((v, w, 1), (v2, w, -1), (v2, w2, 1)),
+                          ((v, w, -1), (v, w2, 1), (v2, w2, -1))):
+                ok = True
+                lows = [] if fa.imin is None else [(fa.imin, 0)]
+                ups = [] if fa.imax is None else [(fa.imax, 0)]
+                on_j = []  # (e, g): e*j <= g
+                for (bp, op, sp), (bq, oq, sq), sign in links:
+                    a, c, t = sign * sp, sign * (oq - op) - 1, sign * sq
+                    if bp != bq:
+                        ok &= (bp < bq) == (sign > 0)
+                    elif a:  # a*i <= c + t*j
+                        (ups if a > 0 else lows).append((a * c, a * t))
+                    else:
+                        on_j.append((-t, c))
+                on_j += [(b - d, c - a) for a, b in lows for c, d in ups]
+                lo = hi = None
+                for e, g in on_j:
+                    if e == 0:
+                        ok &= g >= 0
+                    elif e > 0:
+                        hi = g // e if hi is None else min(hi, g // e)
+                    else:
+                        lo = -(g // -e) if lo is None else max(lo, -(g // -e))
+                if ok:
+                    out.append((lo, hi))
+    return _clip(fb, out)
+
+
 def _crossing_runs(z: ZModel, sf: _SubFamily, a: Arc
                    ) -> list[tuple[int | None, int | None]]:
-    """``sf.runs`` of the ``keys_cross`` test on member keys against
-    the (possibly virtual) arc a, solved in closed form: the maximal
-    runs (None unbounded), in increasing order, where member(i) crosses a.
+    """The maximal runs (None unbounded), in increasing order, where
+    member(i) crosses the (possibly virtual) arc a, as ``keys_cross``
+    reads member keys against a's.
 
     Why it is exact.  The test holds when one endpoint lies strictly
     inside (a.p, a.q) counterclockwise and the other inside (a.q, a.p):
@@ -718,10 +724,8 @@ def validate(t: Triangulation) -> ValidationReport:
             return ValidationReport(False, "non-diagonal arc", a)
     subfams = t.subfamilies
     for sf in subfams:
-        def bad(i, sf=sf):
-            u, w = sf.vertex(0, i), sf.vertex(1, i)
-            return u == w or not z.is_diagonal(Arc(u, w))
-        for lo, hi in sf.runs((), bad):
+        sf.key(z, 0, 0), sf.key(z, 1, 0)  # ModelError for a block outside z
+        for lo, hi in _apart(sf, -1, 1):  # equal or adjacent endpoints
             return ValidationReport(False, "non-diagonal tail member",
                                     (sf.gap, sf.sub, sf.near_end(lo, hi)))
     core = sorted(t.core, key=z.arc_key)
@@ -748,20 +752,7 @@ def validate(t: Triangulation) -> ValidationReport:
         for fb in subfams[ia + 1:]:
             if fa.gap == fb.gap:
                 continue  # same tail: non-crossing by construction
-            # Whether some member of fa crosses fb.member(j) is decided
-            # by runs over j.  Crossing reads order only.  As j moves,
-            # fa's breakpoints against fb.member(j) move in step and in
-            # parallel (in a shared block the tails run toward opposite
-            # ends); the answer changes only when one comes within 2 of
-            # a fixed one (fa's range end, or where fa meets a constant
-            # endpoint): fa's vertices there are the bounds for j.
-            fixed = [Vertex(b, o) for sf in (fa, fb)
-                     for b, o, s in (sf.e1, sf.e2) if s == 0]
-            anchors = [fa.vertex(w, i) for i in fa.breakpoints(fixed)
-                       if fa.in_range(i) for w in (0, 1)]
-            for lo, hi in fb.runs(
-                    anchors + fixed,
-                    lambda j: first_crossing(fa, fb.member(j)) is not None):
+            for lo, hi in _family_crossings(z, fa, fb):
                 j = fb.near_end(lo, hi)
                 return ValidationReport(
                     False, "crossing pair",

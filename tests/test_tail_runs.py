@@ -1,20 +1,24 @@
-"""The breakpoint-runs procedure for tail families, checked against
-brute force, and the offset invariance it buys: every answer at vertex
-offset m is the m = 0 answer shifted, for the same work."""
+"""The closed-form tail calculus, checked against the sampled
+breakpoint window it replaced and against brute force, and the offset
+invariance it buys: every answer at vertex offset m is the m = 0 answer
+shifted, for the same work."""
 
 from __future__ import annotations
 
+import bisect
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from infgon import triangulation
 from infgon.cvector import (CVectorQuery, cvector_full, dimension_vector,
                             realize_dimension_vector)
-from infgon.decomposition import maximal_pairs
+from infgon.decomposition import OrderedCrossingSet, maximal_pairs
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
-                                  _crossing_runs, _SubFamily,
-                                  _subfamilies_of_tail,
+                                  _and, _apart, _clip, _crossing_runs,
+                                  _family_crossings, _SubFamily,
+                                  _subfamilies_of_tail, _within,
                                   enumerate_triangulations, validate)
 from infgon.zmodel import (Arc, Limit, ModelError, Vertex, ZModel,
                            keys_cross, keys_in_closed)
@@ -22,9 +26,75 @@ from infgon.zmodel import (Arc, Limit, ModelError, Vertex, ZModel,
 from test_validate import is_acyclic, reference_nodes
 
 OFFSETS = (0, 100, 1000)
+FAR = (0, 10 ** 6, 10 ** 12)
 
 
-# -- brute-force oracle for _SubFamily.runs ---------------------------------
+# -- the sampled reference: the breakpoint window ----------------------------
+
+
+def _breakpoints(sf, bounds) -> set[int]:
+    """The indices where the cyclic order of member(i)'s endpoints,
+    among themselves and against the bounds, can change: each finite
+    end of the range, each index where a moving endpoint meets a bound
+    vertex of its block, and the index nearest below the meeting of two
+    endpoints of one block."""
+    pts = {bd for bd in (sf.imin, sf.imax) if bd is not None}
+    for b, o, s in (sf.e1, sf.e2):
+        if s:
+            pts.update((p.idx - o) * s for p in bounds
+                       if isinstance(p, Vertex) and p.block == b)
+    (b1, o1, s1), (b2, o2, s2) = sf.e1, sf.e2
+    if b1 == b2 and s1 != s2:
+        pts.add((o2 - o1) // (s1 - s2))
+    return pts
+
+
+def _sampled_runs(sf, bounds, pred):
+    """The maximal runs (lo, hi) of indices in sf's range where pred
+    holds, in increasing order (None unbounded), for a pred that reads
+    member(i) only through the cyclic order of its endpoints among
+    themselves and against the closure points in ``bounds``.
+
+    Why the window and one sentinel are exact.  An endpoint
+    (b, o + s*i) with s != 0 moves one vertex per index inside block b.
+    Against a bound vertex (b, x) its order (before, adjacent, equal,
+    adjacent, after) changes only at c = (x - o)*s and c +- 1.  Two
+    endpoints of one block with slopes s1 != s2 are equal or adjacent
+    only within one index of c = (o2 - o1) // (s1 - s2).  So pred is
+    constant on each stretch of the range lying at least 2 from every
+    breakpoint, the range ends being breakpoints.  The window holds
+    every index within 2 of a breakpoint, and the sentinel, one index
+    beyond, samples an unbounded side; a run reaching it is unbounded.
+    """
+    low, high = sf.imin is None, sf.imax is None
+    pts = sorted({c + d for c in _breakpoints(sf, bounds)
+                  for d in (-2, -1, 0, 1, 2)})
+    pts = pts[0 if low else bisect.bisect_left(pts, sf.imin):
+              None if high else bisect.bisect_right(pts, sf.imax)]
+    if low:
+        pts.insert(0, pts[0] - 1)
+    if high:
+        pts.append(pts[-1] + 1)
+    out = []
+    start = prev = None
+    prev_val = False
+    for i in pts:
+        val = pred(i)
+        if prev is not None and i > prev + 1 and val != prev_val:
+            raise AssertionError("breakpoint escaped the window")
+        if val and not prev_val:
+            start = i
+        elif prev_val and not val:
+            out.append((start, prev))
+        prev, prev_val = i, val
+    if prev_val:
+        out.append((start, None if high else prev))
+    if low and out and out[0][0] == pts[0]:
+        out[0] = (None, out[0][1])
+    return out
+
+
+# -- the sampled window against brute force ----------------------------------
 
 
 def tails(k: int, m: int):
@@ -89,6 +159,14 @@ def _assert_runs_exact(sf, runs, pred, reach):
             assert pred(reach)
 
 
+def _not_diagonal(z, sf):
+    """validate's sampled test: member(i) is not a diagonal."""
+    def pred(i):
+        u, w = sf.vertex(0, i), sf.vertex(1, i)
+        return u == w or not z.is_diagonal(Arc(u, w))
+    return pred
+
+
 def _predicates(z, sf, bounds):
     a, b, c, d = bounds
 
@@ -98,11 +176,7 @@ def _predicates(z, sf, bounds):
         return (u != w and keys_in_closed(key(a), key(u), key(b))
                 and keys_in_closed(key(c), key(w), key(d)))
 
-    def not_diagonal(i):
-        u, w = sf.vertex(0, i), sf.vertex(1, i)
-        return u == w or not z.is_diagonal(Arc(u, w))
-
-    return [((a, b, c, d), in_intervals), ((), not_diagonal)]
+    return [((a, b, c, d), in_intervals), ((), _not_diagonal(z, sf))]
 
 
 @pytest.mark.parametrize("m", OFFSETS)
@@ -112,7 +186,25 @@ def test_runs_match_brute_force(m, data):
     z, sf, bounds = data.draw(family_and_bounds(m))
     reach = _reach(sf, bounds, m)
     for bnd, pred in _predicates(z, sf, bounds):
-        _assert_runs_exact(sf, sf.runs(bnd, pred), pred, reach)
+        _assert_runs_exact(sf, _sampled_runs(sf, bnd, pred), pred, reach)
+
+
+def test_runs_window_does_not_depend_on_vertex_zero():
+    """A family far from vertex 0 evaluates the same number of indices
+    as its translate through vertex 0."""
+    z = ZModel.blocks(1)
+    counts = []
+    for m in (0, 1000):
+        seen = []
+        for sf in _subfamilies_of_tail(z, 0, Fountain(Vertex(0, m), m + 2,
+                                                      m - 2)):
+            _sampled_runs(sf, (Vertex(0, m - 1), Vertex(0, m + 5)),
+                          lambda i: seen.append(i) or False)
+        counts.append(len(seen))
+    assert counts[0] == counts[1]
+
+
+# -- the closed forms against the sampled window -----------------------------
 
 
 @st.composite
@@ -133,7 +225,7 @@ def family_and_arc(draw, m):
     return z, sf, Arc(p, q)
 
 
-@pytest.mark.parametrize("m", OFFSETS + (10 ** 6, 10 ** 12))
+@pytest.mark.parametrize("m", OFFSETS + FAR[1:])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_crossing_runs_match_brute_force_and_the_sampled_runs(m, data):
@@ -145,7 +237,7 @@ def test_crossing_runs_match_brute_force_and_the_sampled_runs(m, data):
     4(S + 1) past it either way, whatever the offset."""
     z, sf, arc = data.draw(family_and_arc(m))
     ka, kb = z.key(arc.p), z.key(arc.q)
-    sampled = sf.runs((arc.p, arc.q), lambda i: keys_cross(
+    sampled = _sampled_runs(sf, (arc.p, arc.q), lambda i: keys_cross(
         ka, kb, sf.key(z, 0, i), sf.key(z, 1, i)))
     got = _crossing_runs(z, sf, arc)
     assert got == sampled
@@ -154,33 +246,231 @@ def test_crossing_runs_match_brute_force_and_the_sampled_runs(m, data):
         u, w = sf.vertex(0, i), sf.vertex(1, i)
         return (u != w and z.is_diagonal(Arc(u, w))
                 and z.crosses(arc, Arc(u, w)))
+    _assert_near_runs_exact(sf, got, crosses, arc.endpoints())
+
+
+def _assert_near_runs_exact(sf, runs, pred, bounds=()):
+    """runs are pred's runs by brute force over the indices reaching
+    4(S + 1) past the family's finite end, S the spread of the vertex
+    indices of its end member and of the bounds, and an unbounded run
+    holds one index beyond."""
     end = sf.imin if sf.imin is not None else sf.imax
     idx = [sf.vertex(0, end).idx, sf.vertex(1, end).idx]
-    idx += [p.idx for p in arc.endpoints() if isinstance(p, Vertex)]
+    idx += [p.idx for p in bounds if isinstance(p, Vertex)]
     reach = 4 * (max(idx) - min(idx) + 1)
     lo_r = end - reach if sf.imin is None else sf.imin
     hi_r = end + reach if sf.imax is None else sf.imax
-    truth = {i for i in range(lo_r, hi_r + 1) if crosses(i)}
-    assert truth == {i for lo, hi in got for i in range(
+    truth = {i for i in range(lo_r, hi_r + 1) if pred(i)}
+    assert truth == {i for lo, hi in runs for i in range(
         lo_r if lo is None else lo, (hi_r if hi is None else hi) + 1)}
-    for lo, hi in got:
-        assert lo is not None or crosses(lo_r - 1)
-        assert hi is not None or crosses(hi_r + 1)
+    for lo, hi in runs:
+        assert lo is not None or pred(lo_r - 1)
+        assert hi is not None or pred(hi_r + 1)
 
 
-def test_runs_window_does_not_depend_on_vertex_zero():
-    """A family far from vertex 0 evaluates the same number of indices
-    as its translate through vertex 0."""
-    z = ZModel.blocks(1)
-    counts = []
-    for m in (0, 1000):
-        seen = []
-        for sf in _subfamilies_of_tail(z, 0, Fountain(Vertex(0, m), m + 2,
-                                                      m - 2)):
-            sf.runs((Vertex(0, m - 1), Vertex(0, m + 5)),
-                    lambda i: seen.append(i) or False)
-        counts.append(len(seen))
-    assert counts[0] == counts[1]
+@pytest.mark.parametrize("m", FAR)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_p_first_is_constant_along_a_crossing_run(m, data):
+    """``_RunInfo`` reads the endpoint inside (e, f) at one index of a
+    crossing run: the sampled runs of "endpoint 0 lies strictly inside
+    (e, f)" over the run are the whole run or nothing."""
+    z, sf, arc = data.draw(family_and_arc(m))
+    e, f = arc.p, arc.q
+    for lo, hi in _crossing_runs(z, sf, arc):
+        run = _SubFamily(sf.gap, sf.sub, lo, hi, sf.e1, sf.e2)
+        sampled = _sampled_runs(run, (e, f), lambda i: z.strictly_between(
+            e, sf.vertex(0, i), f))
+        inside = z.strictly_between(e, sf.vertex(0, run.near_end(lo, hi)), f)
+        assert sampled == ([(lo, hi)] if inside else [])
+
+
+@pytest.mark.parametrize("m", FAR)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_apart_is_the_sampled_distance_test(m, data):
+    """``_apart`` at -1..1 is validate's sampled non-diagonal check, and
+    at every range within -2..2 (``ears`` asks +-2) the brute-force test
+    on the endpoints' offset difference."""
+    z, sf, _ = data.draw(family_and_arc(m))
+    assert _apart(sf, -1, 1) == _sampled_runs(sf, (), _not_diagonal(z, sf))
+    lo = data.draw(st.integers(-2, 2))
+    hi = data.draw(st.integers(lo, 2))
+    (b1, o1, s1), (b2, o2, s2) = sf.e1, sf.e2
+    _assert_near_runs_exact(sf, _apart(sf, lo, hi), lambda i: (
+        b1 == b2 and lo <= (o1 + s1 * i) - (o2 + s2 * i) <= hi))
+
+
+@pytest.mark.parametrize("m", FAR)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_interval_path_is_the_sampled_joins(m, data):
+    """``_extremal_connected``'s interval path: endpoint wa in the closed
+    interval A and the other in B, two disjoint closed intervals (A's
+    ends vertices, B one vertex or limit point or longer), read off
+    ``_within``, is the sampled test that also asked them apart."""
+    z, sf, _ = data.draw(family_and_arc(m))
+    pts = sorted(set(data.draw(st.lists(points(z.k, m), min_size=2,
+                                        max_size=4))), key=z.key)
+    assume(len(pts) >= 2)
+    rot = data.draw(st.integers(0, len(pts) - 1))
+    pts = pts[rot:] + pts[:rot]
+    cut = data.draw(st.integers(1, len(pts) - 1))
+    a, b = pts[:cut], pts[cut:]
+    a_lo, a_hi, b_lo, b_hi = a[0], a[-1], b[0], b[-1]
+    assume(isinstance(a_lo, Vertex) and isinstance(a_hi, Vertex))
+    k_alo, k_ahi, k_blo, k_bhi = map(z.key, (a_lo, a_hi, b_lo, b_hi))
+    for wa in (0, 1):
+        def joins(i):
+            ka, kb = sf.key(z, wa, i), sf.key(z, 1 - wa, i)
+            return (keys_in_closed(k_alo, ka, k_ahi) and ka != kb
+                    and keys_in_closed(k_blo, kb, k_bhi))
+        assert _clip(sf, _and(
+            _within(z, sf, wa, a_lo, a_hi, k_alo, k_ahi),
+            _within(z, sf, 1 - wa, b_lo, b_hi, k_blo, k_bhi))
+        ) == _sampled_runs(sf, (a_lo, a_hi, b_lo, b_hi), joins)
+
+
+def _sampled_side_runs(y, r, x, want):
+    """Y's side sweep as it was sampled: r's members other than x below
+    (want = -1) or above x, compared on order keys, raising on a
+    member that crosses x."""
+    z, sf = y.z, r.sf
+    kx = y._okey(x)
+
+    def on_side(i):
+        km = y._order_keys(sf.key(z, 0, i), sf.key(z, 1, i))
+        return km[0] != kx[0] and y._cmp_keys(
+            km, kx, lambda: (sf.member(i), x)) == want
+    return _sampled_runs(sf, (x.p, x.q, y.e, y.f), on_side)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ModelError as exc:
+        return ("raises", str(exc))
+
+
+@st.composite
+def tail_triangulation_and_pair(draw, m):
+    """Blocks(k), k = 1..3, with a random tail at every gap and a few
+    random core diagonals near offset m (valid or not), and a pair of
+    closure points."""
+    k = draw(st.integers(1, 3))
+    z = ZModel.blocks(k)
+    tls = {g: draw(tails(k, m)) for g in range(k)}
+    verts = st.builds(lambda b, i: Vertex(b, m + i), st.integers(0, k - 1),
+                      st.integers(-7, 7))
+    core = [Arc(p, q) for p, q in draw(st.lists(st.tuples(verts, verts),
+                                                max_size=3))
+            if p != q and z.is_diagonal(Arc(p, q))]
+    e = draw(points(k, m))
+    f = draw(points(k, m).filter(lambda q: q != e))
+    return Triangulation(z, frozenset(core), tuple(sorted(tls.items()))), e, f
+
+
+@pytest.mark.parametrize("m", FAR)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_side_runs_are_the_sampled_side_sweeps(m, data):
+    """Y's side sweeps read off ``_sides`` give the sampled lists, and
+    raise the same message where a member crosses x, for every tail run
+    of Y and every x among the core crossers and the first members of
+    each run, on triangulations valid or not.  The message names the
+    least crossing member; where the crossers are unbounded below, the
+    sample named one at its sentinel and the closed form names the top
+    of that run, so only the failure is compared there."""
+    t, e, f = data.draw(tail_triangulation_and_pair(m))
+    try:
+        y = OrderedCrossingSet(t, e, f)
+    except ModelError:
+        return  # Y is empty, or its runs already raise
+    xs = [a for a in t.core if y.z.crosses(y.pair, a)]
+    xs += [r.sf.member(r.closed + j * r.open_sign)
+           for r in y._runs for j in range(3)]
+    for r in y._runs:
+        for x in xs:
+            kx = y._okey(x)
+            crossers = _sampled_runs(r.sf, (x.p, x.q), lambda i: keys_cross(
+                kx[1], kx[2], r.sf.key(y.z, 0, i), r.sf.key(y.z, 1, i)))
+            for want in (-1, 1):
+                y._sides.clear()
+                got = _outcome(y._side_runs, r, x, want)
+                ref = _outcome(_sampled_side_runs, y, r, x, want)
+                if crossers and crossers[0][0] is None:
+                    assert got[0] == ref[0] == "raises"
+                    assert got[1].endswith("(crossing pair)")
+                else:
+                    assert got == ref
+
+
+@st.composite
+def two_families(draw, m):
+    """Subfamilies of two tails at different gaps of Blocks(k), k = 2
+    or 3, at offset m, both free of non-diagonal members."""
+    k = draw(st.integers(2, 3))
+    z = ZModel.blocks(k)
+    ga, gb = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                           unique=True))
+    fa = draw(st.sampled_from(_subfamilies_of_tail(z, ga, draw(tails(k, m)))))
+    fb = draw(st.sampled_from(_subfamilies_of_tail(z, gb, draw(tails(k, m)))))
+    assume(not any(_sampled_runs(sf, (), _not_diagonal(z, sf))
+                   for sf in (fa, fb)))
+    return z, fa, fb
+
+
+def _end(sf) -> int:
+    return sf.imin if sf.imin is not None else sf.imax
+
+
+@pytest.mark.parametrize("m", FAR)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_family_crossings_are_the_sampled_sweep_and_brute_force(m, data):
+    """``_family_crossings`` equals the j-sweep ``validate`` ran before
+    (the breakpoint window over j at fa's anchors), and brute force over
+    an (i, j) window reaching 4(S + 1) past every data index, S their
+    spread; i runs three times as far, as fa's bounds move with j."""
+    z, fa, fb = data.draw(two_families(m))
+    got = _family_crossings(z, fa, fb)
+    fixed = [Vertex(b, o) for sf in (fa, fb)
+             for b, o, s in (sf.e1, sf.e2) if s == 0]
+    anchors = [fa.vertex(w, i) for i in _breakpoints(fa, fixed)
+               if fa.in_range(i) for w in (0, 1)]
+    assert got == _sampled_runs(fb, anchors + fixed, lambda j: bool(
+        _crossing_runs(z, fa, fb.member(j))))
+
+    idx = [v.idx for sf in (fa, fb) for v in sf.member(_end(sf)).endpoints()]
+    reach = 4 * (max(idx) - min(idx) + 1)
+    ka = [(fa.key(z, 0, i), fa.key(z, 1, i))
+          for i in range(_end(fa) - 3 * reach, _end(fa) + 3 * reach + 1)
+          if fa.in_range(i)]
+
+    def crossed(j):
+        kp, kq = fb.key(z, 0, j), fb.key(z, 1, j)
+        return any(keys_cross(kp, kq, *k) for k in ka)
+    js = [j for j in range(_end(fb) - reach, _end(fb) + reach + 1)
+          if fb.in_range(j)]
+    assert {j for j in js if crossed(j)} == {
+        j for j in js for lo, hi in got
+        if (lo is None or lo <= j) and (hi is None or j <= hi)}
+    for lo, hi in got:  # an unbounded run holds far out
+        for j in ([_end(fb) - 10 * reach] if lo is None else []) + (
+                [_end(fb) + 10 * reach] if hi is None else []):
+            assert _crossing_runs(z, fa, fb.member(j))
+
+
+@pytest.mark.parametrize("m", FAR)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_family_crossings_of_a_vertex_arc_are_its_crossing_runs(m, data):
+    """A vertex arc is a one-member family with constant endpoints: the
+    two solvers agree on it."""
+    z, sf, arc = data.draw(family_and_arc(m))
+    assume(isinstance(arc.p, Vertex) and isinstance(arc.q, Vertex))
+    one = _SubFamily(0, "arc", 0, 0, (*arc.p, 0), (*arc.q, 0))
+    assert _family_crossings(z, one, sf) == _crossing_runs(z, sf, arc)
 
 
 # -- offset invariance on the tail fixtures ----------------------------------
@@ -293,24 +583,28 @@ def test_invalid_fixture_rejected_with_translated_witness(build):
 
 
 def _count_calls(monkeypatch, *targets) -> dict[str, int]:
-    """Counts the calls of each (class, method name) in targets."""
+    """Counts the calls of each (class or module, function name) in
+    targets."""
     calls = {}
-    for cls, name in targets:
+    for owner, name in targets:
         calls[name] = 0
 
-        def counted(self, *args, inner=getattr(cls, name), name=name):
+        def counted(*args, inner=getattr(owner, name), name=name):
             calls[name] += 1
-            return inner(self, *args)
+            return inner(*args)
 
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
+CLOSED_FORMS = ("_apart", "_crossing_runs", "_family_crossings")
+
+
 def test_validate_work_does_not_grow_with_offset(monkeypatch):
-    """The engine queries and the breakpoint runs of one ``validate``
-    do not grow with the offset m."""
+    """The engine queries and the closed-form tail solvers of one
+    ``validate`` do not grow with the offset m."""
     calls = _count_calls(monkeypatch, (Triangulation, "_extremal_connected"),
-                         (_SubFamily, "runs"))
+                         *((triangulation, name) for name in CLOSED_FORMS))
     for build, _ in FIXTURES:
         per_m = []
         for m in (0, 1000, 10 ** 6):
@@ -319,37 +613,30 @@ def test_validate_work_does_not_grow_with_offset(monkeypatch):
             per_m.append(dict(calls))
         assert all(c["_extremal_connected"] <= per_m[0]["_extremal_connected"]
                    for c in per_m), build.__name__
-        assert all(c["runs"] == per_m[0]["runs"] for c in per_m), per_m
+        assert all(c[name] == per_m[0][name] for c in per_m
+                   for name in CLOSED_FORMS), per_m
 
 
-def test_dimension_vectors_call_no_runs(monkeypatch):
-    """Crossing runs are solved in closed form: no dimension vector on
-    a fresh Blocks triangulation evaluates breakpoint runs."""
-    calls = _count_calls(monkeypatch, (_SubFamily, "runs"))
-    for build, _ in FIXTURES:
-        for m in (0, 10 ** 6):
-            t0 = build(m)
-            t = Triangulation(t0.z, t0.core, t0.tails)
-            pts = [Vertex(b, m + i) for b in range(t.z.k)
-                   for i in range(-5, 6)] + t.z.limits()
-            for i, p in enumerate(pts):
-                for q in pts[i + 1:]:
-                    dimension_vector(t, Arc(p, q))
-    assert calls == {"runs": 0}
+def test_subfamily_defines_no_sampled_runs():
+    """Every tail predicate is solved in closed form: the sampled
+    breakpoint window is gone from the library."""
+    assert not hasattr(_SubFamily, "runs")
+    assert not hasattr(_SubFamily, "breakpoints")
 
 
 def test_one_point_queries_run_only_a_constant_endpoint_at_the_point(
         monkeypatch):
-    """A one-point query evaluates breakpoint runs only on a subfamily
-    whose constant endpoint is the point: elsewhere one index decides."""
+    """A one-point query takes the interval path (``_within``) only on a
+    subfamily whose constant endpoint is the point: elsewhere one index
+    decides."""
     seen = []
-    inner = _SubFamily.runs
+    inner = triangulation._within
 
-    def runs(self, bounds, pred):
-        seen.append((self, bounds))
-        return inner(self, bounds, pred)
+    def within(z, sf, *args):
+        seen.append((sf, x))
+        return inner(z, sf, *args)
 
-    monkeypatch.setattr(_SubFamily, "runs", runs)
+    monkeypatch.setattr(triangulation, "_within", within)
     for build, _ in FIXTURES:
         t = build(1000)
         for x in (Vertex(b, 1000 + i) for b in range(t.z.k)
@@ -358,25 +645,8 @@ def test_one_point_queries_run_only_a_constant_endpoint_at_the_point(
                 t.sup_connected(x, Vertex(x.block, x.idx + lo),
                                 Vertex(x.block, x.idx + hi))
     assert seen
-    for sf, (_, _, x, y) in seen:
-        assert x == y and x in [Vertex(b, o) for b, o, s in (sf.e1, sf.e2)
-                                if s == 0]
-
-
-def test_octagon_round_trips_call_no_runs(monkeypatch):
-    """A finite polygon has no tail, so no (T, v) realization round
-    trip on the octagon evaluates breakpoint runs."""
-    calls = _count_calls(monkeypatch, (_SubFamily, "runs"))
-    z = ZModel.finite(8)
-    for t in enumerate_triangulations(z):
-        for v in (a for a in (z.arc(i, j) for i in range(8)
-                              for j in range(i + 2, 8)) if z.is_diagonal(a)):
-            if v in t.core:
-                continue
-            dimension_vector(t, v)
-            u_tri, u = realize_dimension_vector(t, v)
-            cvector_full(CVectorQuery(t, u_tri, u))
-    assert calls == {"runs": 0}
+    for sf, x in seen:
+        assert x in [Vertex(b, o) for b, o, s in (sf.e1, sf.e2) if s == 0]
 
 
 def test_octagon_round_trips_read_the_quadruple_off_dim(monkeypatch):
