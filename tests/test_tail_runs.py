@@ -624,6 +624,52 @@ def test_subfamily_defines_no_sampled_runs():
     assert not hasattr(_SubFamily, "breakpoints")
 
 
+def _watch_sampled_runs(monkeypatch) -> dict[str, int]:
+    """Gives ``_SubFamily`` a ``runs`` and a ``breakpoints`` that only
+    count their calls, so any path that still reaches for the sampled
+    window is seen."""
+    calls = {"runs": 0, "breakpoints": 0}
+    for name in calls:
+        def counted(*args, name=name, **kwargs):
+            calls[name] += 1
+            raise AssertionError(f"_SubFamily.{name} called")
+
+        monkeypatch.setattr(_SubFamily, name, counted, raising=False)
+    return calls
+
+
+def test_dimension_vectors_call_no_runs(monkeypatch):
+    """Crossing runs are solved in closed form: no dimension vector on
+    a fresh Blocks triangulation evaluates breakpoint runs."""
+    calls = _watch_sampled_runs(monkeypatch)
+    for build, _ in FIXTURES:
+        for m in (0, 10 ** 6):
+            t0 = build(m)
+            t = Triangulation(t0.z, t0.core, t0.tails)
+            pts = [Vertex(b, m + i) for b in range(t.z.k)
+                   for i in range(-5, 6)] + t.z.limits()
+            for i, p in enumerate(pts):
+                for q in pts[i + 1:]:
+                    dimension_vector(t, Arc(p, q))
+    assert calls == {"runs": 0, "breakpoints": 0}
+
+
+def test_octagon_round_trips_call_no_runs(monkeypatch):
+    """A finite polygon has no tail, so no (T, v) realization round
+    trip on the octagon evaluates breakpoint runs."""
+    calls = _watch_sampled_runs(monkeypatch)
+    z = ZModel.finite(8)
+    for t in enumerate_triangulations(z):
+        for v in (a for a in (z.arc(i, j) for i in range(8)
+                              for j in range(i + 2, 8)) if z.is_diagonal(a)):
+            if v in t.core:
+                continue
+            dimension_vector(t, v)
+            u_tri, u = realize_dimension_vector(t, v)
+            cvector_full(CVectorQuery(t, u_tri, u))
+    assert calls == {"runs": 0, "breakpoints": 0}
+
+
 def test_one_point_queries_run_only_a_constant_endpoint_at_the_point(
         monkeypatch):
     """A one-point query takes the interval path (``_within``) only on a
