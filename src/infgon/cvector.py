@@ -12,7 +12,7 @@ from itertools import chain
 from operator import attrgetter
 
 from .homindex import CoVector, TailRange, index_coeffs
-from .triangulation import Triangulation, _crossing_runs
+from .triangulation import Triangulation, _crossing_runs, _meet
 from .zmodel import (Arc, Frozen, ModelError, RealizationUnsupported,
                      keys_cross, keys_in_closed, suspend)
 
@@ -93,18 +93,14 @@ def support_subset(a: CoVector, b: CoVector) -> bool:
     explicit), maximal but for the members at its finite end that an
     earlier subfamily holds, which count there.  So a term of a lies in
     supp(b) iff it lies inside one term of b on the same subfamily
-    (interval containment, None unbounded), and an explicit arc of a
-    needs b nonzero there."""
+    (the runs meet in the whole of a's), and an explicit arc of a needs
+    b nonzero there."""
     if a.t != b.t:
         raise ModelError("supports live over different triangulations")
-
-    def inside(tr: TailRange, s: TailRange) -> bool:
-        return ((tr.gap, tr.sub) == (s.gap, s.sub)
-                and (s.lo is None or tr.lo is not None and s.lo <= tr.lo)
-                and (s.hi is None or tr.hi is not None and tr.hi <= s.hi))
     return (all(b.eval(arc) for arc in a.explicit)
-            and all(any(inside(tr, s) for s in b.tail_terms)
-                    for tr in a.tail_terms))
+            and all(any((tr.gap, tr.sub) == (s.gap, s.sub)
+                        and _meet(r := (tr.lo, tr.hi), (s.lo, s.hi)) == r
+                        for s in b.tail_terms) for tr in a.tail_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +131,8 @@ def _support_member(t: Triangulation, c: CoVector) -> Arc | None:
     """A diagonal of T where c is nonzero, None when c is zero: an
     explicit arc, or the member at a tail term's finite end."""
     fams = {(sf.gap, sf.sub): sf for sf in t.subfamilies}
-    ends = (fams[tr.gap, tr.sub].member(tr.hi if tr.lo is None else tr.lo)
-            for tr in c.tail_terms)
+    ends = (sf.member(sf.near_end(tr.lo, tr.hi)) for tr in c.tail_terms
+            for sf in (fams[tr.gap, tr.sub],))
     return next(chain(c.explicit, ends), None)
 
 

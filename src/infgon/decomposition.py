@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 from .cvector import CoVector, dimension_vector, support_subset
 from .triangulation import (Leapfrog, Triangulation, UnattainedError,
-                            _and, _at, _clip, _sides, _SubFamily, face_sides)
+                            _and, _at, _clip, _meet, _sides, _SubFamily,
+                            face_sides)
 from .zmodel import (Arc, ClosurePoint, Limit, ModelError, Vertex,
                      keys_cross, keys_in_closed)
 
@@ -98,24 +99,23 @@ class _RunInfo:
     def __init__(self, ocs: "OrderedCrossingSet", sf: _SubFamily,
                  lo: int | None, hi: int | None):
         self.sf = sf = _SubFamily(sf.gap, sf.sub, lo, hi, sf.e1, sf.e2)
-        self.open_sign = 1 if hi is None else -1
-        self.closed = lo if hi is None else hi
-        step = sf.member(self.closed + self.open_sign)
-        self.dir_up = ocs._cmp(sf.member(self.closed), step) < 0
-        self.inc_with_i = self.dir_up == (self.open_sign > 0)
+        self.closed = sf.near_end(lo, hi)
+        nxt = sf.member(self.closed + sf.step)
+        self.dir_up = ocs._cmp(sf.member(self.closed), nxt) < 0
+        self.inc_with_i = self.dir_up == (sf.step > 0)
         # the limit point the open end accumulates at, via p: the
         # endpoint inside (e, f), one all along a crossing run
         z = ocs.z
         self.p_first = z.strictly_between(ocs.e, sf.vertex(0, self.closed),
                                           ocs.f)
         blk, _, slope = sf.e1 if self.p_first else sf.e2
-        going_up = (slope > 0) == (self.open_sign > 0)
+        going_up = (slope > 0) == (sf.step > 0)
         self.limit = Limit(blk) if going_up else Limit((blk - 1) % z.k)
 
     def reaches_open_end(self, runs) -> bool:
         """Whether one of these index runs is unbounded toward this
         run's open end."""
-        return any((hi if self.open_sign > 0 else lo) is None
+        return any((hi if self.sf.step > 0 else lo) is None
                    for lo, hi in runs)
 
 
@@ -326,7 +326,7 @@ class OrderedCrossingSet:
         live = self._segments()[0]
         seg = live[0] if up else live[-1]
         ends = seg.explicit + [
-            r.sf.member(r.closed + j * r.open_sign)
+            r.sf.member(r.closed + j * r.sf.step)
             for r in (seg.up_runs if up else seg.down_runs) for j in range(k)]
         ends.sort(key=functools.cmp_to_key(self._cmp))
         return ends[:k] if up else ends[-k:]
@@ -440,8 +440,7 @@ class OrderedCrossingSet:
         dim = dimension_vector(self.t, self.pair)
         cands = [a for a in dv.explicit if dim.eval(a)]
         cands += [m for m in self._explicit if dv.eval(m)]
-        runs = [(r, None if tr.lo is None else max(tr.lo, r.sf.imin),
-                 None if tr.hi is None else min(tr.hi, r.sf.imax))
+        runs = [(r, *_meet((tr.lo, tr.hi), (r.sf.imin, r.sf.imax)))
                 for tr in dv.tail_terms for r in self._runs
                 if (r.sf.gap, r.sf.sub) == (tr.gap, tr.sub)]
         if not cands and not runs:

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .triangulation import Triangulation
+from .triangulation import Triangulation, _covers
 from .zmodel import Arc, ModelError, StepCapExceeded, Vertex, suspend
 
 
-DEFAULT_STEP_CAP = 10 ** 6
+STEP_CAP = 10 ** 6  # zig-zag steps; read by ``zigzag`` at each call
 
 
 class TailRange(NamedTuple):
@@ -24,10 +24,6 @@ class TailRange(NamedTuple):
     lo: int | None
     hi: int | None
     coeff: int
-
-    def covers(self, i: int) -> bool:
-        return ((self.lo is None or self.lo <= i)
-                and (self.hi is None or i <= self.hi))
 
     def sort_key(self) -> tuple:
         """The one order of tail terms: by subfamily, then by range (an
@@ -75,7 +71,8 @@ class CoVector:
             if ref is not None:
                 gap, sub, i = ref
                 for tr in self.tail_terms:
-                    if tr.gap == gap and tr.sub == sub and tr.covers(i):
+                    if (tr.gap == gap and tr.sub == sub
+                            and _covers(tr.lo, tr.hi, i)):
                         val += tr.coeff
         return val
 
@@ -122,12 +119,12 @@ class ZigZagPath(NamedTuple):
     vertices: tuple[Vertex, ...]
 
 
-def zigzag(t: Triangulation, e: Vertex, f: Vertex,
-           step_cap: int = DEFAULT_STEP_CAP) -> ZigZagPath:
+def zigzag(t: Triangulation, e: Vertex, f: Vertex) -> ZigZagPath:
     """The extremal path e = e0, e1, ..., e_{2i+1} = f.
 
     Odd steps are suprema toward f with edges allowed; even steps are
-    infima back past f through diagonals of T only."""
+    infima back past f through diagonals of T only.  A path longer than
+    ``STEP_CAP`` steps raises StepCapExceeded."""
     z = t.z
     e, f = z.v(e), z.v(f)
     if e == f:
@@ -138,9 +135,9 @@ def zigzag(t: Triangulation, e: Vertex, f: Vertex,
     path = [e, odd]
     past_f = None  # succ(f), found on the first even step
     while odd != f:
-        if len(path) > 2 * step_cap:  # each step adds two vertices
+        if len(path) > 2 * STEP_CAP:  # each step adds two vertices
             raise StepCapExceeded(
-                f"zig-zag from {e!r} to {f!r} exceeded {step_cap} steps")
+                f"zig-zag from {e!r} to {f!r} exceeded {STEP_CAP} steps")
         past_f = past_f or z.succ(f)
         even = t.inf_connected(odd, past_f, z.pred(even), True)
         if even is None:

@@ -10,15 +10,16 @@ Queries over the infinite tail families are answered exactly.  A tail
 splits into subfamilies whose members have endpoints (b, o + s*i),
 affine in one index i with slope s in {-1, 0, 1}.  A moving endpoint
 passes one vertex per index through its block, so every predicate on
-members is read off index runs (maximal index intervals) solved in
-closed form against the fixed points it names: where an endpoint lies
-strictly inside an interval (``_sides``), where it is a given vertex
-(``_SubFamily._match``), and unions and intersections of those
-(``_union``, ``_and``).  Nothing is sampled, and nothing is placed at
-vertex 0, where the position keys start.  A window of tail members is
-always given by the caller, counted from each subfamily's finite end,
-so shifting every index by m shifts every answer by m, for the same
-work.
+members is read off index runs (lo, hi), None for an open end, solved
+in closed form against the fixed points it names: where an endpoint
+lies strictly inside an interval (``_sides``) or is a given vertex
+(``_SubFamily._match``).  Runs are read by ``_covers`` and ``_meet``,
+combined by ``_and``, ``_union`` and ``_clip``, and a subfamily's
+``near_end`` and ``step`` give its finite end and the direction into
+its range.  Nothing is sampled or placed at vertex 0, where the
+position keys start.  A window of tail members is always given by the
+caller, counted from each subfamily's finite end, so shifting every
+index by m shifts every answer by m, for the same work.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ class DualQuiver(NamedTuple):
 class _SubFamily(Frozen):
     """Arcs member(i) = {(b1, o1 + s1*i), (b2, o2 + s2*i)}, imin <= i <= imax
     (None bound = unbounded in that direction); e1 and e2 are the
-    endpoints' (block, offset, slope).  Slotted: member keys read e1
-    and e2 for every index they build."""
+    endpoints' (block, offset, slope).  Slotted: ``vertex`` reads e1
+    and e2 for every member it builds."""
 
     __slots__ = _fields = ("gap", "sub", "imin", "imax", "e1", "e2")
     _values = attrgetter(*_fields)
@@ -89,22 +90,8 @@ class _SubFamily(Frozen):
         b, o, s = self.e1 if which == 0 else self.e2
         return new_vertex((b, o + s * i))
 
-    def key(self, z: ZModel, which: int, i: int) -> tuple[int, int, int]:
-        """``z.key(self.vertex(which, i))`` by arithmetic, building no
-        vertex; a block outside the model raises z.key's ModelError."""
-        b, o, s = self.e2 if which else self.e1
-        idx = o + s * i
-        k = z.k
-        if k is None or not 0 <= b < k:
-            return z.key(Vertex(b, idx))
-        return (k, 0, idx) if b == 0 and idx < 0 else (b, 0, idx)
-
     def member(self, i: int) -> Arc:
         return Arc(self.vertex(0, i), self.vertex(1, i))
-
-    def in_range(self, i: int) -> bool:
-        return ((self.imin is None or self.imin <= i)
-                and (self.imax is None or i <= self.imax))
 
     @staticmethod
     def _match(ep: tuple[int, int, int], v: Vertex):
@@ -121,6 +108,11 @@ class _SubFamily(Frozen):
         """The end of run (lo, hi) nearest the range's finite end."""
         return lo if self.imin is not None else hi
 
+    @property
+    def step(self) -> int:
+        """+1 when the range is bounded below, else -1: into the range."""
+        return 1 if self.imin is not None else -1
+
     def index_of(self, a: Arc) -> int | None:
         """The family index of the member equal to arc a, if any."""
         if not (isinstance(a.p, Vertex) and isinstance(a.q, Vertex)):
@@ -130,7 +122,8 @@ class _SubFamily(Frozen):
             if i is None or j is None or i == j == "any":
                 continue
             idx = j if i == "any" else i
-            if (j == "any" or j == idx) and self.in_range(idx):
+            if (j == "any" or j == idx) and _covers(self.imin, self.imax,
+                                                    idx):
                 return idx
         return None
 
@@ -290,11 +283,13 @@ class Triangulation(Frozen):
         for sf in self.tails and self.subfamilies:
             for wa in (0, 1):
                 i = sf._match(sf.e1 if wa else sf.e2, b_lo) if point else "any"
-                if i is None or (i != "any" and not sf.in_range(i)):
+                if i is None or i != "any" and not _covers(sf.imin,
+                                                           sf.imax, i):
                     continue
                 if i != "any":
-                    if (ka := sf.key(z, wa, i)) != k_blo:
-                        cands.append((sf.vertex(wa, i), ka))
+                    va = sf.vertex(wa, i)
+                    if (ka := key(va)) != k_blo:
+                        cands.append((va, ka))
                     continue
                 blk, _, slope = sf.e2 if wa else sf.e1
                 for lo, hi in _clip(sf, _and(
@@ -304,8 +299,8 @@ class Triangulation(Frozen):
                     # its extremes sit at the run's ends
                     for end, up in ((lo, False), (hi, True)):
                         if end is not None or slope == 0:
-                            cands.append((sf.vertex(wa, end or 0),
-                                          sf.key(z, wa, end or 0)))
+                            va = sf.vertex(wa, end or 0)
+                            cands.append((va, key(va)))
                         elif ((slope > 0) == up) != want_min:
                             lim = blk - 1 if want_min else blk
                             limits.append(z.rel(Limit(lim % z.k), a_lo))
@@ -414,21 +409,17 @@ class Triangulation(Frozen):
     # -- ears ----------------------------------------------------------
 
     def ears(self) -> set[Vertex]:
+        """The vertices e with {pred e, succ e} an arc of T, read off the
+        arcs {u, succ succ u} of T, e = succ u: the core arcs and the
+        tail members whose endpoints lie 2 apart in one block (their
+        slopes differ there, so each such run is one member)."""
         z = self.z
-        cands: set[Vertex] = set()
-        for a in self.core:
-            for (u, w) in ((a.p, a.q), (a.q, a.p)):
-                if z.succ(z.succ(u)) == w:
-                    cands.add(z.succ(u))
+        arcs = list(self.core)
         for sf in self.subfamilies:
-            # endpoints 2 apart in one block; their slopes differ: a point
             for i, _ in _apart(sf, 2, 2) + _apart(sf, -2, -2):
-                a = sf.member(i)
-                for (u, w) in ((a.p, a.q), (a.q, a.p)):
-                    if z.succ(z.succ(u)) == w:
-                        cands.add(z.succ(u))
-        return {e for e in cands
-                if self.contains(Arc(z.pred(e), z.succ(e)))}
+                arcs.append(sf.member(i))
+        return {z.succ(u) for a in arcs for (u, w) in ((a.p, a.q), (a.q, a.p))
+                if z.succ(z.succ(u)) == w}
 
     # -- flip ----------------------------------------------------------
 
@@ -453,11 +444,8 @@ class Triangulation(Frozen):
         its finite end and the next ``w`` indices, in key order."""
         nodes = list(self.core)
         for sf in self.subfamilies:
-            if sf.imin is not None:
-                rng = range(sf.imin, sf.imin + w + 1)
-            else:
-                rng = range(sf.imax - w, sf.imax + 1)
-            nodes.extend(sf.member(i) for i in rng)
+            end = sf.near_end(sf.imin, sf.imax)
+            nodes.extend(sf.member(end + j * sf.step) for j in range(w + 1))
         return list(dict.fromkeys(sorted(nodes, key=self.z.arc_key)))
 
     def arcs_within(self, window: tuple[int, int]) -> list[Arc]:
@@ -526,7 +514,7 @@ def _sides(z: ZModel, sf: _SubFamily, which: int, p: ClosurePoint,
     ip = s * (p.idx - o) if p.__class__ is Vertex and p.block == b else None
     iq = s * (q.idx - o) if q.__class__ is Vertex and q.block == b else None
     if s == 0 or ip is None is iq:
-        kv = sf.key(z, which, 0)  # ModelError for a block outside z
+        kv = z.key(sf.vertex(which, 0))  # ModelError for a block outside z
         if kv == kp or kv == kq:
             return (), ()
         every = ((None, None),)
@@ -540,6 +528,11 @@ def _sides(z: ZModel, sf: _SubFamily, which: int, p: ClosurePoint,
     lo, hi = sorted((ip, iq))
     mid, ends = [(lo + 1, hi - 1)], [(None, lo - 1), (hi + 1, None)]
     return (mid, ends) if ip < iq else (ends, mid)
+
+
+def _covers(lo: int | None, hi: int | None, i: int) -> bool:
+    """Whether the index run (lo, hi) (None unbounded) holds i."""
+    return (lo is None or lo <= i) and (hi is None or i <= hi)
 
 
 def _meet(r, s) -> tuple[int | None, int | None] | None:
@@ -724,7 +717,7 @@ def validate(t: Triangulation) -> ValidationReport:
             return ValidationReport(False, "non-diagonal arc", a)
     subfams = t.subfamilies
     for sf in subfams:
-        sf.key(z, 0, 0), sf.key(z, 1, 0)  # ModelError for a block outside z
+        z.key(sf.vertex(0, 0)), z.key(sf.vertex(1, 0))  # ModelError outside z
         for lo, hi in _apart(sf, -1, 1):  # equal or adjacent endpoints
             return ValidationReport(False, "non-diagonal tail member",
                                     (sf.gap, sf.sub, sf.near_end(lo, hi)))
@@ -791,8 +784,7 @@ def face_sides(t: Triangulation) -> list[tuple[Arc, ClosurePoint]]:
     sides = {d: (z.succ(d.p), z.succ(d.q)) for d in t.core}
     for sf in t.subfamilies:
         i = sf.near_end(sf.imin, sf.imax)
-        past = i - 1 if sf.imin is not None else i + 1
-        sides.setdefault(sf.member(i), (sf.vertex(1, past),))
+        sides.setdefault(sf.member(i), (sf.vertex(1, i - sf.step),))
     arcs = sides if z.is_finite else sorted(sides, key=z.arc_key)
     return [(d, side) for d in arcs for side in sides[d]]
 

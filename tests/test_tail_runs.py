@@ -16,7 +16,7 @@ from infgon.cvector import (CVectorQuery, cvector_full, dimension_vector,
                             realize_dimension_vector)
 from infgon.decomposition import OrderedCrossingSet, maximal_pairs
 from infgon.triangulation import (Fountain, Leapfrog, Triangulation,
-                                  _and, _apart, _clip, _crossing_runs,
+                                  _and, _apart, _clip, _covers, _crossing_runs,
                                   _family_crossings, _SubFamily,
                                   _subfamilies_of_tail, _within,
                                   enumerate_triangulations, validate)
@@ -133,7 +133,7 @@ def _reach(sf, bounds, m) -> int:
     """4 * (hull spread + largest index magnitude) for the family's
     finite end and the bounds: far past every breakpoint, which lies
     within 3 such magnitudes of 0, and past the offset m."""
-    end = sf.imin if sf.imin is not None else sf.imax
+    end = sf.near_end(sf.imin, sf.imax)
     idx = [sf.vertex(0, end).idx, sf.vertex(1, end).idx, end]
     idx += [p.idx for p in bounds if isinstance(p, Vertex)]
     return 4 * (max(idx) - min(idx) + max(m, *map(abs, idx)) + 1)
@@ -238,7 +238,7 @@ def test_crossing_runs_match_brute_force_and_the_sampled_runs(m, data):
     z, sf, arc = data.draw(family_and_arc(m))
     ka, kb = z.key(arc.p), z.key(arc.q)
     sampled = _sampled_runs(sf, (arc.p, arc.q), lambda i: keys_cross(
-        ka, kb, sf.key(z, 0, i), sf.key(z, 1, i)))
+        ka, kb, z.key(sf.vertex(0, i)), z.key(sf.vertex(1, i))))
     got = _crossing_runs(z, sf, arc)
     assert got == sampled
 
@@ -254,7 +254,7 @@ def _assert_near_runs_exact(sf, runs, pred, bounds=()):
     4(S + 1) past the family's finite end, S the spread of the vertex
     indices of its end member and of the bounds, and an unbounded run
     holds one index beyond."""
-    end = sf.imin if sf.imin is not None else sf.imax
+    end = sf.near_end(sf.imin, sf.imax)
     idx = [sf.vertex(0, end).idx, sf.vertex(1, end).idx]
     idx += [p.idx for p in bounds if isinstance(p, Vertex)]
     reach = 4 * (max(idx) - min(idx) + 1)
@@ -322,7 +322,7 @@ def test_interval_path_is_the_sampled_joins(m, data):
     k_alo, k_ahi, k_blo, k_bhi = map(z.key, (a_lo, a_hi, b_lo, b_hi))
     for wa in (0, 1):
         def joins(i):
-            ka, kb = sf.key(z, wa, i), sf.key(z, 1 - wa, i)
+            ka, kb = z.key(sf.vertex(wa, i)), z.key(sf.vertex(1 - wa, i))
             return (keys_in_closed(k_alo, ka, k_ahi) and ka != kb
                     and keys_in_closed(k_blo, kb, k_bhi))
         assert _clip(sf, _and(
@@ -339,7 +339,7 @@ def _sampled_side_runs(y, r, x, want):
     kx = y._okey(x)
 
     def on_side(i):
-        km = y._order_keys(sf.key(z, 0, i), sf.key(z, 1, i))
+        km = y._order_keys(z.key(sf.vertex(0, i)), z.key(sf.vertex(1, i)))
         return km[0] != kx[0] and y._cmp_keys(
             km, kx, lambda: (sf.member(i), x)) == want
     return _sampled_runs(sf, (x.p, x.q, y.e, y.f), on_side)
@@ -387,13 +387,14 @@ def test_side_runs_are_the_sampled_side_sweeps(m, data):
     except ModelError:
         return  # Y is empty, or its runs already raise
     xs = [a for a in t.core if y.z.crosses(y.pair, a)]
-    xs += [r.sf.member(r.closed + j * r.open_sign)
+    xs += [r.sf.member(r.closed + j * r.sf.step)
            for r in y._runs for j in range(3)]
     for r in y._runs:
         for x in xs:
             kx = y._okey(x)
             crossers = _sampled_runs(r.sf, (x.p, x.q), lambda i: keys_cross(
-                kx[1], kx[2], r.sf.key(y.z, 0, i), r.sf.key(y.z, 1, i)))
+                kx[1], kx[2], y.z.key(r.sf.vertex(0, i)),
+                y.z.key(r.sf.vertex(1, i))))
             for want in (-1, 1):
                 y._sides.clear()
                 got = _outcome(y._side_runs, r, x, want)
@@ -421,7 +422,7 @@ def two_families(draw, m):
 
 
 def _end(sf) -> int:
-    return sf.imin if sf.imin is not None else sf.imax
+    return sf.near_end(sf.imin, sf.imax)
 
 
 @pytest.mark.parametrize("m", FAR)
@@ -437,21 +438,21 @@ def test_family_crossings_are_the_sampled_sweep_and_brute_force(m, data):
     fixed = [Vertex(b, o) for sf in (fa, fb)
              for b, o, s in (sf.e1, sf.e2) if s == 0]
     anchors = [fa.vertex(w, i) for i in _breakpoints(fa, fixed)
-               if fa.in_range(i) for w in (0, 1)]
+               if _covers(fa.imin, fa.imax, i) for w in (0, 1)]
     assert got == _sampled_runs(fb, anchors + fixed, lambda j: bool(
         _crossing_runs(z, fa, fb.member(j))))
 
     idx = [v.idx for sf in (fa, fb) for v in sf.member(_end(sf)).endpoints()]
     reach = 4 * (max(idx) - min(idx) + 1)
-    ka = [(fa.key(z, 0, i), fa.key(z, 1, i))
+    ka = [(z.key(fa.vertex(0, i)), z.key(fa.vertex(1, i)))
           for i in range(_end(fa) - 3 * reach, _end(fa) + 3 * reach + 1)
-          if fa.in_range(i)]
+          if _covers(fa.imin, fa.imax, i)]
 
     def crossed(j):
-        kp, kq = fb.key(z, 0, j), fb.key(z, 1, j)
+        kp, kq = z.key(fb.vertex(0, j)), z.key(fb.vertex(1, j))
         return any(keys_cross(kp, kq, *k) for k in ka)
     js = [j for j in range(_end(fb) - reach, _end(fb) + reach + 1)
-          if fb.in_range(j)]
+          if _covers(fb.imin, fb.imax, j)]
     assert {j for j in js if crossed(j)} == {
         j for j in js for lo, hi in got
         if (lo is None or lo <= j) and (hi is None or j <= hi)}
@@ -740,37 +741,19 @@ def test_degenerate_member_inside_the_range_is_reported(tail, witness):
         False, "non-diagonal tail member", witness)
 
 
-# -- member keys by arithmetic ------------------------------------------------
+# -- a tail vertex outside the model ------------------------------------------
 
 
-@pytest.mark.parametrize("m", OFFSETS)
-@pytest.mark.parametrize("build", [fountain, leapfrog, blocks2])
-def test_member_key_is_the_model_key(build, m):
-    """On a window reaching 3m + 40 past each finite end (through vertex
-    0 and the negative half of block 0), the key computed from the
-    index is the key of the vertex."""
-    t = build(m)
-    z = t.z
-    for sf in t.subfamilies:
-        end = sf.imin if sf.imin is not None else sf.imax
-        for i in range(end - 3 * m - 40, end + 3 * m + 41):
-            for w in (0, 1):
-                assert sf.key(z, w, i) == z.key(sf.vertex(w, i))
-
-
-@pytest.mark.parametrize("z, sf, which, idx", [
-    (ZModel.blocks(2), _SubFamily(0, "right", 0, None, (0, 5, 0), (2, 0, 1)),
-     1, (-3, 0, 4)),
-    (ZModel.blocks(1), _SubFamily(0, "left", None, 0, (-1, 0, 1), (0, 0, 0)),
-     0, (-2, 0)),
-    (ZModel.finite(6), _SubFamily(0, "right", 0, None, (0, 0, 0), (0, 2, 1)),
-     1, (-3, 4, 9)),
+@pytest.mark.parametrize("z, tails, message", [
+    (ZModel.blocks(2), {0: Fountain(Vertex(5, 0), 2, -2), 1: Leapfrog(0, 0)},
+     "V(5,0) is not a vertex of Blocks(2)"),
+    (ZModel.blocks(1), {0: Fountain(Vertex(-1, 0), 2, -2)},
+     "V(-1,0) is not a vertex of Blocks(1)"),
 ])
-def test_member_key_outside_the_model_raises_the_model_error(z, sf, which,
-                                                             idx):
-    for i in idx:
-        with pytest.raises(ModelError) as want:
-            z.key(sf.vertex(which, i))
-        with pytest.raises(ModelError, match=re.escape(str(want.value))):
-            sf.key(z, which, i)
-    assert sf.key(z, 1 - which, 1) == z.key(sf.vertex(1 - which, 1))
+def test_validate_raises_the_model_error_for_a_tail_base_outside(z, tails,
+                                                                message):
+    """A fountain base in no block of the model raises z.key's
+    ModelError, naming the vertex, once the tails cover every gap."""
+    with pytest.raises(ModelError, match=re.escape(message)) as got:
+        validate(Triangulation.make(z, set(), tails))
+    assert str(got.value) == message

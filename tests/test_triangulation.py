@@ -9,12 +9,13 @@ from itertools import combinations
 import pytest
 
 from infgon.triangulation import (DualQuiver, Fountain, Leapfrog,
-                                  Triangulation, enumerate_triangulations,
-                                  validate)
+                                  Triangulation, _covers,
+                                  enumerate_triangulations, validate)
 from infgon.zmodel import Arc, Limit, ModelError, Vertex, ZModel
 
-from test_validate import (_filled, _flipped, _shift, crossing_quadruple,
-                           fountain_fixture, hexagon_cyclic, is_acyclic,
+from test_validate import (HULL_MARGIN, _filled, _flipped, _shift,
+                           crossing_quadruple, fountain_fixture,
+                           hexagon_cyclic, hull, is_acyclic,
                            leapfrog_fixture, pentagon_fan, reference_nodes)
 
 
@@ -353,6 +354,26 @@ def test_ears_exhaustive():
     assert count == 2 + 5 + 14 + 42 + 132 + 429
 
 
+@pytest.mark.parametrize("m", [0, 10 ** 6])
+def test_ears_match_brute_force_on_generated_blocks(m):
+    """On ``_filled`` and ``_flipped`` Blocks(1..3) triangulations, the
+    ears are the vertices v of each block hull +- HULL_MARGIN with
+    {pred v, succ v} in T: none lies farther out."""
+    count = 0
+    for k in (1, 2, 3):
+        for seed in range(40):
+            for draw in (_filled, _flipped):
+                t = _shift(draw(random.Random(seed), k), m)
+                z = t.z
+                want = {v for b, (lo, hi) in hull(t).items()
+                        for v in (Vertex(b, i) for i in range(
+                            lo - HULL_MARGIN, hi + HULL_MARGIN + 1))
+                        if t.contains(Arc(z.pred(v), z.succ(v)))}
+                assert t.ears() == want, (t.core, t.tails)
+                count += 1
+    assert count == 240
+
+
 # -- flip -----------------------------------------------------------------
 
 
@@ -502,9 +523,9 @@ def _joined(t: Triangulation) -> dict[Vertex, set[Vertex]]:
     a tail member listed one by one."""
     arcs = list(t.core)
     for sf in t.subfamilies:
-        end = sf.imin if sf.imin is not None else sf.imax
+        end = sf.near_end(sf.imin, sf.imax)
         arcs += [sf.member(i) for i in range(end - REACH, end + REACH + 1)
-                 if sf.in_range(i)]
+                 if _covers(sf.imin, sf.imax, i)]
     out: dict[Vertex, set[Vertex]] = {}
     for a in arcs:
         out.setdefault(a.p, set()).add(a.q)

@@ -34,7 +34,7 @@ def hull(t: Triangulation) -> dict[int, tuple[int, int]]:
     idx: dict[int, list[int]] = {}
     ends = [p for a in t.core for p in (a.p, a.q)]
     for sf in t.subfamilies:
-        end = sf.imin if sf.imin is not None else sf.imax
+        end = sf.near_end(sf.imin, sf.imax)
         ends += (sf.vertex(0, end), sf.vertex(1, end))
     for p in ends:
         if isinstance(p, Vertex):
